@@ -57,10 +57,10 @@ def _add_parse_flags(p):
                    help="drop rows with missing answers or impute the column mode")
 
 
-def _add_fit_flags(p, k_required):
-    p.add_argument("--k", type=int, required=k_required, help="number of clusters")
-    p.add_argument("--policy", choices=("simple", "weighted", "mixed"), default="simple")
-    p.add_argument("--gamma", default="auto", help="'auto' or a non-negative number (mixed policy)")
+def _add_fit_flags(p):
+    # The mixed policy stays library-only: survey answers are all
+    # categorical, where it either fails (auto gamma) or rescales simple.
+    p.add_argument("--policy", choices=("simple", "weighted"), default="simple")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=1)
     p.add_argument("--init", choices=("random_rows", "density"), default="random_rows")
@@ -74,7 +74,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("fit", help="cluster responses and persist the model as JSON")
     _add_io(p)
     _add_parse_flags(p)
-    _add_fit_flags(p, k_required=True)
+    p.add_argument("--k", type=int, required=True, help="number of clusters")
+    _add_fit_flags(p)
 
     p = sub.add_parser("elbow", help="scan a k range and report the selected k")
     _add_io(p)
@@ -83,11 +84,7 @@ def build_parser() -> _Parser:
     p.add_argument("--k-max", type=int, required=True)
     p.add_argument("--epsilon", type=float, default=0.05,
                    help="relative-improvement threshold for k selection")
-    p.add_argument("--policy", choices=("simple", "weighted", "mixed"), default="simple")
-    p.add_argument("--gamma", default="auto")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=1)
-    p.add_argument("--init", choices=("random_rows", "density"), default="random_rows")
+    _add_fit_flags(p)
     p.add_argument("--format", choices=("json", "text"), default="text")
 
     p = sub.add_parser("score", help="per-respondent raw and percentage trait profiles")
@@ -98,7 +95,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("report", help="population trait percentages from a clustering")
     _add_io(p)
     _add_parse_flags(p)
-    _add_fit_flags(p, k_required=False)
+    p.add_argument("--k", type=int, help="number of clusters")
+    _add_fit_flags(p)
     p.add_argument("--format", choices=("json", "text", "piedata"), default="json")
     p.add_argument("--aggregate", choices=("share", "mean"), default="share",
                    help="share: dominant-cluster population shares; mean: mean profile")
@@ -132,16 +130,6 @@ def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
     return Path(path).read_text(encoding="utf-8")
-
-
-def _policy(args) -> DissimilarityPolicy:
-    if args.gamma == "auto":
-        return DissimilarityPolicy(mode=args.policy, gamma_mode="auto")
-    try:
-        value = float(args.gamma)
-    except ValueError:
-        raise ValueError(f"--gamma must be 'auto' or a number, got {args.gamma!r}") from None
-    return DissimilarityPolicy(mode=args.policy, gamma_mode="fixed", gamma_value=value)
 
 
 def _parse_input(args, schema):
@@ -207,13 +195,25 @@ def _load_model(path: str, dataset) -> ClusterModel:
             Prototype(values=tuple(vals), cluster_index=i)
             for i, vals in enumerate(doc["modes"])
         )
+        k = int(doc["k"])
+        if not k == config.k == len(modes):
+            raise ValueError(f"model k={k}, config k={config.k} and {len(modes)} modes disagree")
+        m = len(dataset.attrs)
+        for p in modes:
+            if len(p.values) != m:
+                raise ValueError(
+                    f"model mode {p.cluster_index} has {len(p.values)} values, expected {m}"
+                )
         amap = doc["assignments"]
         assignments = []
         for row in dataset.rows:
             key = str(row.row_id)
             if key not in amap:
                 raise ValueError(f"model has no assignment for row {key!r}")
-            assignments.append(int(amap[key]))
+            l = int(amap[key])
+            if not 0 <= l < k:
+                raise ValueError(f"model assigns row {key!r} to cluster {l}, outside 0..{k - 1}")
+            assignments.append(l)
         return ClusterModel(
             modes=modes,
             assignments=tuple(assignments),
@@ -222,15 +222,15 @@ def _load_model(path: str, dataset) -> ClusterModel:
             converged=bool(doc["converged"]),
             config=config,
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, InfeasibleConfigError) as exc:
         raise ValueError(f"malformed model document: {exc}") from exc
 
 
 def _cmd_fit(args) -> str:
     schema = load_schema(args.schema)
     result = _parse_input(args, schema)
-    config = FitConfig(k=args.k, policy=_policy(args), init=args.init,
-                       seed=args.seed, restarts=args.restarts)
+    config = FitConfig(k=args.k, policy=DissimilarityPolicy(mode=args.policy),
+                       init=args.init, seed=args.seed, restarts=args.restarts)
     model = fit(result.dataset, config)
     return json.dumps(_model_doc(model, result.dataset, schema), indent=2, sort_keys=True) + "\n"
 
@@ -238,7 +238,8 @@ def _cmd_fit(args) -> str:
 def _cmd_elbow(args) -> str:
     schema = load_schema(args.schema)
     result = _parse_input(args, schema)
-    curve = elbow_scan(result.dataset, args.k_min, args.k_max, _policy(args),
+    curve = elbow_scan(result.dataset, args.k_min, args.k_max,
+                       DissimilarityPolicy(mode=args.policy),
                        seed=args.seed, restarts=args.restarts, init=args.init)
     chosen = select_k(curve, args.epsilon)
     if args.format == "json":
@@ -294,8 +295,8 @@ def _cmd_report(args) -> str:
         else:
             if args.k is None:
                 raise ValueError("--k is required unless --model or --aggregate mean is given")
-            config = FitConfig(k=args.k, policy=_policy(args), init=args.init,
-                               seed=args.seed, restarts=args.restarts)
+            config = FitConfig(k=args.k, policy=DissimilarityPolicy(mode=args.policy),
+                               init=args.init, seed=args.seed, restarts=args.restarts)
             model = fit(result.dataset, config)
         labeling = label_clusters(model, profiles, schema)
         rep = personality_percentages(labeling)

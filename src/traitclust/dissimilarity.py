@@ -129,31 +129,105 @@ def _vector(x):
     return tuple(x)
 
 
-def _aligned(va, vb, attrs):
-    if len(va) != len(attrs) or len(vb) != len(attrs):
-        raise AlignmentError(
-            f"value lengths {len(va)}/{len(vb)} do not match {len(attrs)} attributes"
-        )
+def check_inputs(mode, attrs, vectors, gammas=()):
+    """Raise unless the measure of policy ``mode`` is defined on these
+    inputs. Every vector must hold one value per attribute (else
+    AlignmentError). Simple and weighted matching need all-categorical
+    attributes, and gammas must be non-negative (else PolicyError)."""
+    m = len(attrs)
+    for v in vectors:
+        if len(v) != m:
+            raise AlignmentError(f"value length {len(v)} does not match {m} attributes")
+    if mode != MIXED and any(spec.kind != CATEGORICAL for spec in attrs):
+        raise PolicyError(f"{mode} matching is defined for categorical attributes only")
+    for g in gammas:
+        if g < 0:
+            raise PolicyError(f"gamma must be >= 0, got {g}")
+
+
+def measure(policy, attrs, weights=None, gammas=None):
+    """The distance ``d(vals, mode, l)`` from a value vector to the mode of
+    cluster ``l`` under ``policy``.
+
+    This is the one implementation of each measure; fit, nearest_mode,
+    within_cluster_difference and the functions below all call it. It
+    checks nothing, so callers run check_inputs once per call.
+
+    weighted without a table measures plain matching (fit's allocation
+    pass has no assignment to derive one from). mixed without per-cluster
+    gammas uses the fixed gamma, or 1 under auto, for every cluster.
+    """
+    cat = [j for j, spec in enumerate(attrs) if spec.kind == CATEGORICAL]
+    if policy.mode == MIXED:
+        num = [j for j, spec in enumerate(attrs) if spec.kind == NUMERIC]
+        gamma = policy.gamma_value if policy.gamma_mode == "fixed" else 1.0
+
+        def d(vals, mode, l):
+            sq = 0.0
+            for j in num:
+                sq += (vals[j] - mode[j]) ** 2
+            t = 0
+            for j in cat:
+                if vals[j] != mode[j]:
+                    t += 1
+            return math.sqrt(sq) + (gamma if gammas is None else gammas[l]) * t
+
+    elif policy.mode == WEIGHTED and weights is not None:
+        weight = weights.weight
+
+        def d(vals, mode, l):
+            t = 0.0
+            for j in cat:
+                w = weight(j, vals[j], l)
+                t += (1.0 - w) if vals[j] == mode[j] else w
+            return t
+
+    else:
+
+        def d(vals, mode, l):
+            t = 0
+            for j in cat:
+                if vals[j] != mode[j]:
+                    t += 1
+            return t
+
+    return d
+
+
+def policy_statistics(policy, dataset, assignments, k) -> dict:
+    """The per-cluster statistics ``policy`` derives from an assignment, as
+    keyword arguments for measure(): the weight table under weighted, the
+    per-cluster gammas under mixed with auto gamma (a degenerate 0 becomes
+    1), and none otherwise."""
+    if policy.mode == WEIGHTED:
+        return {"weights": compute_category_weights(dataset, assignments, k)}
+    if policy.mode == MIXED and policy.gamma_mode == "auto":
+        members = [[] for _ in range(k)]
+        for row, l in zip(dataset.rows, assignments):
+            members[l].append(row)
+        return {"gammas": [compute_gamma(rows, dataset.attrs) or 1.0 for rows in members]}
+    return {}
+
+
+_SIMPLE_POLICY = DissimilarityPolicy(SIMPLE)
+_WEIGHTED_POLICY = DissimilarityPolicy(WEIGHTED)
+_MIXED_POLICY = DissimilarityPolicy(MIXED)
 
 
 def simple_matching(a, b, attrs) -> int:
     """Number of categorical positions where the two vectors disagree."""
     va, vb = _vector(a), _vector(b)
-    _aligned(va, vb, attrs)
-    for spec in attrs:
-        if spec.kind != CATEGORICAL:
-            raise PolicyError("simple matching is defined for categorical attributes only")
-    return sum(1 for x, z in zip(va, vb) if x != z)
+    check_inputs(SIMPLE, attrs, (va, vb))
+    return measure(_SIMPLE_POLICY, attrs)(va, vb, 0)
 
 
 def euclidean_distance(a, b, attrs) -> float:
     """sqrt of the summed squared differences over numeric attributes."""
     va, vb = _vector(a), _vector(b)
-    _aligned(va, vb, attrs)
-    numeric = [j for j, spec in enumerate(attrs) if spec.kind == NUMERIC]
-    if not numeric:
+    check_inputs(MIXED, attrs, (va, vb))
+    if all(spec.kind != NUMERIC for spec in attrs):
         raise PolicyError("euclidean distance needs at least one numeric attribute")
-    return math.sqrt(sum((va[j] - vb[j]) ** 2 for j in numeric))
+    return measure(_MIXED_POLICY, attrs, gammas=(0.0,))(va, vb, 0)
 
 
 def weighted_matching(a, z, attrs, weights: CategoryWeightTable) -> float:
@@ -166,16 +240,9 @@ def weighted_matching(a, z, attrs, weights: CategoryWeightTable) -> float:
     """
     if not isinstance(z, Prototype):
         raise PolicyError("weighted matching needs a Prototype (the cluster identity drives weight lookup)")
-    va, vz = _vector(a), z.values
-    _aligned(va, vz, attrs)
-    cluster = z.cluster_index
-    total = 0.0
-    for j, spec in enumerate(attrs):
-        if spec.kind != CATEGORICAL:
-            raise PolicyError("weighted matching is defined for categorical attributes only")
-        w = weights.weight(j, va[j], cluster)
-        total += (1.0 - w) if va[j] == vz[j] else w
-    return total
+    va = _vector(a)
+    check_inputs(WEIGHTED, attrs, (va, z.values))
+    return measure(_WEIGHTED_POLICY, attrs, weights=weights)(va, z.values, z.cluster_index)
 
 
 def compute_category_weights(dataset, assignments, k: int) -> CategoryWeightTable:
@@ -226,18 +293,9 @@ def compute_category_weights(dataset, assignments, k: int) -> CategoryWeightTabl
 def mixed_dissimilarity(a, z, attrs, gamma: float) -> float:
     """Euclidean part over numeric slots plus gamma times the categorical
     mismatch count. gamma = 0 ignores categorical attributes entirely."""
-    if gamma < 0:
-        raise PolicyError(f"gamma must be >= 0, got {gamma}")
     va, vz = _vector(a), _vector(z)
-    _aligned(va, vz, attrs)
-    sq = 0.0
-    mismatches = 0
-    for j, spec in enumerate(attrs):
-        if spec.kind == NUMERIC:
-            sq += (va[j] - vz[j]) ** 2
-        elif va[j] != vz[j]:
-            mismatches += 1
-    return math.sqrt(sq) + gamma * mismatches
+    check_inputs(MIXED, attrs, (va, vz), (gamma,))
+    return measure(_MIXED_POLICY, attrs, gammas=(gamma,))(va, vz, 0)
 
 
 def compute_gamma(cluster_rows, attrs) -> float:

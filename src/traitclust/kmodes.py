@@ -33,11 +33,9 @@ from .dissimilarity import (
     DissimilarityPolicy,
     Prototype,
     Record,
-    compute_category_weights,
-    compute_gamma,
-    mixed_dissimilarity,
-    simple_matching,
-    weighted_matching,
+    check_inputs,
+    measure,
+    policy_statistics,
 )
 from .errors import (
     AlignmentError,
@@ -271,34 +269,46 @@ def init_modes(dataset, k: int, strategy: str = "random_rows", seed: int = 0):
     return [Prototype(values=v, cluster_index=i) for i, v in enumerate(chosen)]
 
 
+def _mode_vectors(modes):
+    """Value vectors of modes given as Prototypes, whose cluster_index must
+    equal their position, or as plain sequences."""
+    vectors = []
+    for l, m in enumerate(modes):
+        if isinstance(m, Prototype):
+            if m.cluster_index != l:
+                raise ValueError("prototype cluster_index must equal its list position")
+            vectors.append(m.values)
+        else:
+            vectors.append(tuple(m))
+    return vectors
+
+
+def _nearest(d, vals, modes):
+    # Strict improvement only, so distance ties go to the lowest index.
+    best_l = 0
+    best_d = d(vals, modes[0], 0)
+    for l in range(1, len(modes)):
+        dl = d(vals, modes[l], l)
+        if dl < best_d:
+            best_l, best_d = l, dl
+    return best_l, best_d
+
+
 def nearest_mode(record, modes, attrs, policy, weights=None, gammas=None):
     """Index of the closest prototype and its distance; ties go to the
-    lowest index. For the mixed policy, per-cluster gammas may be supplied;
-    otherwise the fixed gamma (or 1.0 under auto) applies to every cluster.
+    lowest index. Modes are Prototypes whose cluster_index is their
+    position, or plain vectors. For the mixed policy, per-cluster gammas
+    may be supplied; otherwise the fixed gamma (or 1.0 under auto) applies
+    to every cluster.
     """
-    modes = list(modes)
+    modes = _mode_vectors(modes)
     if not modes:
         raise ValueError("modes must be non-empty")
+    if policy.mode == WEIGHTED and weights is None:
+        raise PolicyError("weighted policy needs a CategoryWeightTable")
     vals = record.values if isinstance(record, Record) else tuple(record)
-    best_l, best_d = 0, None
-    for l, proto in enumerate(modes):
-        if policy.mode == SIMPLE:
-            d = simple_matching(vals, proto, attrs)
-        elif policy.mode == WEIGHTED:
-            if weights is None:
-                raise PolicyError("weighted policy needs a CategoryWeightTable")
-            d = weighted_matching(vals, proto, attrs, weights)
-        else:
-            if gammas is not None:
-                g = gammas[l]
-            elif policy.gamma_mode == "fixed":
-                g = policy.gamma_value
-            else:
-                g = 1.0
-            d = mixed_dissimilarity(vals, proto, attrs, g)
-        if best_d is None or d < best_d:
-            best_l, best_d = l, d
-    return best_l, best_d
+    check_inputs(policy.mode, attrs, [vals, *modes], gammas or ())
+    return _nearest(measure(policy, attrs, weights, gammas), vals, modes)
 
 
 class _Cluster:
@@ -341,9 +351,8 @@ class _Cluster:
 
 
 def _validate_fit_policy(dataset, policy):
+    check_inputs(policy.mode, dataset.attrs, ())
     kinds = {spec.kind for spec in dataset.attrs}
-    if policy.mode in (SIMPLE, WEIGHTED) and NUMERIC in kinds:
-        raise PolicyError(f"{policy.mode} policy requires an all-categorical dataset")
     if policy.mode == MIXED and policy.gamma_mode == "auto" and NUMERIC not in kinds:
         raise PolicyError("mixed policy with auto gamma needs at least one numeric attribute")
 
@@ -355,62 +364,21 @@ def _fit_once(dataset, config, seed, debug):
     policy = config.policy
     cat_idx = [j for j, s in enumerate(attrs) if s.kind == CATEGORICAL]
     num_idx = [j for j, s in enumerate(attrs) if s.kind == NUMERIC]
-    gamma_fixed = policy.gamma_value if policy.gamma_mode == "fixed" else None
 
     protos = init_modes(dataset, k, config.init, seed)
     clusters = [_Cluster(cat_idx, num_idx, p.values) for p in protos]
+    # Each cluster updates its mode list in place, so these stay current.
+    modes = [c.mode for c in clusters]
     assign = [0] * len(rows)
 
-    def make_measure(weights=None, gammas=None):
-        # The initial allocation pass has no assignment to derive weights or
-        # per-cluster gammas from, so the weighted policy falls back to plain
-        # matching there and auto gamma starts at 1.
-        if policy.mode == SIMPLE or (policy.mode == WEIGHTED and weights is None):
-            def d(vals, cluster, l):
-                mode = cluster.mode
-                t = 0
-                for j in cat_idx:
-                    if vals[j] != mode[j]:
-                        t += 1
-                return t
-        elif policy.mode == WEIGHTED:
-            def d(vals, cluster, l):
-                mode = cluster.mode
-                t = 0.0
-                for j in cat_idx:
-                    w = weights.weight(j, vals[j], l)
-                    t += (1.0 - w) if vals[j] == mode[j] else w
-                return t
-        else:
-            gs = gammas if gammas is not None else [gamma_fixed if gamma_fixed is not None else 1.0] * k
-            def d(vals, cluster, l):
-                mode = cluster.mode
-                sq = 0.0
-                for j in num_idx:
-                    sq += (vals[j] - mode[j]) ** 2
-                t = 0
-                for j in cat_idx:
-                    if vals[j] != mode[j]:
-                        t += 1
-                return math.sqrt(sq) + gs[l] * t
-        return d
-
-    def nearest(vals, d):
-        best_l = 0
-        best_d = d(vals, clusters[0], 0)
-        for l in range(1, k):
-            dl = d(vals, clusters[l], l)
-            if dl < best_d:
-                best_l, best_d = l, dl
-        return best_l, best_d
-
     def live_cost(d):
-        return sum(d(vals, clusters[assign[i]], assign[i]) for i, vals in enumerate(rows))
+        return sum(d(vals, modes[assign[i]], assign[i]) for i, vals in enumerate(rows))
 
-    # Initial allocation pass.
-    d0 = make_measure()
+    # Initial allocation pass. There is no assignment yet to derive weights
+    # or per-cluster gammas from, so the measure runs without them.
+    d0 = measure(policy, attrs)
     for i, vals in enumerate(rows):
-        l, _ = nearest(vals, d0)
+        l, _ = _nearest(d0, vals, modes)
         assign[i] = l
         clusters[l].add(vals)
 
@@ -425,7 +393,7 @@ def _fit_once(dataset, config, seed, debug):
         for i, vals in enumerate(rows):
             if clusters[assign[i]].size < 2:
                 continue
-            di = d0(vals, clusters[assign[i]], assign[i])
+            di = d0(vals, modes[assign[i]], assign[i])
             if di > best_d:
                 best_i, best_d = i, di
         vals = rows[best_i]
@@ -436,29 +404,18 @@ def _fit_once(dataset, config, seed, debug):
     # Reallocation epochs. A row moves only when some mode is strictly
     # closer than its current one (equidistant rows stay put, which is what
     # makes every accepted move strictly decrease the live cost) and only
-    # when the move does not empty its source cluster.
+    # when the move does not empty its source cluster. Weights and auto
+    # gammas are derived once per epoch and frozen within it.
     epochs_run = 0
     converged = False
     for epoch in range(1, config.max_epochs + 1):
         epochs_run = epoch
-        if policy.mode == WEIGHTED:
-            # Recomputed once per epoch and frozen within it.
-            weights = compute_category_weights(dataset, assign, k)
-            d = make_measure(weights=weights)
-        elif policy.mode == MIXED and gamma_fixed is None:
-            gammas = []
-            for l in range(k):
-                members = [dataset.rows[i] for i, a in enumerate(assign) if a == l]
-                g = compute_gamma(members, attrs) if members else 0.0
-                gammas.append(g if g > 0 else 1.0)
-            d = make_measure(gammas=gammas)
-        else:
-            d = make_measure()
+        d = measure(policy, attrs, **policy_statistics(policy, dataset, assign, k))
         moves = 0
         for i, vals in enumerate(rows):
             s = assign[i]
-            ds = d(vals, clusters[s], s)
-            t, dt = nearest(vals, d)
+            ds = d(vals, modes[s], s)
+            t, dt = _nearest(d, vals, modes)
             if dt < ds and clusters[s].size >= 2:
                 if debug and policy.mode == SIMPLE:
                     before = live_cost(d)
@@ -477,12 +434,10 @@ def _fit_once(dataset, config, seed, debug):
             converged = True
             break
 
-    modes = tuple(
-        Prototype(values=tuple(c.mode), cluster_index=l) for l, c in enumerate(clusters)
-    )
+    protos = tuple(Prototype(values=tuple(m), cluster_index=l) for l, m in enumerate(modes))
     assignments = tuple(assign)
-    cost = within_cluster_difference(dataset, modes, assignments, policy)
-    return modes, assignments, epochs_run, converged, cost
+    cost = within_cluster_difference(dataset, protos, assignments, policy)
+    return protos, assignments, epochs_run, converged, cost
 
 
 def fit(dataset, config: FitConfig, debug: bool = False) -> ClusterModel:
@@ -523,7 +478,7 @@ def within_cluster_difference(dataset, modes, assignments, policy=None, weights=
     recomputed from the assignment (0 is replaced by 1).
     """
     policy = policy if policy is not None else DissimilarityPolicy()
-    modes = list(modes)
+    modes = _mode_vectors(modes)
     k = len(modes)
     if len(assignments) != dataset.n:
         raise AlignmentError(
@@ -532,36 +487,16 @@ def within_cluster_difference(dataset, modes, assignments, policy=None, weights=
     for l in assignments:
         if not 0 <= l < k:
             raise ValueError(f"assignment {l} out of range for k={k}")
-    protos = []
-    for l, m in enumerate(modes):
-        if isinstance(m, Prototype):
-            if m.cluster_index != l:
-                raise ValueError("prototype cluster_index must equal its list position")
-            protos.append(m)
-        else:
-            protos.append(Prototype(values=tuple(m), cluster_index=l))
     attrs = dataset.attrs
-    total = 0.0
-    if policy.mode == SIMPLE:
-        for row, l in zip(dataset.rows, assignments):
-            total += simple_matching(row, protos[l], attrs)
-    elif policy.mode == WEIGHTED:
-        table = weights if weights is not None else compute_category_weights(dataset, assignments, k)
-        for row, l in zip(dataset.rows, assignments):
-            total += weighted_matching(row, protos[l], attrs, table)
+    check_inputs(policy.mode, attrs, modes)
+    if policy.mode == WEIGHTED and weights is not None:
+        stats = {"weights": weights}
     else:
-        if policy.gamma_mode == "fixed":
-            gammas = [policy.gamma_value] * k
-        else:
-            members = [[] for _ in range(k)]
-            for row, l in zip(dataset.rows, assignments):
-                members[l].append(row)
-            gammas = []
-            for l in range(k):
-                g = compute_gamma(members[l], attrs) if members[l] else 0.0
-                gammas.append(g if g > 0 else 1.0)
-        for row, l in zip(dataset.rows, assignments):
-            total += mixed_dissimilarity(row, protos[l], attrs, gammas[l])
+        stats = policy_statistics(policy, dataset, assignments, k)
+    d = measure(policy, attrs, **stats)
+    total = 0.0
+    for row, l in zip(dataset.rows, assignments):
+        total += d(row.values, modes[l], l)
     return float(total)
 
 

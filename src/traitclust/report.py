@@ -189,13 +189,6 @@ def _labeling_doc(labeling: ClusterLabeling) -> dict:
     }
 
 
-def _labeling_shares(labeling: ClusterLabeling) -> dict:
-    totals = {d: 0 for d in labeling.dimensions}
-    for c in labeling.clusters:
-        totals[c.dominant] += c.size
-    return {d: 100.0 * totals[d] / labeling.n for d in labeling.dimensions}
-
-
 def emit_report(obj, fmt: str = "json") -> str:
     """Serialize a PercentReport or ClusterLabeling.
 
@@ -222,7 +215,7 @@ def emit_report(obj, fmt: str = "json") -> str:
         if fmt == "json":
             return json.dumps(_labeling_doc(obj), indent=2, sort_keys=True) + "\n"
         if fmt == "piedata":
-            shares = _labeling_shares(obj)
+            shares = personality_percentages(obj).percent
             lines = ["dimension,percentage"]
             lines += [f"{d},{_round3(shares[d])}" for d in obj.dimensions]
             return "\n".join(lines) + "\n"
@@ -248,13 +241,25 @@ def parse_report(text: str) -> PercentReport:
     for key in ("dimensions", "percent", "provenance"):
         if key not in doc:
             raise ReportError(f"report document is missing {key!r}")
-    dims = tuple(str(d) for d in doc["dimensions"])
+    dims = doc["dimensions"]
+    if not isinstance(dims, list) or not all(isinstance(d, str) for d in dims):
+        raise ReportError("dimensions must be a list of strings")
     percent = doc["percent"]
     if not isinstance(percent, dict):
         raise ReportError("percent must be an object")
+    for d, v in percent.items():
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ReportError(f"percentage for {d!r} must be a number, got {v!r}")
+    meta = doc.get("metadata", {})
+    if not isinstance(meta, dict):
+        raise ReportError("metadata must be an object")
+    try:
+        percent = {d: float(v) for d, v in percent.items()}
+    except OverflowError:
+        raise ReportError("a percentage is too large for a float") from None
     return PercentReport(
         dimensions=dims,
-        percent={str(d): float(v) for d, v in percent.items()},
+        percent=percent,
         provenance=str(doc["provenance"]),
-        meta=dict(doc.get("metadata", {})),
+        meta=dict(meta),
     )

@@ -39,6 +39,7 @@ from traitclust import (
     update_mode_attribute,
     within_cluster_difference,
 )
+from traitclust.kmodes import _Cluster
 
 APPLICANT_OPTIMAL_COST = 6.0
 
@@ -148,15 +149,39 @@ def test_02_every_accepted_move_descends_and_fits_converge():
 
 @_criterion(3)
 def test_03_mode_update_equals_brute_force_majority():
-    """The incremental mode equals a count-every-value majority with
-    lowest-code tie-breaking on 10000 random multisets."""
+    """The batch mode update and the incremental per-cluster mode that fit
+    keeps both equal a count-every-value majority with lowest-code
+    tie-breaking: on 10000 random multisets, and after every step of 1000
+    random add/remove sequences."""
     rng = random.Random(3)
     for _ in range(10000):
         length = rng.randint(1, 30)
         top = rng.randint(1, 6)
         values = [rng.randrange(top + 1) for _ in range(length)]
         assert update_mode_attribute(values) == oracle.majority_value(values)
-    return "10000 random multisets: incremental mode equals the brute-force majority"
+    steps = 0
+    for case in range(1000):
+        m = rng.randint(1, 4)
+        top = rng.randint(1, 5)
+        cluster = _Cluster(list(range(m)), [], [rng.randrange(top + 1) for _ in range(m)])
+        members = []
+        for _ in range(rng.randint(1, 40)):
+            if members and rng.random() < 0.4:
+                cluster.remove(members.pop(rng.randrange(len(members))))
+            else:
+                members.append(tuple(rng.randrange(top + 1) for _ in range(m)))
+                cluster.add(members[-1])
+            steps += 1
+            assert cluster.size == len(members), f"case {case}: size drifted"
+            if members:
+                expected = [oracle.majority_value([r[j] for r in members]) for j in range(m)]
+                assert cluster.mode == expected, (
+                    f"case {case}: incremental mode {cluster.mode} != majority {expected}"
+                )
+    return (
+        "10000 random multisets and 1000 add/remove sequences "
+        f"({steps} steps): batch and incremental modes equal the brute-force majority"
+    )
 
 
 LABEL_POOL = ("amber", "blue", "coral", "dune", "elm", "fern")

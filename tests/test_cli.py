@@ -149,10 +149,16 @@ class TestFitCommand:
         assert out == ""
 
     def test_gamma_flag_validation(self, capsys):
-        code, _, err = run(capsys, "fit", "-i", FIXTURE, "--schema", "scenario3",
-                           "--k", "2", "--gamma", "sometimes")
-        assert code == 1
-        assert "--gamma" in err
+        # mixed is library-only and --gamma is gone from every command
+        code, out, err = run(capsys, "fit", "-i", FIXTURE, "--schema", "scenario3",
+                             "--k", "2", "--policy", "mixed")
+        assert (code, out) == (1, "")
+        assert "--policy" in err
+        for command, k_flag in (("fit", "--k"), ("elbow", "--k-max"), ("report", "--k")):
+            code, out, err = run(capsys, command, "-i", FIXTURE, "--schema", "scenario3",
+                                 k_flag, "2", "--gamma", "2")
+            assert (code, out) == (1, "")
+            assert "--gamma" in err
 
 
 class TestReportCommand:
@@ -201,6 +207,31 @@ class TestReportCommand:
         lines = out.splitlines()
         assert lines[0] == "dimension,percentage"
         assert len(lines) == 6
+
+    @pytest.mark.parametrize("field, value", [
+        ("k", 2),
+        ("config_k", 2),
+        ("modes", [[1, 1, 1], [2, 2, 2]]),
+        ("modes", [[1, 1, 1], [2, 2, 2], [3, 3]]),
+        ("assignment", 3),
+        ("assignment", -1),
+    ])
+    def test_inconsistent_model_document(self, capsys, tmp_path, field, value):
+        model_path = tmp_path / "model.json"
+        run(capsys, "fit", "-i", FIXTURE, "--schema", "scenario3", "--k", "3",
+            "--seed", "42", "-o", str(model_path))
+        doc = json.loads(model_path.read_text())
+        if field == "config_k":
+            doc["config"]["k"] = value
+        elif field == "assignment":
+            doc["assignments"]["DIVYA"] = value
+        else:
+            doc[field] = value
+        model_path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "report", "-i", FIXTURE, "--schema",
+                             "scenario3", "--model", str(model_path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_malformed_model_document(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -261,6 +292,15 @@ class TestFuseCommand:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["provenance"] == "fused"
+
+    def test_rejects_a_null_percentage(self, capsys, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        self._write_report(a, 50.0)
+        self._write_report(b, 50.0)
+        a.write_text(a.read_text().replace("50.0", "null", 1))
+        code, out, err = run(capsys, "fuse", str(a), str(b))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_rejects_non_report_input(self, capsys, tmp_path):
         a = tmp_path / "a.json"

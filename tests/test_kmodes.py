@@ -1,5 +1,6 @@
 """Unit and property tests for dataset construction and the clustering fit."""
 
+import hashlib
 import random
 
 import pytest
@@ -133,6 +134,13 @@ class TestNearestMode:
         modes = [Prototype((0, 0), 0), Prototype((1, 1), 1)]
         l, d = nearest_mode((0, 1), modes, ds.attrs, DissimilarityPolicy())
         assert (l, d) == (0, 1)
+
+    def test_rejects_misaligned_and_mislabeled_modes(self):
+        ds = CategoricalDataset.from_values([(0, 1)])
+        with pytest.raises(AlignmentError):
+            nearest_mode((0, 1), [(0, 1), (0, 1, 2)], ds.attrs, DissimilarityPolicy())
+        with pytest.raises(ValueError):
+            nearest_mode((0, 1), [Prototype((0, 1), 1)], ds.attrs, DissimilarityPolicy())
 
     def test_weighted_policy_requires_a_table(self):
         ds = CategoricalDataset.from_values([(0,)])
@@ -294,6 +302,68 @@ class TestFit:
         assert model.converged
 
 
+def _golden_dataset(kind):
+    rng = random.Random(61)
+    if kind == "categorical":
+        return CategoricalDataset.from_values(
+            [tuple(rng.randrange(3) for _ in range(5)) for _ in range(40)])
+    rows = [(rng.randrange(3), rng.randrange(2), round(rng.uniform(0, 10), 3),
+             round(rng.gauss(5, 2), 3)) for _ in range(40)]
+    return CategoricalDataset.from_values(
+        rows, kinds=[CATEGORICAL, CATEGORICAL, NUMERIC, NUMERIC])
+
+
+GOLDEN_POLICIES = {
+    "simple": ("categorical", DissimilarityPolicy()),
+    "weighted": ("categorical", DissimilarityPolicy(mode="weighted")),
+    "mixed-auto": ("mixed", DissimilarityPolicy(mode="mixed")),
+    "mixed-fixed": ("mixed", DissimilarityPolicy(mode="mixed", gamma_mode="fixed",
+                                                 gamma_value=0.5)),
+}
+
+# (cost.hex(), epochs_run, converged, sha256 of repr((modes, assignments))).
+# A change to a measure, the mode update or the epoch loop that alters any
+# bit of a fit shows here. weighted spends its 100-epoch budget without
+# converging, so its pins cover every per-epoch weight recompute.
+GOLDEN_FITS = {
+    ("simple", "random_rows"): (
+        "0x1.4400000000000p+6", 3, True,
+        "a21895424906c2f03da613c9dacc511921b35e9fc11a06649d1c0cfb8d525988"),
+    ("simple", "density"): (
+        "0x1.5000000000000p+6", 2, True,
+        "89231d8cfe80db2f30040b47af38e96f3656bfe99d295dc62610589d6071a981"),
+    ("weighted", "random_rows"): (
+        "0x1.1df86a93900abp+6", 100, False,
+        "4c4fc06d3bf7d5da4bcd8c653f5056e2297656bfb47e35519a66672858167847"),
+    ("weighted", "density"): (
+        "0x1.1c5211716766cp+6", 100, False,
+        "d6bdf835a2bfae04d17733b428de59f83296911d0ab66920c22225534ca8ae50"),
+    ("mixed-auto", "random_rows"): (
+        "0x1.9f30c65a94544p+6", 2, True,
+        "e6e533e72c2f7a6dd526c58aacaf81a6c9325e127204630e2ce3e62ada67470e"),
+    ("mixed-auto", "density"): (
+        "0x1.ac4139e0b1399p+6", 3, True,
+        "a516b18f2c7f172d63df7b54be1cbcf58c0239b4db4813fcc259a63efb3a67a4"),
+    ("mixed-fixed", "random_rows"): (
+        "0x1.369c6dfee0138p+6", 2, True,
+        "1c5ebb7151c53fc0583a35c8ee2dae6c5934dc38f91854677afb5d3b86076da2"),
+    ("mixed-fixed", "density"): (
+        "0x1.47c0b99478df0p+6", 6, True,
+        "45aebab1bba25b38e0a4affc9b9846f1b7e5b49a5c1158709b9eb9948f4b5bcf"),
+}
+
+
+@pytest.mark.parametrize("name, init", sorted(GOLDEN_FITS))
+def test_fit_is_bit_identical_to_the_golden_record(name, init):
+    kind, policy = GOLDEN_POLICIES[name]
+    model = fit(_golden_dataset(kind),
+                FitConfig(k=3, policy=policy, init=init, seed=5, restarts=3))
+    digest = hashlib.sha256(
+        repr((tuple(p.values for p in model.modes), model.assignments)).encode()
+    ).hexdigest()
+    assert (model.cost.hex(), model.epochs_run, model.converged, digest) == GOLDEN_FITS[name, init]
+
+
 class TestWithinClusterDifference:
     def test_accepts_raw_mode_vectors(self):
         ds = CategoricalDataset.from_values([(1, 1), (1, 2)])
@@ -303,6 +373,11 @@ class TestWithinClusterDifference:
         ds = CategoricalDataset.from_values([(1,), (2,)])
         with pytest.raises(ValueError):
             within_cluster_difference(ds, [Prototype((1,), 1)], (0, 0))
+
+    def test_rejects_misaligned_modes(self):
+        ds = CategoricalDataset.from_values([(1,), (2,)])
+        with pytest.raises(AlignmentError):
+            within_cluster_difference(ds, [(1,), (1, 2)], (0, 0))
 
     def test_rejects_out_of_range_assignments(self):
         ds = CategoricalDataset.from_values([(1,), (2,)])

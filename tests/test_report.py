@@ -265,6 +265,24 @@ class TestParseReport:
                 "percent": [100.0], "provenance": "external",
             }))
 
+    @pytest.mark.parametrize("fields", [
+        {"dimensions": "NS"},
+        {"dimensions": ["N", 5], "percent": {"N": 50.0, "5": 50.0}},
+        {"percent": {"N": None, "S": 100.0}},
+        {"percent": {"N": "50", "S": 50.0}},
+        {"percent": {"N": True, "S": 99.0}},
+        {"percent": {"N": 10**400, "S": 0.0}},
+        {"metadata": 5},
+    ])
+    def test_rejects_mistyped_fields(self, fields):
+        doc = {
+            "kind": "percent_report", "dimensions": ["N", "S"],
+            "percent": {"N": 50.0, "S": 50.0}, "provenance": "external",
+        }
+        doc.update(fields)
+        with pytest.raises(ReportError):
+            parse_report(json.dumps(doc))
+
     def test_propagates_validation_of_parsed_values(self):
         with pytest.raises(ReportError):
             parse_report(json.dumps({
