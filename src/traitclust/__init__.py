@@ -3,8 +3,6 @@
 from .dissimilarity import (
     CATEGORICAL,
     DEFAULT_WEIGHT,
-    MIXED,
-    NUMERIC,
     POLICY_MODES,
     SIMPLE,
     WEIGHTED,
@@ -14,9 +12,6 @@ from .dissimilarity import (
     Prototype,
     Record,
     compute_category_weights,
-    compute_gamma,
-    euclidean_distance,
-    mixed_dissimilarity,
     simple_matching,
     weighted_matching,
 )

@@ -45,6 +45,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _delimiter(text: str) -> str:
+    # csv takes exactly one character and raises TypeError on anything else.
+    if len(text) != 1:
+        raise argparse.ArgumentTypeError(f"must be a single character, got {text!r}")
+    return text
+
+
 def _add_io(p):
     p.add_argument("--input", "-i", default="-", help="input file, or - for stdin")
     p.add_argument("--output", "-o", default="-", help="output file, or - for stdout")
@@ -52,14 +59,13 @@ def _add_io(p):
 
 def _add_parse_flags(p):
     p.add_argument("--schema", required=True, help="schema preset name or JSON file path")
-    p.add_argument("--delimiter", default=",", help="field delimiter (default ,)")
+    p.add_argument("--delimiter", type=_delimiter, default=",",
+                   help="field delimiter (default ,)")
     p.add_argument("--missing", choices=("drop", "impute"), default="drop",
                    help="drop rows with missing answers or impute the column mode")
 
 
 def _add_fit_flags(p):
-    # The mixed policy stays library-only: survey answers are all
-    # categorical, where it either fails (auto gamma) or rescales simple.
     p.add_argument("--policy", choices=("simple", "weighted"), default="simple")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=1)
@@ -116,7 +122,7 @@ def build_parser() -> _Parser:
                    help="'uniform' or comma-separated weights per schema dimension")
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--delimiter", default=",")
+    p.add_argument("--delimiter", type=_delimiter, default=",")
     p.add_argument("--output", "-o", default="-")
 
     p = sub.add_parser("schema", help="print a schema document or list presets")
@@ -153,11 +159,7 @@ def _model_doc(model: ClusterModel, dataset, schema) -> dict:
         "converged": model.converged,
         "config": {
             "k": cfg.k,
-            "policy": {
-                "mode": cfg.policy.mode,
-                "gamma_mode": cfg.policy.gamma_mode,
-                "gamma_value": cfg.policy.gamma_value,
-            },
+            "policy": {"mode": cfg.policy.mode},
             "init": cfg.init,
             "seed": cfg.seed,
             "max_epochs": cfg.max_epochs,
@@ -169,7 +171,11 @@ def _model_doc(model: ClusterModel, dataset, schema) -> dict:
     }
 
 
-def _load_model(path: str, dataset) -> ClusterModel:
+def _load_model(path: str, dataset, schema_name=None) -> ClusterModel:
+    """Read a model document written by ``fit`` and check it against the
+    dataset, and against ``schema_name`` when one is given. Keys under
+    ``config.policy`` other than ``mode``, which older documents hold, are
+    ignored."""
     try:
         doc = json.loads(_read_input(path))
     except json.JSONDecodeError as exc:
@@ -177,12 +183,12 @@ def _load_model(path: str, dataset) -> ClusterModel:
     if not isinstance(doc, dict) or doc.get("kind") != "cluster_model":
         raise ValueError('expected a JSON object with kind "cluster_model"')
     try:
+        if schema_name is not None and doc["schema"] != schema_name:
+            raise ValueError(
+                f"model was fitted under schema {doc['schema']!r}, not {schema_name!r}"
+            )
         cfg_doc = doc["config"]
-        policy = DissimilarityPolicy(
-            mode=cfg_doc["policy"]["mode"],
-            gamma_mode=cfg_doc["policy"]["gamma_mode"],
-            gamma_value=float(cfg_doc["policy"]["gamma_value"]),
-        )
+        policy = DissimilarityPolicy(mode=cfg_doc["policy"]["mode"])
         config = FitConfig(
             k=int(cfg_doc["k"]),
             policy=policy,
@@ -222,7 +228,7 @@ def _load_model(path: str, dataset) -> ClusterModel:
             converged=bool(doc["converged"]),
             config=config,
         )
-    except (KeyError, TypeError, InfeasibleConfigError) as exc:
+    except (KeyError, TypeError, OverflowError, InfeasibleConfigError) as exc:
         raise ValueError(f"malformed model document: {exc}") from exc
 
 
@@ -291,7 +297,7 @@ def _cmd_report(args) -> str:
         rep = mean_percentages(profiles, schema, meta={"n": result.table.n})
     else:
         if args.model:
-            model = _load_model(args.model, result.dataset)
+            model = _load_model(args.model, result.dataset, schema.name)
         else:
             if args.k is None:
                 raise ValueError("--k is required unless --model or --aggregate mean is given")

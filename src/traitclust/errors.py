@@ -10,8 +10,9 @@ class AlignmentError(ValueError):
 
 
 class PolicyError(ValueError):
-    """A measure was applied to attribute kinds it is not defined for,
-    or a dissimilarity policy is malformed (bad mode, negative gamma)."""
+    """A dissimilarity policy is malformed (unknown mode), or a measure
+    lacks what it needs (weighted matching without a prototype or a
+    weight table)."""
 
 
 class EmptyClusterError(ValueError):

@@ -1,4 +1,4 @@
-"""Online k-modes clustering over categorical (and mixed) datasets.
+"""Online k-modes clustering over categorical datasets.
 
 The fit procedure follows the classic online scheme: pick k initial modes,
 allocate every row to its nearest mode while refreshing the receiving mode
@@ -11,22 +11,19 @@ in dataset order, distance ties go to the lowest cluster index, mode ties to
 the lowest category code, and restart r uses seed + r.
 
 Convergence (an epoch with zero moves) is guaranteed for the simple measure,
-whose accepted moves strictly decrease the objective. The weighted and
-auto-gamma mixed measures re-derive their statistics from the assignment at
-every epoch start, so the target itself shifts and the procedure can settle
-into a cycle instead of a fixed point; max_epochs bounds the work and the
-model's ``converged`` flag reports which way the run ended.
+whose accepted moves strictly decrease the objective. The weighted measure
+re-derives its weights from the assignment at every epoch start, so the
+target itself shifts and the procedure can settle into a cycle instead of a
+fixed point; max_epochs bounds the work and the model's ``converged`` flag
+reports which way the run ended.
 """
 
-import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
 
 from .dissimilarity import (
     CATEGORICAL,
-    MIXED,
-    NUMERIC,
     SIMPLE,
     WEIGHTED,
     AttributeSpec,
@@ -49,7 +46,8 @@ INIT_STRATEGIES = ("random_rows", "density")
 
 @dataclass(frozen=True)
 class CategoricalDataset:
-    """An immutable table of Records plus per-attribute metadata."""
+    """An immutable table of Records plus per-attribute metadata. Every
+    value must be one of its attribute's category codes."""
 
     attrs: tuple[AttributeSpec, ...]
     rows: tuple[Record, ...]
@@ -63,28 +61,17 @@ class CategoricalDataset:
                 raise ValueError(
                     f"attribute {spec.name!r} carries index {spec.index}, expected {j}"
                 )
-        category_sets = {
-            j: set(spec.categories)
-            for j, spec in enumerate(self.attrs)
-            if spec.kind == CATEGORICAL
-        }
+        category_sets = [set(spec.categories) for spec in self.attrs]
         for row in self.rows:
             if len(row.values) != m:
                 raise AlignmentError(
                     f"row {row.row_id!r} has {len(row.values)} values, expected {m}"
                 )
-            for j, spec in enumerate(self.attrs):
-                v = row.values[j]
-                if spec.kind == CATEGORICAL:
-                    if v not in category_sets[j]:
-                        raise ValueError(
-                            f"row {row.row_id!r}: value {v!r} is not a category of "
-                            f"attribute {spec.name or j}"
-                        )
-                elif not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+            for v, cats, spec in zip(row.values, category_sets, self.attrs):
+                if v not in cats:
                     raise ValueError(
-                        f"row {row.row_id!r}: numeric attribute {spec.name or j} "
-                        f"holds non-finite value {v!r}"
+                        f"row {row.row_id!r}: value {v!r} is not a category of "
+                        f"attribute {spec.name or spec.index}"
                     )
 
     @property
@@ -95,9 +82,10 @@ class CategoricalDataset:
     def from_values(cls, rows, kinds=None, names=None, row_ids=None):
         """Build a dataset whose cells are used directly as category codes.
 
-        Categorical cells must already be small non-negative integers (such
-        as Likert answers); each attribute's category list records
-        first-appearance order.
+        Cells must already be small non-negative integers (such as Likert
+        answers); each attribute's category list records first-appearance
+        order. ``kinds``, if given, must name ``"categorical"`` for every
+        attribute.
         """
         rows = [tuple(r) for r in rows]
         if rows:
@@ -117,19 +105,18 @@ class CategoricalDataset:
             row_ids = list(range(len(rows)))
         elif len(row_ids) != len(rows):
             raise AlignmentError("row_ids do not match the row count")
-        attrs = []
-        for j in range(m):
-            categories = ()
-            if kinds[j] == CATEGORICAL:
-                categories = tuple(dict.fromkeys(r[j] for r in rows))
-            attrs.append(AttributeSpec(index=j, kind=kinds[j], name=names[j], categories=categories))
+        attrs = [
+            AttributeSpec(index=j, kind=kinds[j], name=names[j],
+                          categories=tuple(dict.fromkeys(r[j] for r in rows)))
+            for j in range(m)
+        ]
         records = [Record(values=r, row_id=rid) for r, rid in zip(rows, row_ids)]
         return cls(attrs=tuple(attrs), rows=tuple(records))
 
     @classmethod
     def from_raw(cls, rows, kinds=None, names=None, row_ids=None):
-        """Ingest raw labels: categorical values are recoded to dense codes
-        0..c-1 in first-appearance order.
+        """Ingest raw labels: each attribute's values are recoded to dense
+        codes 0..c-1 in first-appearance order.
 
         Because the dense coding depends only on the order in which distinct
         labels first appear, any per-attribute bijective relabeling of the
@@ -137,23 +124,14 @@ class CategoricalDataset:
         invariant under recoding.
         """
         rows = [tuple(r) for r in rows]
-        m = len(rows[0]) if rows else (len(kinds) if kinds is not None else 0)
-        kinds = list(kinds) if kinds is not None else [CATEGORICAL] * m
+        m = len(rows[0]) if rows else 0
         code_maps = [dict() for _ in range(m)]
         encoded = []
         for r in rows:
             if len(r) != m:
                 raise AlignmentError(f"ragged input row of length {len(r)}, expected {m}")
-            enc = []
-            for j, v in enumerate(r):
-                if kinds[j] == CATEGORICAL:
-                    codes = code_maps[j]
-                    if v not in codes:
-                        codes[v] = len(codes)
-                    enc.append(codes[v])
-                else:
-                    enc.append(float(v))
-            encoded.append(tuple(enc))
+            encoded.append(tuple(codes.setdefault(v, len(codes))
+                                 for codes, v in zip(code_maps, r)))
         return cls.from_values(encoded, kinds=kinds, names=names, row_ids=row_ids)
 
 
@@ -215,10 +193,6 @@ def _mode_from_counts(counts) -> int:
     return best_code
 
 
-def _mismatches(a, b) -> int:
-    return sum(1 for x, z in zip(a, b) if x != z)
-
-
 def _density_seeds(dataset, k):
     # Seed 1 is the row whose values are, summed over attributes, the most
     # frequent in the dataset; later seeds greedily maximize the minimum
@@ -226,6 +200,7 @@ def _density_seeds(dataset, k):
     # row index.
     rows = [r.values for r in dataset.rows]
     m = len(dataset.attrs)
+    d = measure(DissimilarityPolicy(SIMPLE), dataset.attrs)
     freq = [Counter(vals[j] for vals in rows) for j in range(m)]
     best_i, best_score = 0, -1
     for i, vals in enumerate(rows):
@@ -236,9 +211,9 @@ def _density_seeds(dataset, k):
     while len(chosen) < k:
         best_i, best_d = 0, -1
         for i, vals in enumerate(rows):
-            d = min(_mismatches(vals, c) for c in chosen)
-            if d > best_d:
-                best_i, best_d = i, d
+            di = min(d(vals, c, 0) for c in chosen)
+            if di > best_d:
+                best_i, best_d = i, di
         chosen.append(rows[best_i])
     return chosen
 
@@ -294,12 +269,10 @@ def _nearest(d, vals, modes):
     return best_l, best_d
 
 
-def nearest_mode(record, modes, attrs, policy, weights=None, gammas=None):
+def nearest_mode(record, modes, attrs, policy, weights=None):
     """Index of the closest prototype and its distance; ties go to the
     lowest index. Modes are Prototypes whose cluster_index is their
-    position, or plain vectors. For the mixed policy, per-cluster gammas
-    may be supplied; otherwise the fixed gamma (or 1.0 under auto) applies
-    to every cluster.
+    position, or plain vectors. The weighted policy needs a weight table.
     """
     modes = _mode_vectors(modes)
     if not modes:
@@ -307,54 +280,37 @@ def nearest_mode(record, modes, attrs, policy, weights=None, gammas=None):
     if policy.mode == WEIGHTED and weights is None:
         raise PolicyError("weighted policy needs a CategoryWeightTable")
     vals = record.values if isinstance(record, Record) else tuple(record)
-    check_inputs(policy.mode, attrs, [vals, *modes], gammas or ())
-    return _nearest(measure(policy, attrs, weights, gammas), vals, modes)
+    check_inputs(attrs, [vals, *modes])
+    return _nearest(measure(policy, attrs, weights), vals, modes)
 
 
 class _Cluster:
     """Incremental per-cluster state: member counts per attribute and the
     current mode, refreshed on every add/remove."""
 
-    __slots__ = ("size", "counts", "sums", "mode", "_cat", "_num")
+    __slots__ = ("size", "counts", "mode")
 
-    def __init__(self, cat_idx, num_idx, seed_values):
-        self._cat = cat_idx
-        self._num = num_idx
+    def __init__(self, seed_values):
         self.size = 0
-        self.counts = {j: {} for j in cat_idx}
-        self.sums = {j: 0.0 for j in num_idx}
         self.mode = list(seed_values)
+        self.counts = [{} for _ in self.mode]
 
     def add(self, vals):
         self.size += 1
-        for j in self._cat:
+        for j, v in enumerate(vals):
             c = self.counts[j]
-            c[vals[j]] = c.get(vals[j], 0) + 1
+            c[v] = c.get(v, 0) + 1
             self.mode[j] = _mode_from_counts(c)
-        for j in self._num:
-            self.sums[j] += vals[j]
-            self.mode[j] = self.sums[j] / self.size
 
     def remove(self, vals):
         self.size -= 1
-        for j in self._cat:
+        for j, v in enumerate(vals):
             c = self.counts[j]
-            c[vals[j]] -= 1
-            if not c[vals[j]]:
-                del c[vals[j]]
+            c[v] -= 1
+            if not c[v]:
+                del c[v]
             if self.size:
                 self.mode[j] = _mode_from_counts(c)
-        for j in self._num:
-            self.sums[j] -= vals[j]
-            if self.size:
-                self.mode[j] = self.sums[j] / self.size
-
-
-def _validate_fit_policy(dataset, policy):
-    check_inputs(policy.mode, dataset.attrs, ())
-    kinds = {spec.kind for spec in dataset.attrs}
-    if policy.mode == MIXED and policy.gamma_mode == "auto" and NUMERIC not in kinds:
-        raise PolicyError("mixed policy with auto gamma needs at least one numeric attribute")
 
 
 def _fit_once(dataset, config, seed, debug):
@@ -362,11 +318,9 @@ def _fit_once(dataset, config, seed, debug):
     rows = [r.values for r in dataset.rows]
     k = config.k
     policy = config.policy
-    cat_idx = [j for j, s in enumerate(attrs) if s.kind == CATEGORICAL]
-    num_idx = [j for j, s in enumerate(attrs) if s.kind == NUMERIC]
 
     protos = init_modes(dataset, k, config.init, seed)
-    clusters = [_Cluster(cat_idx, num_idx, p.values) for p in protos]
+    clusters = [_Cluster(p.values) for p in protos]
     # Each cluster updates its mode list in place, so these stay current.
     modes = [c.mode for c in clusters]
     assign = [0] * len(rows)
@@ -375,7 +329,7 @@ def _fit_once(dataset, config, seed, debug):
         return sum(d(vals, modes[assign[i]], assign[i]) for i, vals in enumerate(rows))
 
     # Initial allocation pass. There is no assignment yet to derive weights
-    # or per-cluster gammas from, so the measure runs without them.
+    # from, so the measure runs without them.
     d0 = measure(policy, attrs)
     for i, vals in enumerate(rows):
         l, _ = _nearest(d0, vals, modes)
@@ -404,8 +358,8 @@ def _fit_once(dataset, config, seed, debug):
     # Reallocation epochs. A row moves only when some mode is strictly
     # closer than its current one (equidistant rows stay put, which is what
     # makes every accepted move strictly decrease the live cost) and only
-    # when the move does not empty its source cluster. Weights and auto
-    # gammas are derived once per epoch and frozen within it.
+    # when the move does not empty its source cluster. Weights are derived
+    # once per epoch and frozen within it.
     epochs_run = 0
     converged = False
     for epoch in range(1, config.max_epochs + 1):
@@ -453,7 +407,6 @@ def fit(dataset, config: FitConfig, debug: bool = False) -> ClusterModel:
         raise InfeasibleConfigError(
             f"k={config.k} exceeds the number of rows ({dataset.n})"
         )
-    _validate_fit_policy(dataset, config.policy)
     best = None
     for r in range(config.restarts):
         out = _fit_once(dataset, config, config.seed + r, debug)
@@ -474,8 +427,7 @@ def within_cluster_difference(dataset, modes, assignments, policy=None, weights=
     """Total dissimilarity of every row to its cluster's prototype.
 
     Under the weighted policy a missing weight table is derived from the
-    assignment itself; under mixed auto gamma, per-cluster gammas are
-    recomputed from the assignment (0 is replaced by 1).
+    assignment itself.
     """
     policy = policy if policy is not None else DissimilarityPolicy()
     modes = _mode_vectors(modes)
@@ -488,7 +440,7 @@ def within_cluster_difference(dataset, modes, assignments, policy=None, weights=
         if not 0 <= l < k:
             raise ValueError(f"assignment {l} out of range for k={k}")
     attrs = dataset.attrs
-    check_inputs(policy.mode, attrs, modes)
+    check_inputs(attrs, modes)
     if policy.mode == WEIGHTED and weights is not None:
         stats = {"weights": weights}
     else:

@@ -163,7 +163,7 @@ def test_03_mode_update_equals_brute_force_majority():
     for case in range(1000):
         m = rng.randint(1, 4)
         top = rng.randint(1, 5)
-        cluster = _Cluster(list(range(m)), [], [rng.randrange(top + 1) for _ in range(m)])
+        cluster = _Cluster([rng.randrange(top + 1) for _ in range(m)])
         members = []
         for _ in range(rng.randint(1, 40)):
             if members and rng.random() < 0.4:

@@ -215,6 +215,10 @@ class TestReportCommand:
         ("modes", [[1, 1, 1], [2, 2, 2], [3, 3]]),
         ("assignment", 3),
         ("assignment", -1),
+        ("k", float("inf")),
+        ("epochs_run", float("inf")),
+        ("config_seed", float("inf")),
+        ("policy_mode", "mixed"),
     ])
     def test_inconsistent_model_document(self, capsys, tmp_path, field, value):
         model_path = tmp_path / "model.json"
@@ -223,6 +227,10 @@ class TestReportCommand:
         doc = json.loads(model_path.read_text())
         if field == "config_k":
             doc["config"]["k"] = value
+        elif field == "config_seed":
+            doc["config"]["seed"] = value
+        elif field == "policy_mode":
+            doc["config"]["policy"]["mode"] = value
         elif field == "assignment":
             doc["assignments"]["DIVYA"] = value
         else:
@@ -232,6 +240,40 @@ class TestReportCommand:
                              "scenario3", "--model", str(model_path))
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_model_with_gamma_settings_still_loads(self, capsys, tmp_path):
+        # Older model documents also carry gamma settings under
+        # config.policy; they are ignored.
+        model_path = tmp_path / "model.json"
+        run(capsys, "fit", "-i", FIXTURE, "--schema", "scenario3", "--k", "3",
+            "--seed", "42", "--restarts", "20", "-o", str(model_path))
+        doc = json.loads(model_path.read_text())
+        assert doc["config"]["policy"] == {"mode": "simple"}
+        doc["config"]["policy"].update(gamma_mode="auto", gamma_value=1.0)
+        model_path.write_text(json.dumps(doc))
+        _, direct, _ = run(capsys, "report", "-i", FIXTURE, "--schema", "scenario3",
+                           "--k", "3", "--seed", "42", "--restarts", "20")
+        code, reused, err = run(capsys, "report", "-i", FIXTURE, "--schema",
+                                "scenario3", "--model", str(model_path))
+        assert (code, err) == (0, "")
+        assert reused == direct
+
+    def test_model_from_another_schema_is_rejected(self, capsys, tmp_path):
+        # scenario and iwp read the same columns, so only the model's
+        # schema field tells them apart
+        csv_path, model_path = tmp_path / "responses.csv", tmp_path / "model.json"
+        run(capsys, "gen", "--schema", "scenario", "--n", "20", "--seed", "1",
+            "-o", str(csv_path))
+        run(capsys, "fit", "-i", str(csv_path), "--schema", "scenario", "--k", "2",
+            "-o", str(model_path))
+        code, _, _ = run(capsys, "report", "-i", str(csv_path), "--schema", "scenario",
+                         "--model", str(model_path))
+        assert code == 0
+        code, out, err = run(capsys, "report", "-i", str(csv_path), "--schema", "iwp",
+                             "--model", str(model_path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "scenario" in err and "iwp" in err
 
     def test_malformed_model_document(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -352,6 +394,20 @@ class TestArgumentHandling:
         code, _, err = run(capsys, "fit", "-i", FIXTURE, "--schema", "scenario3")
         assert code == 1
         assert "--k" in err
+
+    @pytest.mark.parametrize("delimiter", ["", ";;"])
+    @pytest.mark.parametrize("argv", [
+        ("score", "-i", FIXTURE, "--schema", "scenario3"),
+        ("fit", "-i", FIXTURE, "--schema", "scenario3", "--k", "2"),
+        ("elbow", "-i", FIXTURE, "--schema", "scenario3", "--k-max", "2"),
+        ("report", "-i", FIXTURE, "--schema", "scenario3", "--k", "2"),
+        ("gen", "--schema", "scenario3", "--n", "5"),
+    ], ids=lambda argv: argv[0])
+    def test_delimiter_must_be_one_character(self, capsys, argv, delimiter):
+        code, out, err = run(capsys, *argv, "--delimiter", delimiter)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--delimiter" in err
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -1,4 +1,4 @@
-"""Unit tests for the three dissimilarity policies and their helpers."""
+"""Unit tests for the two dissimilarity policies and their helpers."""
 
 import random
 
@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from traitclust import (
     CATEGORICAL,
-    NUMERIC,
     AlignmentError,
     AttributeSpec,
     CategoricalDataset,
@@ -17,9 +16,6 @@ from traitclust import (
     Prototype,
     Record,
     compute_category_weights,
-    compute_gamma,
-    euclidean_distance,
-    mixed_dissimilarity,
     simple_matching,
     weighted_matching,
 )
@@ -45,9 +41,10 @@ class TestSimpleMatching:
         assert simple_matching(r, p, attrs) == 1
 
     def test_rejects_numeric_attributes(self):
-        attrs = (AttributeSpec(index=0, kind=NUMERIC),)
-        with pytest.raises(PolicyError):
-            simple_matching((1.0,), (2.0,), attrs)
+        # "numeric" is not an attribute kind, so such a column never
+        # reaches the measure
+        with pytest.raises(ValueError):
+            simple_matching((1.0,), (2.0,), (AttributeSpec(index=0, kind="numeric"),))
 
     def test_rejects_misaligned_vectors(self):
         with pytest.raises(AlignmentError):
@@ -64,20 +61,6 @@ class TestSimpleMatching:
         assert 0 <= dab <= m
         assert (dab == 0) == (a == b)
         assert simple_matching(a, c, attrs) <= dab + simple_matching(b, c, attrs)
-
-
-class TestEuclidean:
-    def test_right_triangle(self):
-        attrs = (AttributeSpec(0, NUMERIC), AttributeSpec(1, NUMERIC))
-        assert euclidean_distance((0.0, 0.0), (3.0, 4.0), attrs) == 5.0
-
-    def test_ignores_categorical_slots(self):
-        attrs = (AttributeSpec(0, NUMERIC), AttributeSpec(1, CATEGORICAL, categories=(0, 1)))
-        assert euclidean_distance((3.0, 0), (0.0, 1), attrs) == 3.0
-
-    def test_requires_a_numeric_attribute(self):
-        with pytest.raises(PolicyError):
-            euclidean_distance((1, 2), (2, 1), _cat_attrs(2))
 
 
 class TestWeightedMatching:
@@ -108,8 +91,8 @@ class TestWeightedMatching:
             weighted_matching((1,), (1,), _cat_attrs(1), CategoryWeightTable())
 
     def test_rejects_numeric_attributes(self):
-        attrs = (AttributeSpec(0, NUMERIC),)
-        with pytest.raises(PolicyError):
+        with pytest.raises(ValueError):
+            attrs = (AttributeSpec(0, "numeric"),)
             weighted_matching((1.0,), Prototype((1.0,), 0), attrs, CategoryWeightTable())
 
     @given(st.data())
@@ -185,68 +168,16 @@ class TestCategoryWeights:
             assert 0.0 <= w <= 1.0
 
 
-class TestMixed:
-    def test_combines_euclidean_and_scaled_mismatches(self):
-        # numeric part contributes 5 (a 3-4-5 triangle), two categorical
-        # mismatches at gamma 0.5 add 1
-        attrs = (
-            AttributeSpec(0, NUMERIC),
-            AttributeSpec(1, NUMERIC),
-            AttributeSpec(2, CATEGORICAL, categories=(0, 1)),
-            AttributeSpec(3, CATEGORICAL, categories=(0, 1)),
-        )
-        d = mixed_dissimilarity((0.0, 0.0, 0, 0), (3.0, 4.0, 1, 1), attrs, gamma=0.5)
-        assert d == pytest.approx(6.0)
-
-    def test_gamma_zero_ignores_categorical_attributes(self):
-        attrs = (AttributeSpec(0, NUMERIC), AttributeSpec(1, CATEGORICAL, categories=(0, 1)))
-        assert mixed_dissimilarity((1.0, 0), (1.0, 1), attrs, gamma=0.0) == 0.0
-
-    def test_rejects_negative_gamma(self):
-        attrs = (AttributeSpec(0, NUMERIC),)
-        with pytest.raises(PolicyError):
-            mixed_dissimilarity((1.0,), (2.0,), attrs, gamma=-0.1)
-
-
-class TestGamma:
-    def test_single_attribute_population_std(self):
-        attrs = (AttributeSpec(0, NUMERIC),)
-        assert compute_gamma([(1,), (3,)], attrs) == 1.0
-
-    def test_averages_per_attribute_stds(self):
-        # stds 2 and 4 average to 3
-        attrs = (AttributeSpec(0, NUMERIC), AttributeSpec(1, NUMERIC))
-        assert compute_gamma([(0, 0), (4, 8)], attrs) == 3.0
-
-    def test_skips_categorical_attributes(self):
-        attrs = (AttributeSpec(0, NUMERIC), AttributeSpec(1, CATEGORICAL, categories=(0, 7)))
-        assert compute_gamma([(1, 0), (3, 7)], attrs) == 1.0
-
-    def test_empty_cluster_yields_zero(self):
-        attrs = (AttributeSpec(0, NUMERIC),)
-        assert compute_gamma([], attrs) == 0.0
-
-    def test_requires_numeric_attributes(self):
-        with pytest.raises(PolicyError):
-            compute_gamma([(1,)], _cat_attrs(1))
-
-
 class TestValidation:
     def test_policy_rejects_unknown_mode(self):
-        with pytest.raises(PolicyError):
-            DissimilarityPolicy(mode="fancy")
-
-    def test_policy_rejects_unknown_gamma_mode(self):
-        with pytest.raises(PolicyError):
-            DissimilarityPolicy(mode="mixed", gamma_mode="adaptive")
-
-    def test_policy_rejects_negative_fixed_gamma(self):
-        with pytest.raises(PolicyError):
-            DissimilarityPolicy(mode="mixed", gamma_mode="fixed", gamma_value=-1.0)
+        for mode in ("fancy", "mixed"):
+            with pytest.raises(PolicyError):
+                DissimilarityPolicy(mode=mode)
 
     def test_attribute_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            AttributeSpec(index=0, kind="ordinal")
+        for kind in ("ordinal", "numeric"):
+            with pytest.raises(ValueError):
+                AttributeSpec(index=0, kind=kind)
 
     def test_attribute_rejects_duplicate_codes(self):
         with pytest.raises(ValueError):
@@ -271,16 +202,3 @@ def test_simple_matching_agrees_with_reference_hamming():
         b = tuple(rng.randrange(6) for _ in range(4))
         assert simple_matching(a, b, attrs) == oracle.hamming(a, b)
 
-
-def test_mixed_reduces_to_euclidean_without_categoricals():
-    attrs = (AttributeSpec(0, NUMERIC), AttributeSpec(1, NUMERIC))
-    a, b = (1.0, 2.0), (4.0, 6.0)
-    assert mixed_dissimilarity(a, b, attrs, gamma=2.0) == euclidean_distance(a, b, attrs)
-
-
-def test_mixed_reduces_to_scaled_matching_without_numerics():
-    attrs = _cat_attrs(3)
-    a, b = (1, 2, 3), (1, 0, 0)
-    gamma = 0.7
-    expected = gamma * simple_matching(a, b, attrs)
-    assert mixed_dissimilarity(a, b, attrs, gamma=gamma) == pytest.approx(expected)

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from traitclust import (
     CATEGORICAL,
-    NUMERIC,
     AlignmentError,
     AttributeSpec,
     CategoricalDataset,
@@ -48,13 +47,6 @@ class TestDatasetConstruction:
         assert [r.values for r in ds.rows] == [(0, 0), (1, 1), (0, 0)]
         assert ds.attrs[0].categories == (0, 1)
 
-    def test_from_raw_passes_numerics_through_as_floats(self):
-        ds = CategoricalDataset.from_raw(
-            [("x", 3), ("y", 7)], kinds=[CATEGORICAL, NUMERIC]
-        )
-        assert ds.rows[0].values == (0, 3.0)
-        assert isinstance(ds.rows[1].values[1], float)
-
     def test_rejects_ragged_rows(self):
         with pytest.raises(AlignmentError):
             CategoricalDataset.from_values([(1, 2), (1,)])
@@ -65,11 +57,6 @@ class TestDatasetConstruction:
         attrs = (AttributeSpec(0, CATEGORICAL, categories=(0, 1)),)
         with pytest.raises(ValueError):
             CategoricalDataset(attrs=attrs, rows=(Record(values=(2,)),))
-
-    def test_rejects_non_finite_numerics(self):
-        attrs = (AttributeSpec(0, NUMERIC),)
-        with pytest.raises(ValueError):
-            CategoricalDataset(attrs=attrs, rows=(Record(values=(float("nan"),)),))
 
     def test_rejects_misnumbered_attributes(self):
         attrs = (AttributeSpec(1, CATEGORICAL, categories=(0,)),)
@@ -165,11 +152,13 @@ class TestFitValidation:
             FitConfig(k=0)
 
     def test_simple_policy_rejects_numeric_attributes(self):
-        ds = CategoricalDataset.from_raw([(1, "a")], kinds=[NUMERIC, CATEGORICAL])
-        with pytest.raises(PolicyError):
+        # the dataset refuses the "numeric" kind before a fit can see it
+        with pytest.raises(ValueError):
+            ds = CategoricalDataset.from_raw([(1, "a")], kinds=["numeric", CATEGORICAL])
             fit(ds, FitConfig(k=1))
 
     def test_mixed_auto_needs_a_numeric_attribute(self):
+        # "mixed" is not a policy mode, so the fit is refused before it starts
         ds = CategoricalDataset.from_values([(0,), (1,)])
         with pytest.raises(PolicyError):
             fit(ds, FitConfig(k=1, policy=DissimilarityPolicy(mode="mixed")))
@@ -260,22 +249,6 @@ class TestFit:
         model = fit(ds, FitConfig(k=2, policy=policy, seed=3))
         assert model.cost == within_cluster_difference(ds, model.modes, model.assignments, policy)
 
-    def test_mixed_policy_clusters_numeric_structure(self):
-        rows = [("a", float(v)) for v in (0, 1, 2)] + [("a", float(v)) for v in (100, 101, 102)]
-        ds = CategoricalDataset.from_raw(rows, kinds=[CATEGORICAL, NUMERIC])
-        model = fit(ds, FitConfig(k=2, policy=DissimilarityPolicy(mode="mixed"), restarts=5))
-        assert model.assignments[0] == model.assignments[1] == model.assignments[2]
-        assert model.assignments[3] == model.assignments[4] == model.assignments[5]
-        assert model.assignments[0] != model.assignments[3]
-
-    def test_mixed_fixed_gamma_zero_clusters_on_numerics_alone(self):
-        rows = [("a", 0.0), ("b", 0.0), ("a", 9.0), ("b", 9.0)]
-        ds = CategoricalDataset.from_raw(rows, kinds=[CATEGORICAL, NUMERIC])
-        policy = DissimilarityPolicy(mode="mixed", gamma_mode="fixed", gamma_value=0.0)
-        model = fit(ds, FitConfig(k=2, policy=policy, restarts=5))
-        assert model.assignments[0] == model.assignments[1]
-        assert model.assignments[2] == model.assignments[3]
-
     def test_density_init_fits(self):
         ds = random_dataset(random.Random(37), 15, 3, 3)
         model = fit(ds, FitConfig(k=3, init="density"))
@@ -302,23 +275,15 @@ class TestFit:
         assert model.converged
 
 
-def _golden_dataset(kind):
+def _golden_dataset():
     rng = random.Random(61)
-    if kind == "categorical":
-        return CategoricalDataset.from_values(
-            [tuple(rng.randrange(3) for _ in range(5)) for _ in range(40)])
-    rows = [(rng.randrange(3), rng.randrange(2), round(rng.uniform(0, 10), 3),
-             round(rng.gauss(5, 2), 3)) for _ in range(40)]
     return CategoricalDataset.from_values(
-        rows, kinds=[CATEGORICAL, CATEGORICAL, NUMERIC, NUMERIC])
+        [tuple(rng.randrange(3) for _ in range(5)) for _ in range(40)])
 
 
 GOLDEN_POLICIES = {
-    "simple": ("categorical", DissimilarityPolicy()),
-    "weighted": ("categorical", DissimilarityPolicy(mode="weighted")),
-    "mixed-auto": ("mixed", DissimilarityPolicy(mode="mixed")),
-    "mixed-fixed": ("mixed", DissimilarityPolicy(mode="mixed", gamma_mode="fixed",
-                                                 gamma_value=0.5)),
+    "simple": DissimilarityPolicy(),
+    "weighted": DissimilarityPolicy(mode="weighted"),
 }
 
 # (cost.hex(), epochs_run, converged, sha256 of repr((modes, assignments))).
@@ -338,25 +303,13 @@ GOLDEN_FITS = {
     ("weighted", "density"): (
         "0x1.1c5211716766cp+6", 100, False,
         "d6bdf835a2bfae04d17733b428de59f83296911d0ab66920c22225534ca8ae50"),
-    ("mixed-auto", "random_rows"): (
-        "0x1.9f30c65a94544p+6", 2, True,
-        "e6e533e72c2f7a6dd526c58aacaf81a6c9325e127204630e2ce3e62ada67470e"),
-    ("mixed-auto", "density"): (
-        "0x1.ac4139e0b1399p+6", 3, True,
-        "a516b18f2c7f172d63df7b54be1cbcf58c0239b4db4813fcc259a63efb3a67a4"),
-    ("mixed-fixed", "random_rows"): (
-        "0x1.369c6dfee0138p+6", 2, True,
-        "1c5ebb7151c53fc0583a35c8ee2dae6c5934dc38f91854677afb5d3b86076da2"),
-    ("mixed-fixed", "density"): (
-        "0x1.47c0b99478df0p+6", 6, True,
-        "45aebab1bba25b38e0a4affc9b9846f1b7e5b49a5c1158709b9eb9948f4b5bcf"),
 }
 
 
 @pytest.mark.parametrize("name, init", sorted(GOLDEN_FITS))
 def test_fit_is_bit_identical_to_the_golden_record(name, init):
-    kind, policy = GOLDEN_POLICIES[name]
-    model = fit(_golden_dataset(kind),
+    policy = GOLDEN_POLICIES[name]
+    model = fit(_golden_dataset(),
                 FitConfig(k=3, policy=policy, init=init, seed=5, restarts=3))
     digest = hashlib.sha256(
         repr((tuple(p.values for p in model.modes), model.assignments)).encode()
