@@ -7,6 +7,9 @@ supported:
 * ``weighted``  -- frequency-weighted matching where each category carries a
                    per-cluster confidence weight.
 
+``simple`` runs on BitEncoder masks (one bit per attribute and code), so a
+distance is one AND and one popcount.
+
 All measures are symmetric in the value vectors, invariant under bijective
 recoding of category codes, and deterministic.
 """
@@ -126,20 +129,59 @@ def check_inputs(attrs, vectors):
             raise AlignmentError(f"value length {len(v)} does not match {m} attributes")
 
 
+class BitEncoder:
+    """Value vectors as Python ints with one bit per (attribute, category
+    code): two vectors agree on as many attributes as their AND has set bits.
+
+    A code takes its bit the first time it is encoded on its attribute, so a
+    code outside the attribute's categories keeps the meaning it has under
+    ``==``: equal codes share a bit and different codes never do. Codes must
+    be hashable.
+    """
+
+    __slots__ = ("_bits", "_next")
+
+    def __init__(self, m):
+        self._bits = [{} for _ in range(m)]
+        self._next = 0
+
+    def bit(self, j, code) -> int:
+        """The bit of ``code`` on attribute ``j``."""
+        bits = self._bits[j]
+        b = bits.get(code)
+        if b is None:
+            b = bits[code] = 1 << self._next
+            self._next += 1
+        return b
+
+    def encode(self, vals) -> int:
+        """The mask of a vector of one code per attribute."""
+        try:
+            return sum(map(dict.__getitem__, self._bits, vals))
+        except KeyError:
+            return sum(self.bit(j, v) for j, v in enumerate(vals))
+
+
 def measure(policy, attrs, weights=None):
-    """The distance ``d(vals, mode, l)`` from a value vector to the mode of
-    cluster ``l`` under ``policy``.
+    """The distance under ``policy`` as ``(point, d)``: ``point`` turns a
+    value vector into the form ``d`` takes, and ``d(x, z, l)`` is the
+    distance from point ``x`` to the point ``z`` of cluster ``l``'s mode.
 
     This is the one implementation of each measure; fit, nearest_mode,
     within_cluster_difference and the functions below all call it. It
     checks nothing, so callers run check_inputs once per call.
 
-    weighted without a table measures plain matching (fit's allocation
-    pass has no assignment to derive one from).
+    simple counts mismatches as ``m - (x & z).bit_count()`` on the masks of
+    one BitEncoder; ``point`` is a fresh encoder's, so a caller encodes
+    every vector it compares with the same ``point``. weighted with a table
+    sums a per-attribute cost over the value vectors themselves. weighted
+    without a table is simple (fit's allocation pass has no assignment to
+    derive a table from).
     """
-    cols = list(range(len(attrs)))
+    m = len(attrs)
     if policy.mode == WEIGHTED and weights is not None:
         weight = weights.weight
+        cols = list(range(m))
 
         def d(vals, mode, l):
             t = 0.0
@@ -148,16 +190,12 @@ def measure(policy, attrs, weights=None):
                 t += (1.0 - w) if vals[j] == mode[j] else w
             return t
 
-    else:
+        return tuple, d
 
-        def d(vals, mode, l):
-            t = 0
-            for j in cols:
-                if vals[j] != mode[j]:
-                    t += 1
-            return t
+    def d(x, z, l):
+        return m - (x & z).bit_count()
 
-    return d
+    return BitEncoder(m).encode, d
 
 
 def policy_statistics(policy, dataset, assignments, k) -> dict:
@@ -177,7 +215,8 @@ def simple_matching(a, b, attrs) -> int:
     """Number of positions where the two vectors disagree."""
     va, vb = _vector(a), _vector(b)
     check_inputs(attrs, (va, vb))
-    return measure(_SIMPLE_POLICY, attrs)(va, vb, 0)
+    point, d = measure(_SIMPLE_POLICY, attrs)
+    return d(point(va), point(vb), 0)
 
 
 def weighted_matching(a, z, attrs, weights: CategoryWeightTable) -> float:
@@ -192,7 +231,8 @@ def weighted_matching(a, z, attrs, weights: CategoryWeightTable) -> float:
         raise PolicyError("weighted matching needs a Prototype (the cluster identity drives weight lookup)")
     va = _vector(a)
     check_inputs(attrs, (va, z.values))
-    return measure(_WEIGHTED_POLICY, attrs, weights=weights)(va, z.values, z.cluster_index)
+    point, d = measure(_WEIGHTED_POLICY, attrs, weights=weights)
+    return d(point(va), point(z.values), z.cluster_index)
 
 
 def compute_category_weights(dataset, assignments, k: int) -> CategoryWeightTable:

@@ -4,7 +4,15 @@ The fit procedure follows the classic online scheme: pick k initial modes,
 allocate every row to its nearest mode while refreshing the receiving mode
 after each allocation, then run reallocation epochs that move rows between
 clusters (updating both affected modes immediately) until an epoch makes no
-moves or the epoch budget is exhausted.
+moves or the epoch budget is exhausted (Huang, "Extensions to the k-Means
+Algorithm for Clustering Large Data Sets with Categorical Values", DMKD 1998).
+
+fit encodes every row once as a BitEncoder mask, shared by all restarts, so
+a simple-matching distance is ``m - (row & mode).bit_count()``: the
+allocation pass, the empty-cluster repair, every simple epoch, density init
+and the final cost measure that way. Each cluster keeps its mode and the
+mode's mask incrementally (see _Cluster) instead of rescanning its counts on
+every add and remove. Neither changes any result.
 
 Everything is deterministic for a given dataset and config: rows are visited
 in dataset order, distance ties go to the lowest cluster index, mode ties to
@@ -21,12 +29,15 @@ reports which way the run ended.
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import ne
 
 from .dissimilarity import (
     CATEGORICAL,
     SIMPLE,
     WEIGHTED,
     AttributeSpec,
+    BitEncoder,
     DissimilarityPolicy,
     Prototype,
     Record,
@@ -42,6 +53,8 @@ from .errors import (
 )
 
 INIT_STRATEGIES = ("random_rows", "density")
+
+_SIMPLE_POLICY = DissimilarityPolicy(SIMPLE)
 
 
 @dataclass(frozen=True)
@@ -193,37 +206,37 @@ def _mode_from_counts(counts) -> int:
     return best_code
 
 
-def _density_seeds(dataset, k):
+def _encode_rows(dataset):
+    """A BitEncoder for the dataset and the mask of every row under it."""
+    encoder = BitEncoder(len(dataset.attrs))
+    return encoder, [encoder.encode(r.values) for r in dataset.rows]
+
+
+def _density_seeds(dataset, k, codes):
     # Seed 1 is the row whose values are, summed over attributes, the most
     # frequent in the dataset; later seeds greedily maximize the minimum
-    # mismatch distance to the seeds chosen so far. Ties take the lowest
-    # row index.
+    # mismatch distance to the seeds chosen so far, which `nearest` holds
+    # per row. Ties take the lowest row index. codes are the rows' masks
+    # under one BitEncoder.
     rows = [r.values for r in dataset.rows]
     m = len(dataset.attrs)
-    d = measure(DissimilarityPolicy(SIMPLE), dataset.attrs)
+    _, d = measure(_SIMPLE_POLICY, dataset.attrs)
     freq = [Counter(vals[j] for vals in rows) for j in range(m)]
     best_i, best_score = 0, -1
     for i, vals in enumerate(rows):
-        score = sum(freq[j][vals[j]] for j in range(m))
+        score = sum(map(dict.__getitem__, freq, vals))
         if score > best_score:
             best_i, best_score = i, score
-    chosen = [rows[best_i]]
+    chosen = [best_i]
+    nearest = [m] * len(rows)  # no distance exceeds m
     while len(chosen) < k:
-        best_i, best_d = 0, -1
-        for i, vals in enumerate(rows):
-            di = min(d(vals, c, 0) for c in chosen)
-            if di > best_d:
-                best_i, best_d = i, di
-        chosen.append(rows[best_i])
-    return chosen
+        z = codes[chosen[-1]]
+        nearest = [min(di, d(x, z, 0)) for di, x in zip(nearest, codes)]
+        chosen.append(nearest.index(max(nearest)))
+    return [rows[i] for i in chosen]
 
 
-def init_modes(dataset, k: int, strategy: str = "random_rows", seed: int = 0):
-    """Pick k initial prototypes.
-
-    random_rows samples k distinct rows without replacement (seeded);
-    density starts from the highest-frequency row and then spreads out.
-    """
+def _init_vectors(dataset, k, strategy, seed, codes):
     n = dataset.n
     if k < 1:
         raise InfeasibleConfigError(f"k must be >= 1, got {k}")
@@ -236,11 +249,20 @@ def init_modes(dataset, k: int, strategy: str = "random_rows", seed: int = 0):
                 f"k={k} exceeds the number of distinct rows ({len(distinct)})"
             )
         rng = random.Random(seed)
-        chosen = rng.sample(distinct, k)
-    elif strategy == "density":
-        chosen = _density_seeds(dataset, k)
-    else:
-        raise ValueError(f"unknown init strategy {strategy!r}")
+        return rng.sample(distinct, k)
+    if strategy == "density":
+        return _density_seeds(dataset, k, codes)
+    raise ValueError(f"unknown init strategy {strategy!r}")
+
+
+def init_modes(dataset, k: int, strategy: str = "random_rows", seed: int = 0):
+    """Pick k initial prototypes.
+
+    random_rows samples k distinct rows without replacement (seeded);
+    density starts from the highest-frequency row and then spreads out.
+    """
+    codes = _encode_rows(dataset)[1] if strategy == "density" else None
+    chosen = _init_vectors(dataset, k, strategy, seed, codes)
     return [Prototype(values=v, cluster_index=i) for i, v in enumerate(chosen)]
 
 
@@ -258,12 +280,12 @@ def _mode_vectors(modes):
     return vectors
 
 
-def _nearest(d, vals, modes):
+def _nearest(d, x, modes):
     # Strict improvement only, so distance ties go to the lowest index.
     best_l = 0
-    best_d = d(vals, modes[0], 0)
+    best_d = d(x, modes[0], 0)
     for l in range(1, len(modes)):
-        dl = d(vals, modes[l], l)
+        dl = d(x, modes[l], l)
         if dl < best_d:
             best_l, best_d = l, dl
     return best_l, best_d
@@ -281,60 +303,116 @@ def nearest_mode(record, modes, attrs, policy, weights=None):
         raise PolicyError("weighted policy needs a CategoryWeightTable")
     vals = record.values if isinstance(record, Record) else tuple(record)
     check_inputs(attrs, [vals, *modes])
-    return _nearest(measure(policy, attrs, weights), vals, modes)
+    point, d = measure(policy, attrs, weights)
+    return _nearest(d, point(vals), [point(z) for z in modes])
 
 
 class _Cluster:
-    """Incremental per-cluster state: member counts per attribute and the
-    current mode, refreshed on every add/remove."""
+    """Incremental per-cluster state: the member count, the current mode,
+    its mask under the fit's BitEncoder, and per attribute the member
+    counts of every code other than the mode code (``others[j]``) and
+    their sum (``rest[j]``). The mode code of j thus counts
+    ``size - rest[j]`` members, and an add or remove that agrees with the
+    mode on attribute j touches nothing there.
 
-    __slots__ = ("size", "counts", "mode")
+    The mode always equals the majority of the members with ties to the
+    lowest code. An add can only promote the code it adds, so it compares
+    that code's new count with the mode code's. A remove rescans attribute
+    j only when it takes a member from j's mode code. Whenever a mode code
+    changes, the mask swaps the old code's bit for the new one's. An
+    emptied cluster keeps its last mode.
+    """
 
-    def __init__(self, seed_values):
+    __slots__ = ("size", "mode", "mask", "others", "rest", "_bit")
+
+    def __init__(self, seed_values, encoder):
         self.size = 0
         self.mode = list(seed_values)
-        self.counts = [{} for _ in self.mode]
+        self.mask = encoder.encode(self.mode)
+        self.others = [{} for _ in self.mode]
+        self.rest = [0] * len(self.mode)
+        self._bit = encoder.bit
+
+    def _promote(self, j, code, count, top):
+        # code, with count members, replaces the mode code of j, which has
+        # top members and joins the other codes.
+        others = self.others[j]
+        del others[code]
+        if top:
+            others[self.mode[j]] = top
+        self.rest[j] += top - count
+        self.mask ^= self._bit(j, self.mode[j]) ^ self._bit(j, code)
+        self.mode[j] = code
 
     def add(self, vals):
         self.size += 1
-        for j, v in enumerate(vals):
-            c = self.counts[j]
-            c[v] = c.get(v, 0) + 1
-            self.mode[j] = _mode_from_counts(c)
+        mode, others, rest = self.mode, self.others, self.rest
+        for j in compress(range(len(mode)), map(ne, vals, mode)):
+            v = vals[j]
+            n = others[j][v] = others[j].get(v, 0) + 1
+            rest[j] += 1
+            top = self.size - rest[j]
+            if n > top or (n == top and v < mode[j]):
+                self._promote(j, v, n, top)
 
     def remove(self, vals):
         self.size -= 1
+        mode, others, rest = self.mode, self.others, self.rest
         for j, v in enumerate(vals):
-            c = self.counts[j]
-            c[v] -= 1
-            if not c[v]:
-                del c[v]
-            if self.size:
-                self.mode[j] = _mode_from_counts(c)
+            o = others[j]
+            if v != mode[j]:
+                if o[v] == 1:
+                    del o[v]
+                else:
+                    o[v] -= 1
+                rest[j] -= 1
+            elif self.size and o:
+                top = self.size - rest[j]
+                w = _mode_from_counts(o)
+                if o[w] > top or (o[w] == top and w < v):
+                    self._promote(j, w, o[w], top)
 
 
-def _fit_once(dataset, config, seed, debug):
+def _total(d, points, modes, assignments):
+    """Summed distance of every point to its cluster's mode, accumulated
+    row by row in float."""
+    total = 0.0
+    for x, l in zip(points, assignments):
+        total += d(x, modes[l], l)
+    return total
+
+
+def _fit_once(dataset, rows, encoder, codes, config, seed, debug):
     attrs = dataset.attrs
-    rows = [r.values for r in dataset.rows]
     k = config.k
     policy = config.policy
+    weighted = policy.mode == WEIGHTED
+    # The allocation pass, the repair, every simple epoch, the debug cost
+    # and the simple final cost all measure on the rows' masks.
+    _, d0 = measure(_SIMPLE_POLICY, attrs)
 
-    protos = init_modes(dataset, k, config.init, seed)
-    clusters = [_Cluster(p.values) for p in protos]
-    # Each cluster updates its mode list in place, so these stay current.
+    seeds = _init_vectors(dataset, k, config.init, seed, codes)
+    clusters = [_Cluster(v, encoder) for v in seeds]
+    # Each cluster updates its mode list in place, so these stay current;
+    # masks are ints and are refreshed after every add/remove.
     modes = [c.mode for c in clusters]
+    masks = [c.mask for c in clusters]
     assign = [0] * len(rows)
 
-    def live_cost(d):
-        return sum(d(vals, modes[assign[i]], assign[i]) for i, vals in enumerate(rows))
+    def move(i, t):
+        s = assign[i]
+        clusters[s].remove(rows[i])
+        clusters[t].add(rows[i])
+        masks[s], masks[t] = clusters[s].mask, clusters[t].mask
+        assign[i] = t
 
     # Initial allocation pass. There is no assignment yet to derive weights
-    # from, so the measure runs without them.
-    d0 = measure(policy, attrs)
-    for i, vals in enumerate(rows):
-        l, _ = _nearest(d0, vals, modes)
+    # from, so it measures simple matching under every policy.
+    for i, x in enumerate(codes):
+        l, _ = _nearest(d0, x, masks)
         assign[i] = l
-        clusters[l].add(vals)
+        clusters[l].add(rows[i])
+        masks[l] = clusters[l].mask
 
     # A mode can drift onto another seed's territory during the pass and
     # leave that seed's cluster empty; repair deterministically by moving
@@ -343,17 +421,15 @@ def _fit_once(dataset, config, seed, debug):
     for l in range(k):
         if clusters[l].size:
             continue
-        best_i, best_d = None, -1.0
-        for i, vals in enumerate(rows):
-            if clusters[assign[i]].size < 2:
+        best_i, best_d = None, -1
+        for i, x in enumerate(codes):
+            s = assign[i]
+            if clusters[s].size < 2:
                 continue
-            di = d0(vals, modes[assign[i]], assign[i])
+            di = d0(x, masks[s], s)
             if di > best_d:
                 best_i, best_d = i, di
-        vals = rows[best_i]
-        clusters[assign[best_i]].remove(vals)
-        clusters[l].add(vals)
-        assign[best_i] = l
+        move(best_i, l)
 
     # Reallocation epochs. A row moves only when some mode is strictly
     # closer than its current one (equidistant rows stay put, which is what
@@ -364,21 +440,23 @@ def _fit_once(dataset, config, seed, debug):
     converged = False
     for epoch in range(1, config.max_epochs + 1):
         epochs_run = epoch
-        d = measure(policy, attrs, **policy_statistics(policy, dataset, assign, k))
+        if weighted:
+            _, d = measure(policy, attrs, **policy_statistics(policy, dataset, assign, k))
+            points, targets = rows, modes
+        else:
+            d, points, targets = d0, codes, masks
         moves = 0
-        for i, vals in enumerate(rows):
+        for i, x in enumerate(points):
             s = assign[i]
-            ds = d(vals, modes[s], s)
-            t, dt = _nearest(d, vals, modes)
+            ds = d(x, targets[s], s)
+            t, dt = _nearest(d, x, targets)
             if dt < ds and clusters[s].size >= 2:
-                if debug and policy.mode == SIMPLE:
-                    before = live_cost(d)
-                clusters[s].remove(vals)
-                clusters[t].add(vals)
-                assign[i] = t
+                if debug and not weighted:
+                    before = _total(d0, codes, masks, assign)
+                move(i, t)
                 moves += 1
-                if debug and policy.mode == SIMPLE:
-                    after = live_cost(d)
+                if debug and not weighted:
+                    after = _total(d0, codes, masks, assign)
                     if not after < before:
                         raise AssertionError(
                             f"accepted move of row {i} failed to decrease cost "
@@ -390,7 +468,10 @@ def _fit_once(dataset, config, seed, debug):
 
     protos = tuple(Prototype(values=tuple(m), cluster_index=l) for l, m in enumerate(modes))
     assignments = tuple(assign)
-    cost = within_cluster_difference(dataset, protos, assignments, policy)
+    if weighted:
+        cost = within_cluster_difference(dataset, protos, assignments, policy)
+    else:
+        cost = _total(d0, codes, masks, assign)
     return protos, assignments, epochs_run, converged, cost
 
 
@@ -407,9 +488,12 @@ def fit(dataset, config: FitConfig, debug: bool = False) -> ClusterModel:
         raise InfeasibleConfigError(
             f"k={config.k} exceeds the number of rows ({dataset.n})"
         )
+    # Every restart measures on the same row masks.
+    rows = [r.values for r in dataset.rows]
+    encoder, codes = _encode_rows(dataset)
     best = None
     for r in range(config.restarts):
-        out = _fit_once(dataset, config, config.seed + r, debug)
+        out = _fit_once(dataset, rows, encoder, codes, config, config.seed + r, debug)
         if best is None or out[4] < best[4]:
             best = out
     modes, assignments, epochs_run, converged, cost = best
@@ -445,11 +529,9 @@ def within_cluster_difference(dataset, modes, assignments, policy=None, weights=
         stats = {"weights": weights}
     else:
         stats = policy_statistics(policy, dataset, assignments, k)
-    d = measure(policy, attrs, **stats)
-    total = 0.0
-    for row, l in zip(dataset.rows, assignments):
-        total += d(row.values, modes[l], l)
-    return float(total)
+    point, d = measure(policy, attrs, **stats)
+    targets = [point(z) for z in modes]
+    return float(_total(d, (point(r.values) for r in dataset.rows), targets, assignments))
 
 
 def elbow_scan(dataset, k_min, k_max, policy=None, seed=0, restarts=1, init="random_rows"):

@@ -381,6 +381,8 @@ def generate_synthetic(n: int, schema: SurveySchema, weights=None, seed: int = 0
         ws = [float(w) for w in weights]
         if len(ws) != len(dims):
             raise ValueError(f"{len(ws)} mixture weights for {len(dims)} dimensions")
+    if not all(math.isfinite(w) for w in ws):
+        raise ValueError(f"mixture weights must be finite numbers, got {ws}")
     if any(w < 0 for w in ws):
         raise ValueError("mixture weights must be non-negative")
     if abs(math.fsum(ws) - 1.0) > 1e-9:

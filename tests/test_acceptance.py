@@ -39,6 +39,7 @@ from traitclust import (
     update_mode_attribute,
     within_cluster_difference,
 )
+from traitclust.dissimilarity import BitEncoder
 from traitclust.kmodes import _Cluster
 
 APPLICANT_OPTIMAL_COST = 6.0
@@ -163,7 +164,7 @@ def test_03_mode_update_equals_brute_force_majority():
     for case in range(1000):
         m = rng.randint(1, 4)
         top = rng.randint(1, 5)
-        cluster = _Cluster([rng.randrange(top + 1) for _ in range(m)])
+        cluster = _Cluster([rng.randrange(top + 1) for _ in range(m)], BitEncoder(m))
         members = []
         for _ in range(rng.randint(1, 40)):
             if members and rng.random() < 0.4:

@@ -76,6 +76,15 @@ class TestGenCommand:
         assert out == ""
         assert "--mixture" in err
 
+    @pytest.mark.parametrize("mixture", ["1,nan,0,0,0", "1,inf,0,0,0"])
+    def test_non_finite_mixture_weight(self, capsys, mixture):
+        code, out, err = run(capsys, "gen", "--schema", "scenario", "--n", "3",
+                             "--mixture", mixture)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "finite" in err
+
     def test_custom_delimiter_round_trips_through_score(self, capsys, tmp_path):
         target = tmp_path / "gen.csv"
         run(capsys, "gen", "--schema", "scenario3", "--n", "8",

@@ -16,8 +16,10 @@ from traitclust import (
     Prototype,
     Record,
     compute_category_weights,
+    nearest_mode,
     simple_matching,
     weighted_matching,
+    within_cluster_difference,
 )
 
 import oracle
@@ -202,3 +204,62 @@ def test_simple_matching_agrees_with_reference_hamming():
         b = tuple(rng.randrange(6) for _ in range(4))
         assert simple_matching(a, b, attrs) == oracle.hamming(a, b)
 
+
+# Category codes need not be dense: the bitset kernel gives every code its
+# own bit, whatever its value. OUTSIDE holds codes no attribute lists,
+# which public callers may still pass.
+SPARSE_CODES = (7, 2, 40)
+OUTSIDE = (0, 41, 1000)
+
+
+def _sparse_attrs(m):
+    return tuple(AttributeSpec(index=j, kind=CATEGORICAL, categories=SPARSE_CODES)
+                 for j in range(m))
+
+
+def _vector(rng, m, codes=SPARSE_CODES + OUTSIDE):
+    return tuple(rng.choice(codes) for _ in range(m))
+
+
+class TestSimpleKernelAgainstOracle:
+    """simple runs on bitsets; every public entry point must still count
+    exactly the mismatching attributes, as oracle.hamming does."""
+
+    def test_simple_matching(self):
+        rng = random.Random(21)
+        for _ in range(500):
+            m = rng.randint(1, 8)
+            a, b = _vector(rng, m), _vector(rng, m)
+            assert simple_matching(a, b, _sparse_attrs(m)) == oracle.hamming(a, b)
+
+    def test_codes_outside_the_categories_match_only_themselves(self):
+        attrs = _sparse_attrs(3)
+        assert simple_matching((99, 99, 7), (99, 98, 7), attrs) == 1
+        assert simple_matching((99, 7, 2), (98, 40, 2), attrs) == 2
+        assert simple_matching((1000, 0, 41), (1000, 0, 41), attrs) == 0
+
+    def test_nearest_mode_takes_the_lowest_index_among_ties(self):
+        rng = random.Random(22)
+        ties = 0
+        for _ in range(500):
+            m, k = rng.randint(1, 6), rng.randint(1, 6)
+            record = _vector(rng, m)
+            modes = [_vector(rng, m) for _ in range(k)]
+            dists = [oracle.hamming(record, z) for z in modes]
+            best = min(dists)
+            ties += dists.count(best) > 1
+            got = nearest_mode(record, modes, _sparse_attrs(m), DissimilarityPolicy())
+            assert got == (dists.index(best), best)
+        assert ties > 50
+
+    def test_within_cluster_difference(self):
+        rng = random.Random(23)
+        for _ in range(200):
+            m, k, n = rng.randint(1, 6), rng.randint(1, 4), rng.randint(1, 12)
+            attrs = _sparse_attrs(m)
+            rows = [_vector(rng, m, SPARSE_CODES) for _ in range(n)]
+            ds = CategoricalDataset(attrs=attrs, rows=[Record(r) for r in rows])
+            modes = [_vector(rng, m) for _ in range(k)]
+            assignments = tuple(rng.randrange(k) for _ in range(n))
+            expected = sum(oracle.hamming(r, modes[l]) for r, l in zip(rows, assignments))
+            assert within_cluster_difference(ds, modes, assignments) == float(expected)

@@ -26,6 +26,9 @@ from traitclust import (
     update_mode_attribute,
     within_cluster_difference,
 )
+from traitclust.dissimilarity import BitEncoder
+from traitclust.kmodes import _Cluster
+from traitclust.survey import generate_synthetic, load_schema
 
 import oracle
 from conftest import random_dataset, random_rows
@@ -79,6 +82,80 @@ class TestModeUpdate:
     @given(st.lists(st.integers(0, 9), min_size=1, max_size=50))
     def test_matches_brute_force_majority(self, values):
         assert update_mode_attribute(values) == oracle.majority_value(values)
+
+
+class TestIncrementalMode:
+    """fit's clusters keep their modes incrementally: an add can only
+    promote the code it adds, and a remove rescans an attribute only when
+    it takes a member from that attribute's mode code."""
+
+    @staticmethod
+    def cluster(*members):
+        encoder = BitEncoder(len(members[0]))
+        c = _Cluster(members[0], encoder)
+        for row in members:
+            c.add(row)
+        assert c.mask == encoder.encode(c.mode)
+        return c, encoder
+
+    def test_adding_a_lower_code_that_ties_the_mode_switches_to_it(self):
+        c, encoder = self.cluster((5, 1), (5, 1), (3, 1))
+        assert c.mode == [5, 1]
+        c.add((3, 1))
+        assert c.mode == [3, 1]
+        assert c.mask == encoder.encode((3, 1))
+
+    def test_adding_a_higher_code_that_ties_the_mode_leaves_it(self):
+        c, encoder = self.cluster((5, 1), (5, 1), (8, 1))
+        c.add((8, 1))
+        assert c.mode == [5, 1]
+        assert c.mask == encoder.encode((5, 1))
+
+    def test_remove_that_drops_the_mode_below_another_code_rescans(self):
+        c, encoder = self.cluster((4, 0), (4, 0), (6, 0), (6, 0))
+        assert c.mode == [4, 0]
+        c.remove((4, 0))
+        assert c.mode == [6, 0]
+        assert c.mask == encoder.encode((6, 0))
+
+    def test_remove_into_a_tie_picks_the_lowest_code_among_the_maxima(self):
+        c, encoder = self.cluster((6, 0), (6, 0), (6, 0), (4, 0), (4, 0), (9, 0), (9, 0))
+        assert c.mode == [6, 0]
+        c.remove((6, 0))
+        assert c.mode == [4, 0]
+        assert c.mask == encoder.encode((4, 0))
+
+    def test_remove_into_a_tie_keeps_a_mode_that_is_the_lowest(self):
+        c, _ = self.cluster((2, 0), (2, 0), (2, 0), (5, 0), (5, 0))
+        c.remove((2, 0))
+        assert c.mode == [2, 0]
+
+    def test_an_emptied_cluster_keeps_its_mode_until_the_next_add(self):
+        c, encoder = self.cluster((3, 4))
+        c.remove((3, 4))
+        assert (c.size, c.mode) == (0, [3, 4])
+        c.add((7, 4))
+        assert c.mode == [7, 4]
+        assert c.mask == encoder.encode((7, 4))
+
+    def test_mask_tracks_the_mode_through_random_sequences(self):
+        rng = random.Random(31)
+        codes = (7, 2, 40, 0)
+        for case in range(300):
+            m = rng.randint(1, 5)
+            encoder = BitEncoder(m)
+            c = _Cluster([rng.choice(codes) for _ in range(m)], encoder)
+            members = []
+            for _ in range(rng.randint(1, 40)):
+                if members and rng.random() < 0.45:
+                    c.remove(members.pop(rng.randrange(len(members))))
+                else:
+                    members.append(tuple(rng.choice(codes) for _ in range(m)))
+                    c.add(members[-1])
+                assert c.mask == encoder.encode(c.mode), f"case {case}"
+                if members:
+                    expected = [oracle.majority_value([r[j] for r in members]) for j in range(m)]
+                    assert c.mode == expected, f"case {case}"
 
 
 class TestInitModes:
@@ -315,6 +392,60 @@ def test_fit_is_bit_identical_to_the_golden_record(name, init):
         repr((tuple(p.values for p in model.modes), model.assignments)).encode()
     ).hexdigest()
     assert (model.cost.hex(), model.epochs_run, model.converged, digest) == GOLDEN_FITS[name, init]
+
+
+def _golden_record(model):
+    digest = hashlib.sha256(
+        repr((tuple(p.values for p in model.modes), model.assignments)).encode()
+    ).hexdigest()
+    return (model.cost.hex(), model.epochs_run, model.converged, digest)
+
+
+@pytest.fixture(scope="module")
+def ocean50_population():
+    """The paper's synthetic population at a realistic width: 50 Likert
+    items, five planted traits, answer noise 0.15, 1000 respondents."""
+    table = generate_synthetic(1000, load_schema("ocean50"), seed=12, noise=0.15)
+    return CategoricalDataset.from_values(table.rows)
+
+
+# The same record as GOLDEN_FITS, on ocean50_population with k=5, seed=5 and
+# 2 restarts. random_rows moves rows in its first epoch; density lands on the
+# planted traits and converges at once; weighted is capped at 3 epochs.
+OCEAN50_GOLDEN_FITS = {
+    ("simple", "random_rows"): (
+        "0x1.1370000000000p+13", 2, True,
+        "dbb607084b69c7714848ef90696bd82e57193f040470c55d2e11ca56f830fbcf"),
+    ("simple", "density"): (
+        "0x1.7520000000000p+12", 1, True,
+        "e9186e66174baeb92fbd9c1333b9686fdc89e802a9fa83212041916ce668219b"),
+    ("weighted", "random_rows"): (
+        "0x1.00b46d21822d5p+13", 3, False,
+        "6a47c8d650a87b51b0c939ef59933e1d91c0660b53f53120e8451191f8ba40b2"),
+}
+
+OCEAN50_GOLDEN_ELBOW = [
+    (1, "0x1.c638000000000p+13"), (2, "0x1.93c8000000000p+13"),
+    (3, "0x1.62a0000000000p+13"), (4, "0x1.1950000000000p+13"),
+    (5, "0x1.7520000000000p+12"), (6, "0x1.7460000000000p+12"),
+]
+
+
+@pytest.mark.parametrize("name, init", sorted(OCEAN50_GOLDEN_FITS))
+def test_ocean50_fit_is_bit_identical_to_the_golden_record(ocean50_population, name, init):
+    config = FitConfig(k=5, policy=GOLDEN_POLICIES[name], init=init, seed=5, restarts=2,
+                       max_epochs=3 if name == "weighted" else 100)
+    assert _golden_record(fit(ocean50_population, config)) == OCEAN50_GOLDEN_FITS[name, init]
+
+
+def test_ocean50_debug_fit_descends_to_the_golden_record(ocean50_population):
+    model = fit(ocean50_population, FitConfig(k=5, seed=5, restarts=2), debug=True)
+    assert _golden_record(model) == OCEAN50_GOLDEN_FITS["simple", "random_rows"]
+
+
+def test_ocean50_elbow_curve_is_bit_identical_to_the_golden_record(ocean50_population):
+    curve = elbow_scan(ocean50_population, 1, 6, seed=5, init="density")
+    assert [(k, cost.hex()) for k, cost in curve] == OCEAN50_GOLDEN_ELBOW
 
 
 class TestWithinClusterDifference:

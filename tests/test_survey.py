@@ -365,6 +365,16 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError):
             generate_synthetic(5, schema, noise=1.5)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_mixture_weights(self, bad):
+        # NaN compares false with every bound, so a range check alone
+        # lets it through
+        schema = load_schema("scenario")
+        with pytest.raises(ValueError, match="finite"):
+            generate_synthetic(5, schema, weights=[1.0, bad, 0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            generate_synthetic(5, schema, weights={"Openness": 1.0, "Extraversion": bad})
+
 
 class TestResponseTable:
     def test_csv_round_trip(self):
