@@ -75,6 +75,9 @@ class CategoricalDataset:
                     f"attribute {spec.name!r} carries index {spec.index}, expected {j}"
                 )
         category_sets = [set(spec.categories) for spec in self.attrs]
+        if _columns_valid([r.values for r in self.rows], m, category_sets):
+            return
+        # Some row is bad: scan row by row to name the first one.
         for row in self.rows:
             if len(row.values) != m:
                 raise AlignmentError(
@@ -107,9 +110,9 @@ class CategoricalDataset:
             m = len(kinds)
         else:
             m = 0
-        for r in rows:
-            if len(r) != m:
-                raise AlignmentError(f"ragged input row of length {len(r)}, expected {m}")
+        if not set(map(len, rows)) <= {m}:
+            r = next(r for r in rows if len(r) != m)
+            raise AlignmentError(f"ragged input row of length {len(r)}, expected {m}")
         kinds = list(kinds) if kinds is not None else [CATEGORICAL] * m
         names = list(names) if names is not None else [f"attr{j}" for j in range(m)]
         if len(kinds) != m or len(names) != m:
@@ -118,9 +121,10 @@ class CategoricalDataset:
             row_ids = list(range(len(rows)))
         elif len(row_ids) != len(rows):
             raise AlignmentError("row_ids do not match the row count")
+        # One transposition; dict.fromkeys keeps first-appearance order.
+        categories = [tuple(dict.fromkeys(col)) for col in zip(*rows)] if rows else [()] * m
         attrs = [
-            AttributeSpec(index=j, kind=kinds[j], name=names[j],
-                          categories=tuple(dict.fromkeys(r[j] for r in rows)))
+            AttributeSpec(index=j, kind=kinds[j], name=names[j], categories=categories[j])
             for j in range(m)
         ]
         records = [Record(values=r, row_id=rid) for r, rid in zip(rows, row_ids)]
@@ -146,6 +150,17 @@ class CategoricalDataset:
             encoded.append(tuple(codes.setdefault(v, len(codes))
                                  for codes, v in zip(code_maps, r)))
         return cls.from_values(encoded, kinds=kinds, names=names, row_ids=row_ids)
+
+
+def _columns_valid(values, m, category_sets) -> bool:
+    """Whether every value vector has m entries and every entry is one of
+    its attribute's categories, checked one column at a time."""
+    if not set(map(len, values)) <= {m}:
+        return False
+    try:
+        return all(map(set.issuperset, category_sets, zip(*values)))
+    except TypeError:  # an unhashable value; the row scan reports it
+        return False
 
 
 @dataclass(frozen=True)
@@ -479,6 +494,10 @@ def fit(dataset, config: FitConfig, debug: bool = False) -> ClusterModel:
     """Cluster the dataset; with restarts > 1, run restart r on seed + r and
     keep the lowest-cost model (earliest restart on ties).
 
+    density init does not use the seed, so every restart would repeat
+    restart 0 and lose the tie to it: a density fit runs restart 0 alone.
+    The model's config keeps the requested restarts.
+
     debug=True recomputes the full objective around every accepted move under
     the simple policy and raises if a move ever fails to decrease it.
     """
@@ -492,7 +511,7 @@ def fit(dataset, config: FitConfig, debug: bool = False) -> ClusterModel:
     rows = [r.values for r in dataset.rows]
     encoder, codes = _encode_rows(dataset)
     best = None
-    for r in range(config.restarts):
+    for r in range(1 if config.init == "density" else config.restarts):
         out = _fit_once(dataset, rows, encoder, codes, config, config.seed + r, debug)
         if best is None or out[4] < best[4]:
             best = out

@@ -11,8 +11,11 @@ import io
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import compress
+from operator import itemgetter
 from pathlib import Path
 
 from .dissimilarity import CATEGORICAL
@@ -25,6 +28,16 @@ NEGATIVE = "negative"
 PRESETS = ("ocean50", "scenario", "scenario3", "iwp")
 
 MISSING_POLICIES = ("drop_row", "impute_mode")
+
+
+def _picker(indices):
+    """An itemgetter for the indices that returns a sequence even for zero
+    or one index (a slice of the argument then)."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    if indices:
+        return itemgetter(slice(indices[0], indices[0] + 1))
+    return itemgetter(slice(0, 0))
 
 
 @dataclass(frozen=True)
@@ -77,10 +90,25 @@ class SurveySchema:
             )
         if self.likert_min < 0:
             raise SchemaError(f"schema {self.name!r}: likert_min must be >= 0")
-
-    @property
-    def columns(self) -> tuple[str, ...]:
-        return tuple(item.column for item in self.items)
+        if self.likert_min <= self.missing_code <= self.likert_max:
+            raise SchemaError(
+                f"schema {self.name!r}: missing_code {self.missing_code} lies inside "
+                f"the Likert range [{self.likert_min}, {self.likert_max}]"
+            )
+        # Derived once, and kept out of the fields so equality, hashing,
+        # repr and the schema document are unchanged: the column names, and
+        # per dimension the positive and negative item indices plus the
+        # reversal constant len(negative) * (likert_min + likert_max).
+        object.__setattr__(self, "columns", tuple(item.column for item in self.items))
+        span = self.likert_min + self.likert_max
+        plan = []
+        for d in self.dimensions:
+            pos = [i for i, item in enumerate(self.items)
+                   if item.dimension == d and item.keying == POSITIVE]
+            neg = [i for i, item in enumerate(self.items)
+                   if item.dimension == d and item.keying == NEGATIVE]
+            plan.append((_picker(pos), _picker(neg), len(neg) * span))
+        object.__setattr__(self, "_score_plan", tuple(plan))
 
     def items_for(self, dimension: str) -> tuple[SurveyItem, ...]:
         return tuple(item for item in self.items if item.dimension == dimension)
@@ -236,21 +264,25 @@ def parse_responses(stream, schema: SurveySchema, delimiter: str = ",",
     except StopIteration:
         raise ParseError("empty input: no header row") from None
 
-    wanted = set(schema.columns)
-    missing_cols = [c for c in schema.columns if c not in header]
+    columns = schema.columns
+    wanted = set(columns)
+    missing_cols = [c for c in columns if c not in header]
     if missing_cols:
         raise ParseError(f"header is missing schema columns: {', '.join(missing_cols)}")
-    for col in schema.columns:
+    for col in columns:
         if header.count(col) > 1:
             raise ParseError(f"header repeats schema column {col!r}")
-    positions = [header.index(col) for col in schema.columns]
+    positions = [header.index(col) for col in columns]
     id_pos = next((p for p, name in enumerate(header) if name not in wanted), None)
     id_name = header[id_pos] if id_pos is not None else "row_id"
+    pick = _picker(positions)
 
     lo, hi, miss = schema.likert_min, schema.likert_max, schema.missing_code
-    ids, values = [], []
+    # Every cell string the per-cell check has accepted, mapped to its
+    # value, so a row of known strings is converted in one pass at C level.
+    known = {}
+    ids, rows = [], []
     seen_ids = set()
-    rows_read = 0
     for lineno, cells in enumerate(reader, start=2):
         if not cells:
             continue
@@ -258,64 +290,37 @@ def parse_responses(stream, schema: SurveySchema, delimiter: str = ",",
             raise ParseError(
                 f"row {lineno}: expected {len(header)} cells, found {len(cells)}"
             )
-        row = []
-        for col, pos in zip(schema.columns, positions):
-            cell = cells[pos]
-            try:
-                v = int(cell)
-            except ValueError:
-                raise ParseError(
-                    f"row {lineno}, column {col!r}: non-integer value {cell!r}"
-                ) from None
-            if not (lo <= v <= hi or v == miss):
-                raise ParseError(
-                    f"row {lineno}, column {col!r}: value {v} outside [{lo}, {hi}] "
-                    f"and not the missing code {miss}"
-                )
-            row.append(v)
-        rid = cells[id_pos] if id_pos is not None else str(rows_read)
+        picked = pick(cells)
+        try:
+            row = tuple(map(known.__getitem__, picked))
+        except KeyError:
+            row = _checked_cells(picked, columns, lineno, lo, hi, miss)
+            known.update(zip(picked, row))
+        rid = cells[id_pos] if id_pos is not None else str(len(rows))
         if rid in seen_ids:
             raise ParseError(f"row {lineno}: duplicate id {rid!r}")
         seen_ids.add(rid)
         ids.append(rid)
-        values.append(row)
-        rows_read += 1
+        rows.append(row)
+    rows_read = len(rows)
 
     if missing_policy == "impute_mode":
-        for c in range(len(schema.columns)):
-            observed = [row[c] for row in values if row[c] != miss]
-            if any(row[c] == miss for row in values):
-                if not observed:
-                    raise ParseError(
-                        f"column {schema.columns[c]!r}: every value is missing, cannot impute"
-                    )
-                counts = {}
-                for v in observed:
-                    counts[v] = counts.get(v, 0) + 1
-                top = max(counts.values())
-                mode = min(v for v, cnt in counts.items() if cnt == top)
-                for row in values:
-                    if row[c] == miss:
-                        row[c] = mode
-        kept_ids, kept_rows = ids, values
+        kept_ids, kept_rows = ids, _impute_modes(rows, columns, miss)
     else:
-        kept_ids, kept_rows = [], []
-        for rid, row in zip(ids, values):
-            if miss in row:
-                continue
-            kept_ids.append(rid)
-            kept_rows.append(row)
+        kept = [miss not in row for row in rows]
+        kept_ids = list(compress(ids, kept))
+        kept_rows = list(compress(rows, kept))
 
     table = ResponseTable(
         ids=tuple(kept_ids),
-        columns=schema.columns,
-        rows=tuple(tuple(r) for r in kept_rows),
+        columns=columns,
+        rows=tuple(kept_rows),
         id_name=id_name,
     )
     dataset = CategoricalDataset.from_values(
         kept_rows,
-        kinds=[CATEGORICAL] * len(schema.columns),
-        names=list(schema.columns),
+        kinds=[CATEGORICAL] * len(columns),
+        names=list(columns),
         row_ids=list(kept_ids),
     )
     report = ParseReport(
@@ -324,6 +329,54 @@ def parse_responses(stream, schema: SurveySchema, delimiter: str = ",",
         rows_dropped=rows_read - len(kept_rows),
     )
     return ParseResult(table=table, dataset=dataset, report=report)
+
+
+def _checked_cells(cells, columns, lineno, lo, hi, miss):
+    """Convert one row's schema cells with int() and the range check,
+    raising for the first bad cell."""
+    row = []
+    for col, cell in zip(columns, cells):
+        try:
+            v = int(cell)
+        except ValueError:
+            raise ParseError(
+                f"row {lineno}, column {col!r}: non-integer value {cell!r}"
+            ) from None
+        if not (lo <= v <= hi or v == miss):
+            raise ParseError(
+                f"row {lineno}, column {col!r}: value {v} outside [{lo}, {hi}] "
+                f"and not the missing code {miss}"
+            )
+        row.append(v)
+    return tuple(row)
+
+
+def _impute_modes(rows, columns, miss):
+    """Replace every missing cell with its column's most frequent observed
+    value (ties to the lowest); only rows holding a missing cell are
+    rebuilt."""
+    fills = []
+    for col, values in zip(columns, zip(*rows)):
+        counts = Counter(values)
+        fill = None
+        if counts.pop(miss, 0):
+            if not counts:
+                raise ParseError(f"column {col!r}: every value is missing, cannot impute")
+            top = max(counts.values())
+            fill = min(v for v, cnt in counts.items() if cnt == top)
+        fills.append(fill)
+    out = []
+    for row in rows:
+        holes = row.count(miss)
+        if holes:
+            cells = list(row)
+            j = -1
+            for _ in range(holes):
+                j = cells.index(miss, j + 1)
+                cells[j] = fills[j]
+            row = tuple(cells)
+        out.append(row)
+    return out
 
 
 def score_profile(values, schema: SurveySchema) -> TraitProfile:
@@ -335,15 +388,29 @@ def score_profile(values, schema: SurveySchema) -> TraitProfile:
             f"{len(values)} answers for {len(schema.items)} schema items"
         )
     lo, hi = schema.likert_min, schema.likert_max
-    raw = {d: 0 for d in schema.dimensions}
-    for item, v in zip(schema.items, values):
-        if not isinstance(v, int) or not lo <= v <= hi:
-            raise ValueError(
-                f"item {item.column!r}: answer {v!r} outside the Likert range "
-                f"[{lo}, {hi}] (impute or drop missing values before scoring)"
-            )
-        raw[item.dimension] += v if item.keying == POSITIVE else lo + hi - v
+    # Plain ints in range pass at once; anything else (a bool, a float, a
+    # string, an out-of-range code) takes the per-item check, which names
+    # the first bad item or lets an int subclass through.
+    if not _plain_answers(values, lo, hi):
+        for item, v in zip(schema.items, values):
+            if not isinstance(v, int) or not lo <= v <= hi:
+                raise ValueError(
+                    f"item {item.column!r}: answer {v!r} outside the Likert range "
+                    f"[{lo}, {hi}] (impute or drop missing values before scoring)"
+                )
+    raw = dict(zip(schema.dimensions, [
+        sum(pos(values)) + reversal - sum(neg(values))
+        for pos, neg, reversal in schema._score_plan
+    ]))
     return TraitProfile(raw=raw, percent=normalize_profile(raw))
+
+
+def _plain_answers(values, lo, hi) -> bool:
+    """Whether every answer is an int, not a subclass, in [lo, hi]."""
+    if set(map(type, values)) != {int}:
+        return False
+    answers = set(values)
+    return lo <= min(answers) and max(answers) <= hi
 
 
 def normalize_profile(raw: dict) -> dict:

@@ -1,10 +1,13 @@
-"""Brute-force references for the clustering tests.
+"""Brute-force references for the clustering and parsing tests.
 
 Deliberately independent of the package under test: plain lists, plain
 loops. Partitions are enumerated as restricted-growth strings, which walks
 every set partition of n rows into exactly k non-empty blocks once (cluster
 labels do not matter because the cost function is label-invariant).
 """
+
+import csv
+import io
 
 
 def hamming(a, b):
@@ -65,3 +68,97 @@ def optimal_cost(rows, k):
         if best is None or cost < best:
             best = cost
     return best
+
+
+class ReferenceParseError(Exception):
+    """reference_parse rejected its input; the message is the one
+    parse_responses must raise its ParseError with."""
+
+
+def reference_parse(text, columns, likert_min, likert_max, missing_code,
+                    delimiter=",", missing_policy="drop_row"):
+    """Parse survey CSV text one cell at a time: int() and a range check per
+    schema cell in row-major order, ids from the first non-schema column
+    (else the row ordinal), then either drop every row holding the missing
+    code or impute each column's most frequent observed value (lowest on
+    ties). Returns (id_name, ids, rows, categories, (rows_read, rows_kept,
+    rows_dropped)), where categories lists each column's codes in order of
+    first appearance among the kept rows.
+    """
+    lo, hi, miss = likert_min, likert_max, missing_code
+    reader = csv.reader(io.StringIO(text), delimiter=delimiter)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ReferenceParseError("empty input: no header row") from None
+    missing_cols = [c for c in columns if c not in header]
+    if missing_cols:
+        raise ReferenceParseError(
+            f"header is missing schema columns: {', '.join(missing_cols)}")
+    for col in columns:
+        if header.count(col) > 1:
+            raise ReferenceParseError(f"header repeats schema column {col!r}")
+    positions = [header.index(col) for col in columns]
+    id_pos = None
+    for p, name in enumerate(header):
+        if name not in columns:
+            id_pos = p
+            break
+    id_name = header[id_pos] if id_pos is not None else "row_id"
+
+    ids, rows = [], []
+    lineno = 1
+    for cells in reader:
+        lineno += 1
+        if not cells:
+            continue
+        if len(cells) != len(header):
+            raise ReferenceParseError(
+                f"row {lineno}: expected {len(header)} cells, found {len(cells)}")
+        row = []
+        for col, pos in zip(columns, positions):
+            cell = cells[pos]
+            try:
+                v = int(cell)
+            except ValueError:
+                raise ReferenceParseError(
+                    f"row {lineno}, column {col!r}: non-integer value {cell!r}") from None
+            if not (lo <= v <= hi or v == miss):
+                raise ReferenceParseError(
+                    f"row {lineno}, column {col!r}: value {v} outside [{lo}, {hi}] "
+                    f"and not the missing code {miss}")
+            row.append(v)
+        rid = cells[id_pos] if id_pos is not None else str(len(ids))
+        if rid in ids:
+            raise ReferenceParseError(f"row {lineno}: duplicate id {rid!r}")
+        ids.append(rid)
+        rows.append(row)
+    rows_read = len(rows)
+
+    if missing_policy == "impute_mode":
+        for c, col in enumerate(columns):
+            if not any(row[c] == miss for row in rows):
+                continue
+            observed = [row[c] for row in rows if row[c] != miss]
+            if not observed:
+                raise ReferenceParseError(
+                    f"column {col!r}: every value is missing, cannot impute")
+            fill = majority_value(observed)
+            for row in rows:
+                if row[c] == miss:
+                    row[c] = fill
+    else:
+        kept = [(rid, row) for rid, row in zip(ids, rows) if miss not in row]
+        ids = [rid for rid, _ in kept]
+        rows = [row for _, row in kept]
+
+    categories = []
+    for c in range(len(columns)):
+        seen = []
+        for row in rows:
+            if row[c] not in seen:
+                seen.append(row[c])
+        categories.append(tuple(seen))
+    report = (rows_read, len(rows), rows_read - len(rows))
+    return (id_name, tuple(ids), tuple(tuple(row) for row in rows),
+            tuple(categories), report)

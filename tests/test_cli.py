@@ -115,6 +115,17 @@ class TestScoreCommand:
         assert first["id"] == "DIYA B"
         assert first["raw"]["Conscientiousness"] == 2
 
+    def test_schema_with_missing_code_inside_the_likert_range(self, capsys, tmp_path):
+        doc = json.loads(dump_schema(load_schema("scenario3")))
+        doc["missing_code"] = 3
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "score", "-i", FIXTURE, "--schema", str(bad))
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "missing_code 3" in err
+
     def test_reads_stdin(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr("sys.stdin", io.StringIO("Q1\n3\n"))
         schema_path = tmp_path / "tiny.json"

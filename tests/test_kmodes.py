@@ -26,6 +26,7 @@ from traitclust import (
     update_mode_attribute,
     within_cluster_difference,
 )
+from traitclust import kmodes
 from traitclust.dissimilarity import BitEncoder
 from traitclust.kmodes import _Cluster
 from traitclust.survey import generate_synthetic, load_schema
@@ -287,6 +288,31 @@ class TestFit:
         ds = random_dataset(random.Random(13), 25, 4, 3)
         model = fit(ds, FitConfig(k=3, seed=2))
         assert model.cost == within_cluster_difference(ds, model.modes, model.assignments)
+
+    @pytest.mark.parametrize("policy", ["simple", "weighted"])
+    def test_density_fits_once_whatever_the_restarts(self, monkeypatch, policy):
+        # density init ignores the seed, so restart 0 already is the model
+        ds = random_dataset(random.Random(23), 40, 4, 3)
+        calls = []
+        real = kmodes._fit_once
+
+        def counting(*args):
+            calls.append(args[5])
+            return real(*args)
+
+        monkeypatch.setattr(kmodes, "_fit_once", counting)
+        pol = DissimilarityPolicy(policy)
+        cfg = FitConfig(k=3, policy=pol, init="density", seed=4, restarts=3)
+        model = fit(ds, cfg)
+        assert calls == [4]
+        assert model.config.restarts == 3
+        single = fit(ds, FitConfig(k=3, policy=pol, init="density", seed=4, restarts=1))
+        assert (model.modes, model.assignments, model.cost, model.epochs_run,
+                model.converged) == (single.modes, single.assignments, single.cost,
+                                     single.epochs_run, single.converged)
+        calls.clear()
+        fit(ds, FitConfig(k=3, policy=pol, init="random_rows", seed=4, restarts=3))
+        assert calls == [4, 5, 6]
 
     def test_no_cluster_is_ever_left_empty(self):
         rng = random.Random(17)

@@ -1,7 +1,10 @@
 """Tests for schemas, response parsing, trait scoring, and synthesis."""
 
+import csv
+import hashlib
 import io
 import math
+import random
 from importlib import resources
 
 import pytest
@@ -24,6 +27,8 @@ from traitclust import (
     schema_to_dict,
     score_profile,
 )
+
+import oracle
 
 OCEAN_DIMS = ("Openness", "Conscientiousness", "Extraversion", "Agreeableness", "Neuroticism")
 
@@ -224,6 +229,14 @@ class TestParseResponses:
         result = parse_responses("who;Q1\na;2\n", schema, delimiter=";")
         assert result.table.rows == ((2,),)
 
+    @pytest.mark.parametrize("policy", ["drop_row", "impute_mode"])
+    def test_table_rows_and_dataset_records_share_their_tuples(self, policy):
+        schema = load_schema(TINY_SCHEMA)
+        result = parse_responses("Q1\n2\n0\n5\n", schema, missing_policy=policy)
+        assert result.table.n == result.dataset.n > 0
+        for record, row in zip(result.dataset.rows, result.table.rows):
+            assert record.values is row
+
     def test_unknown_missing_policy(self):
         with pytest.raises(ValueError):
             parse_responses("Q1\n1\n", load_schema(TINY_SCHEMA), missing_policy="guess")
@@ -410,3 +423,167 @@ def test_any_valid_answer_vector_scores_to_a_full_profile(data):
     assert set(profile.raw) == set(schema.dimensions)
     assert math.fsum(profile.percent.values()) == pytest.approx(100.0, abs=1e-9)
     assert all(v >= 0 for v in profile.raw.values())
+
+
+class TestMissingCodeInsideLikertRange:
+    def test_schema_rejects_a_missing_code_inside_the_likert_range(self):
+        for code in (1, 3, 5):
+            with pytest.raises(SchemaError, match="missing_code"):
+                load_schema({**TINY_SCHEMA, "missing_code": code})
+
+    def test_missing_code_outside_the_range_is_accepted(self):
+        for code in (0, 6, -1):
+            assert load_schema({**TINY_SCHEMA, "missing_code": code}).missing_code == code
+
+
+class TestScoreProfileMessages:
+    @pytest.mark.parametrize("later", [None, 9])
+    @pytest.mark.parametrize("bad", [3.0, "3", None, 6, 0])
+    def test_names_the_first_bad_answer(self, bad, later):
+        schema = load_schema("scenario")
+        answers = [3] * len(schema.items)
+        answers[2] = bad
+        if later is not None:
+            answers[4] = later
+        column = schema.items[2].column
+        with pytest.raises(ValueError) as info:
+            score_profile(answers, schema)
+        assert str(info.value) == (
+            f"item {column!r}: answer {bad!r} outside the Likert range [1, 5] "
+            "(impute or drop missing values before scoring)"
+        )
+
+    def test_bool_answers_count_as_their_int_value(self):
+        schema = load_schema(TINY_SCHEMA)
+        profile = score_profile((True,), schema)
+        assert profile.raw == {"D": 1}
+        assert type(profile.raw["D"]) is int
+
+
+PARSE_SCHEMAS = {
+    code: load_schema({
+        "name": "three", "dimensions": ["A", "B"],
+        "items": [
+            {"column": "Q1", "dimension": "A"},
+            {"column": "Q2", "dimension": "B", "keying": "negative"},
+            {"column": "Q3", "dimension": "A"},
+        ],
+        "missing_code": code,
+    })
+    for code in (0, -1)
+}
+PARSE_HEADERS = (
+    ("who", "Q1", "Q2", "Q3"),
+    ("Q2", "Q1", "who", "junk", "Q3"),
+    ("Q1", "Q2", "Q3"),
+)
+ACCEPTED_ODD_CELLS = [" 3", "03", "+3"]
+# Each of these is rejected, except "-1" / "0" / "00" where it is the
+# missing code.
+BAD_CELLS = ["6", "-1", "0", "00", "x", ""]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_parse_matches_the_per_cell_reference(data):
+    code = data.draw(st.sampled_from(sorted(PARSE_SCHEMAS)))
+    schema = PARSE_SCHEMAS[code]
+    header = data.draw(st.sampled_from(PARSE_HEADERS))
+    delimiter = data.draw(st.sampled_from([",", ";", "\t"]))
+    policy = data.draw(st.sampled_from(["drop_row", "impute_mode"]))
+    pool = ["1", "2", "3", "4", "5"] * 3 + [str(code)] * 3 + ACCEPTED_ODD_CELLS
+    if data.draw(st.booleans()):
+        pool += BAD_CELLS
+    lines = []
+    for _ in range(data.draw(st.integers(0, 8))):
+        shape = data.draw(st.sampled_from(["row"] * 8 + ["blank", "short", "long"]))
+        if shape == "blank":
+            lines.append([])
+            continue
+        cells = [data.draw(st.sampled_from("abcdefghijkl")) if name in ("who", "junk")
+                 else data.draw(st.sampled_from(pool)) for name in header]
+        if shape == "short":
+            cells.pop()
+        elif shape == "long":
+            cells.append("1")
+        lines.append(cells)
+    buf = io.StringIO()
+    writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(lines)
+    text = buf.getvalue()
+
+    try:
+        expected = oracle.reference_parse(
+            text, schema.columns, schema.likert_min, schema.likert_max,
+            schema.missing_code, delimiter, policy)
+    except oracle.ReferenceParseError as exc:
+        with pytest.raises(ParseError) as info:
+            parse_responses(text, schema, delimiter=delimiter, missing_policy=policy)
+        assert str(info.value) == str(exc)
+        return
+    result = parse_responses(text, schema, delimiter=delimiter, missing_policy=policy)
+    table, dataset, report = result.table, result.dataset, result.report
+    assert (table.id_name, table.ids, table.rows,
+            tuple(a.categories for a in dataset.attrs),
+            (report.rows_read, report.rows_kept, report.rows_dropped)) == expected
+    assert table.columns == schema.columns
+    assert [a.name for a in dataset.attrs] == list(schema.columns)
+    assert [(r.row_id, r.values) for r in dataset.rows] == list(zip(table.ids, table.rows))
+
+
+def _ocean50_with_missing_cells():
+    schema = load_schema("ocean50")
+    table = generate_synthetic(2000, schema, seed=11, noise=0.15)
+    rows = [list(r) for r in table.rows]
+    m = len(schema.columns)
+    rng = random.Random("ingest-golden")
+    for cell in rng.sample(range(len(rows) * m), round(len(rows) * m * 0.02)):
+        rows[cell // m][cell % m] = schema.missing_code
+    table = ResponseTable(ids=table.ids, columns=table.columns, rows=rows,
+                          id_name=table.id_name)
+    return schema, table.to_csv()
+
+
+def _ingest_digests(text, schema, policy):
+    result = parse_responses(text, schema, missing_policy=policy)
+    parsed = repr((
+        result.table.id_name, result.table.columns, result.table.ids, result.table.rows,
+        tuple((a.name, a.categories) for a in result.dataset.attrs),
+        tuple((r.row_id, r.values) for r in result.dataset.rows),
+        (result.report.rows_read, result.report.rows_kept, result.report.rows_dropped),
+    ))
+    scores = repr([
+        (tuple((d, type(v).__name__, v) for d, v in p.raw.items()),
+         tuple((d, v.hex()) for d, v in p.percent.items()))
+        for p in (score_profile(row, schema) for row in result.table.rows)
+    ])
+    return (hashlib.sha256(parsed.encode()).hexdigest(),
+            hashlib.sha256(scores.encode()).hexdigest())
+
+
+# SHA-256 of (parse result, every score_profile) per input and missing
+# policy. The ocean50 input drops 1251 of its 2000 rows under drop_row.
+INGEST_GOLDEN = {
+    ("ocean50", "drop_row"): (
+        "5080fad1fcbfa20c4f4ad59f0c86be6926aaa4227a07cfe67212730492756a27",
+        "e90654880fa71ac303a5a18481563a2f92deb1f096eea65df97381ded0a483d7",
+    ),
+    ("ocean50", "impute_mode"): (
+        "b0e66c42fc7c066b5d4f93cc17b9119f162bc1492920829b1b09333f2cb056a5",
+        "c1c98d5452bba8962fc284249ff483026be7ed0ff4fb5fd0f0ba47ecd7d2090f",
+    ),
+    ("applicants", "drop_row"): (
+        "3e00bad9219142b633abe0853a06ccfb56221e38b0786509ae42f24c01f1ec14",
+        "963fae6c676d8cad386dd84f732a519787d87c864a896e825d01a98a3a5ceb11",
+    ),
+}
+
+
+@pytest.mark.parametrize("source, policy", sorted(INGEST_GOLDEN))
+def test_ingest_is_bit_identical_to_the_golden_record(source, policy, applicant_csv_text):
+    if source == "ocean50":
+        schema, text = _ocean50_with_missing_cells()
+    else:
+        schema, text = load_schema("scenario3"), applicant_csv_text
+    assert _ingest_digests(text, schema, policy) == INGEST_GOLDEN[source, policy]
