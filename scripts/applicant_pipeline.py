@@ -13,7 +13,6 @@ import sys
 from pathlib import Path
 
 from traitclust import (
-    DissimilarityPolicy,
     FitConfig,
     elbow_scan,
     emit_report,
@@ -35,7 +34,6 @@ def main() -> int:
     ap.add_argument("--schema", default="scenario3")
     ap.add_argument("--k", type=int, default=None,
                     help="cluster count; omitted picks the elbow of a 1..4 scan")
-    ap.add_argument("--policy", choices=("simple", "weighted"), default="simple")
     ap.add_argument("--seed", type=int, default=42)
     ap.add_argument("--restarts", type=int, default=20)
     args = ap.parse_args()
@@ -45,11 +43,9 @@ def main() -> int:
     print(f"parsed {result.table.n} respondents "
           f"({result.report.rows_dropped} dropped) from {args.input}")
 
-    policy = DissimilarityPolicy(mode=args.policy)
     if args.k is None:
         k_max = min(4, result.dataset.n)
-        curve = elbow_scan(result.dataset, 1, k_max, policy,
-                           seed=args.seed, restarts=args.restarts)
+        curve = elbow_scan(result.dataset, 1, k_max, seed=args.seed, restarts=args.restarts)
         for k, cost in curve:
             print(f"  k={k}  within-cluster difference {cost:.3f}")
         k = select_k(curve)
@@ -57,8 +53,7 @@ def main() -> int:
     else:
         k = args.k
 
-    model = fit(result.dataset, FitConfig(k=k, policy=policy, seed=args.seed,
-                                          restarts=args.restarts))
+    model = fit(result.dataset, FitConfig(k=k, seed=args.seed, restarts=args.restarts))
     status = "converged" if model.converged else "hit the epoch budget"
     print(f"fit cost {model.cost:.3f} after {model.epochs_run} epoch(s), {status}")
 

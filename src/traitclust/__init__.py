@@ -2,23 +2,16 @@
 
 from .dissimilarity import (
     CATEGORICAL,
-    DEFAULT_WEIGHT,
-    POLICY_MODES,
     SIMPLE,
-    WEIGHTED,
     AttributeSpec,
-    CategoryWeightTable,
     DissimilarityPolicy,
     Prototype,
     Record,
-    compute_category_weights,
     simple_matching,
-    weighted_matching,
 )
 from .errors import (
     AlignmentError,
     DegenerateProfileError,
-    EmptyClusterError,
     InfeasibleConfigError,
     ParseError,
     PolicyError,
@@ -32,9 +25,7 @@ from .kmodes import (
     elbow_scan,
     fit,
     init_modes,
-    nearest_mode,
     select_k,
-    update_mode_attribute,
     within_cluster_difference,
 )
 from .report import (

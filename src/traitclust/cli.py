@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .dissimilarity import DissimilarityPolicy, Prototype
-from .errors import InfeasibleConfigError
+from .errors import InfeasibleConfigError, PolicyError
 from .kmodes import ClusterModel, FitConfig, elbow_scan, fit, select_k
 from .report import (
     emit_report,
@@ -66,7 +66,6 @@ def _add_parse_flags(p):
 
 
 def _add_fit_flags(p):
-    p.add_argument("--policy", choices=("simple", "weighted"), default="simple")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=1)
     p.add_argument("--init", choices=("random_rows", "density"), default="random_rows")
@@ -171,11 +170,20 @@ def _model_doc(model: ClusterModel, dataset, schema) -> dict:
     }
 
 
+def _int(value, what):
+    # json gives bool for true/false, and bool is an int subclass.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _load_model(path: str, dataset, schema_name=None) -> ClusterModel:
     """Read a model document written by ``fit`` and check it against the
-    dataset, and against ``schema_name`` when one is given. Keys under
-    ``config.policy`` other than ``mode``, which older documents hold, are
-    ignored."""
+    dataset, and against ``schema_name`` when one is given. Counts, seeds,
+    mode values and assignments must be JSON integers, ``cost`` a JSON
+    number and ``converged`` a JSON boolean. ``config.policy.mode`` must be
+    ``simple``; other keys under ``config.policy``, which older documents
+    hold, are ignored."""
     try:
         doc = json.loads(_read_input(path))
     except json.JSONDecodeError as exc:
@@ -190,18 +198,19 @@ def _load_model(path: str, dataset, schema_name=None) -> ClusterModel:
         cfg_doc = doc["config"]
         policy = DissimilarityPolicy(mode=cfg_doc["policy"]["mode"])
         config = FitConfig(
-            k=int(cfg_doc["k"]),
+            k=_int(cfg_doc["k"], "config.k"),
             policy=policy,
             init=cfg_doc["init"],
-            seed=int(cfg_doc["seed"]),
-            max_epochs=int(cfg_doc["max_epochs"]),
-            restarts=int(cfg_doc["restarts"]),
+            seed=_int(cfg_doc["seed"], "config.seed"),
+            max_epochs=_int(cfg_doc["max_epochs"], "config.max_epochs"),
+            restarts=_int(cfg_doc["restarts"], "config.restarts"),
         )
         modes = tuple(
-            Prototype(values=tuple(vals), cluster_index=i)
+            Prototype(values=tuple(_int(v, f"a value of mode {i}") for v in vals),
+                      cluster_index=i)
             for i, vals in enumerate(doc["modes"])
         )
-        k = int(doc["k"])
+        k = _int(doc["k"], "k")
         if not k == config.k == len(modes):
             raise ValueError(f"model k={k}, config k={config.k} and {len(modes)} modes disagree")
         m = len(dataset.attrs)
@@ -216,27 +225,31 @@ def _load_model(path: str, dataset, schema_name=None) -> ClusterModel:
             key = str(row.row_id)
             if key not in amap:
                 raise ValueError(f"model has no assignment for row {key!r}")
-            l = int(amap[key])
+            l = _int(amap[key], f"the assignment of row {key!r}")
             if not 0 <= l < k:
                 raise ValueError(f"model assigns row {key!r} to cluster {l}, outside 0..{k - 1}")
             assignments.append(l)
+        converged, cost = doc["converged"], doc["cost"]
+        if not isinstance(converged, bool):
+            raise TypeError(f"converged must be true or false, got {converged!r}")
+        if isinstance(cost, bool) or not isinstance(cost, (int, float)):
+            raise TypeError(f"cost must be a number, got {cost!r}")
         return ClusterModel(
             modes=modes,
             assignments=tuple(assignments),
-            cost=float(doc["cost"]),
-            epochs_run=int(doc["epochs_run"]),
-            converged=bool(doc["converged"]),
+            cost=float(cost),
+            epochs_run=_int(doc["epochs_run"], "epochs_run"),
+            converged=converged,
             config=config,
         )
-    except (KeyError, TypeError, OverflowError, InfeasibleConfigError) as exc:
+    except (KeyError, TypeError, OverflowError, InfeasibleConfigError, PolicyError) as exc:
         raise ValueError(f"malformed model document: {exc}") from exc
 
 
 def _cmd_fit(args) -> str:
     schema = load_schema(args.schema)
     result = _parse_input(args, schema)
-    config = FitConfig(k=args.k, policy=DissimilarityPolicy(mode=args.policy),
-                       init=args.init, seed=args.seed, restarts=args.restarts)
+    config = FitConfig(k=args.k, init=args.init, seed=args.seed, restarts=args.restarts)
     model = fit(result.dataset, config)
     return json.dumps(_model_doc(model, result.dataset, schema), indent=2, sort_keys=True) + "\n"
 
@@ -245,7 +258,6 @@ def _cmd_elbow(args) -> str:
     schema = load_schema(args.schema)
     result = _parse_input(args, schema)
     curve = elbow_scan(result.dataset, args.k_min, args.k_max,
-                       DissimilarityPolicy(mode=args.policy),
                        seed=args.seed, restarts=args.restarts, init=args.init)
     chosen = select_k(curve, args.epsilon)
     if args.format == "json":
@@ -301,8 +313,8 @@ def _cmd_report(args) -> str:
         else:
             if args.k is None:
                 raise ValueError("--k is required unless --model or --aggregate mean is given")
-            config = FitConfig(k=args.k, policy=DissimilarityPolicy(mode=args.policy),
-                               init=args.init, seed=args.seed, restarts=args.restarts)
+            config = FitConfig(k=args.k, init=args.init, seed=args.seed,
+                               restarts=args.restarts)
             model = fit(result.dataset, config)
         labeling = label_clusters(model, profiles, schema)
         rep = personality_percentages(labeling)

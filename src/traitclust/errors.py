@@ -10,13 +10,8 @@ class AlignmentError(ValueError):
 
 
 class PolicyError(ValueError):
-    """A dissimilarity policy is malformed (unknown mode), or a measure
-    lacks what it needs (weighted matching without a prototype or a
-    weight table)."""
-
-
-class EmptyClusterError(ValueError):
-    """A mode update was requested for a cluster with no members."""
+    """A dissimilarity policy names a mode other than ``simple``, or a fit
+    configuration holds something other than a DissimilarityPolicy."""
 
 
 class InfeasibleConfigError(ValueError):

@@ -9,8 +9,8 @@ Algorithm for Clustering Large Data Sets with Categorical Values", DMKD 1998).
 
 fit encodes every row once as a BitEncoder mask, shared by all restarts, so
 a simple-matching distance is ``m - (row & mode).bit_count()``: the
-allocation pass, the empty-cluster repair, every simple epoch, density init
-and the final cost measure that way. Each cluster keeps its mode and the
+allocation pass, the empty-cluster repair, every epoch, density init and
+the final cost measure that way. Each cluster keeps its mode and the
 mode's mask incrementally (see _Cluster) instead of rescanning its counts on
 every add and remove. Neither changes any result.
 
@@ -18,12 +18,9 @@ Everything is deterministic for a given dataset and config: rows are visited
 in dataset order, distance ties go to the lowest cluster index, mode ties to
 the lowest category code, and restart r uses seed + r.
 
-Convergence (an epoch with zero moves) is guaranteed for the simple measure,
-whose accepted moves strictly decrease the objective. The weighted measure
-re-derives its weights from the assignment at every epoch start, so the
-target itself shifts and the procedure can settle into a cycle instead of a
-fixed point; max_epochs bounds the work and the model's ``converged`` flag
-reports which way the run ended.
+Convergence (an epoch with zero moves) is guaranteed: every accepted move
+strictly decreases the objective, which takes finitely many values. The
+model's ``converged`` flag is false only when max_epochs cuts a run short.
 """
 
 import random
@@ -34,8 +31,6 @@ from operator import ne
 
 from .dissimilarity import (
     CATEGORICAL,
-    SIMPLE,
-    WEIGHTED,
     AttributeSpec,
     BitEncoder,
     DissimilarityPolicy,
@@ -43,18 +38,10 @@ from .dissimilarity import (
     Record,
     check_inputs,
     measure,
-    policy_statistics,
 )
-from .errors import (
-    AlignmentError,
-    EmptyClusterError,
-    InfeasibleConfigError,
-    PolicyError,
-)
+from .errors import AlignmentError, InfeasibleConfigError, PolicyError
 
 INIT_STRATEGIES = ("random_rows", "density")
-
-_SIMPLE_POLICY = DissimilarityPolicy(SIMPLE)
 
 
 @dataclass(frozen=True)
@@ -177,6 +164,8 @@ class FitConfig:
     def __post_init__(self):
         if self.k < 1:
             raise InfeasibleConfigError(f"k must be >= 1, got {self.k}")
+        if not isinstance(self.policy, DissimilarityPolicy):
+            raise PolicyError(f"policy must be a DissimilarityPolicy, got {self.policy!r}")
         if self.init not in INIT_STRATEGIES:
             raise ValueError(f"unknown init strategy {self.init!r}")
         if self.max_epochs < 1:
@@ -203,15 +192,6 @@ class ClusterModel:
         object.__setattr__(self, "assignments", tuple(self.assignments))
 
 
-def update_mode_attribute(values) -> int:
-    """Most frequent category code in the multiset; ties break to the
-    lowest code."""
-    counts = Counter(values)
-    if not counts:
-        raise EmptyClusterError("cannot take the mode of an empty multiset")
-    return _mode_from_counts(counts)
-
-
 def _mode_from_counts(counts) -> int:
     best_code = None
     best_count = -1
@@ -235,7 +215,7 @@ def _density_seeds(dataset, k, codes):
     # under one BitEncoder.
     rows = [r.values for r in dataset.rows]
     m = len(dataset.attrs)
-    _, d = measure(_SIMPLE_POLICY, dataset.attrs)
+    _, d = measure(dataset.attrs)
     freq = [Counter(vals[j] for vals in rows) for j in range(m)]
     best_i, best_score = 0, -1
     for i, vals in enumerate(rows):
@@ -246,7 +226,7 @@ def _density_seeds(dataset, k, codes):
     nearest = [m] * len(rows)  # no distance exceeds m
     while len(chosen) < k:
         z = codes[chosen[-1]]
-        nearest = [min(di, d(x, z, 0)) for di, x in zip(nearest, codes)]
+        nearest = [min(di, d(x, z)) for di, x in zip(nearest, codes)]
         chosen.append(nearest.index(max(nearest)))
     return [rows[i] for i in chosen]
 
@@ -298,28 +278,12 @@ def _mode_vectors(modes):
 def _nearest(d, x, modes):
     # Strict improvement only, so distance ties go to the lowest index.
     best_l = 0
-    best_d = d(x, modes[0], 0)
+    best_d = d(x, modes[0])
     for l in range(1, len(modes)):
-        dl = d(x, modes[l], l)
+        dl = d(x, modes[l])
         if dl < best_d:
             best_l, best_d = l, dl
     return best_l, best_d
-
-
-def nearest_mode(record, modes, attrs, policy, weights=None):
-    """Index of the closest prototype and its distance; ties go to the
-    lowest index. Modes are Prototypes whose cluster_index is their
-    position, or plain vectors. The weighted policy needs a weight table.
-    """
-    modes = _mode_vectors(modes)
-    if not modes:
-        raise ValueError("modes must be non-empty")
-    if policy.mode == WEIGHTED and weights is None:
-        raise PolicyError("weighted policy needs a CategoryWeightTable")
-    vals = record.values if isinstance(record, Record) else tuple(record)
-    check_inputs(attrs, [vals, *modes])
-    point, d = measure(policy, attrs, weights)
-    return _nearest(d, point(vals), [point(z) for z in modes])
 
 
 class _Cluster:
@@ -393,18 +357,14 @@ def _total(d, points, modes, assignments):
     row by row in float."""
     total = 0.0
     for x, l in zip(points, assignments):
-        total += d(x, modes[l], l)
+        total += d(x, modes[l])
     return total
 
 
 def _fit_once(dataset, rows, encoder, codes, config, seed, debug):
-    attrs = dataset.attrs
     k = config.k
-    policy = config.policy
-    weighted = policy.mode == WEIGHTED
-    # The allocation pass, the repair, every simple epoch, the debug cost
-    # and the simple final cost all measure on the rows' masks.
-    _, d0 = measure(_SIMPLE_POLICY, attrs)
+    # Every distance below is measured on the rows' masks.
+    _, d = measure(dataset.attrs)
 
     seeds = _init_vectors(dataset, k, config.init, seed, codes)
     clusters = [_Cluster(v, encoder) for v in seeds]
@@ -421,10 +381,9 @@ def _fit_once(dataset, rows, encoder, codes, config, seed, debug):
         masks[s], masks[t] = clusters[s].mask, clusters[t].mask
         assign[i] = t
 
-    # Initial allocation pass. There is no assignment yet to derive weights
-    # from, so it measures simple matching under every policy.
+    # Initial allocation pass.
     for i, x in enumerate(codes):
-        l, _ = _nearest(d0, x, masks)
+        l, _ = _nearest(d, x, masks)
         assign[i] = l
         clusters[l].add(rows[i])
         masks[l] = clusters[l].mask
@@ -441,7 +400,7 @@ def _fit_once(dataset, rows, encoder, codes, config, seed, debug):
             s = assign[i]
             if clusters[s].size < 2:
                 continue
-            di = d0(x, masks[s], s)
+            di = d(x, masks[s])
             if di > best_d:
                 best_i, best_d = i, di
         move(best_i, l)
@@ -449,29 +408,23 @@ def _fit_once(dataset, rows, encoder, codes, config, seed, debug):
     # Reallocation epochs. A row moves only when some mode is strictly
     # closer than its current one (equidistant rows stay put, which is what
     # makes every accepted move strictly decrease the live cost) and only
-    # when the move does not empty its source cluster. Weights are derived
-    # once per epoch and frozen within it.
+    # when the move does not empty its source cluster.
     epochs_run = 0
     converged = False
     for epoch in range(1, config.max_epochs + 1):
         epochs_run = epoch
-        if weighted:
-            _, d = measure(policy, attrs, **policy_statistics(policy, dataset, assign, k))
-            points, targets = rows, modes
-        else:
-            d, points, targets = d0, codes, masks
         moves = 0
-        for i, x in enumerate(points):
+        for i, x in enumerate(codes):
             s = assign[i]
-            ds = d(x, targets[s], s)
-            t, dt = _nearest(d, x, targets)
+            ds = d(x, masks[s])
+            t, dt = _nearest(d, x, masks)
             if dt < ds and clusters[s].size >= 2:
-                if debug and not weighted:
-                    before = _total(d0, codes, masks, assign)
+                if debug:
+                    before = _total(d, codes, masks, assign)
                 move(i, t)
                 moves += 1
-                if debug and not weighted:
-                    after = _total(d0, codes, masks, assign)
+                if debug:
+                    after = _total(d, codes, masks, assign)
                     if not after < before:
                         raise AssertionError(
                             f"accepted move of row {i} failed to decrease cost "
@@ -482,12 +435,7 @@ def _fit_once(dataset, rows, encoder, codes, config, seed, debug):
             break
 
     protos = tuple(Prototype(values=tuple(m), cluster_index=l) for l, m in enumerate(modes))
-    assignments = tuple(assign)
-    if weighted:
-        cost = within_cluster_difference(dataset, protos, assignments, policy)
-    else:
-        cost = _total(d0, codes, masks, assign)
-    return protos, assignments, epochs_run, converged, cost
+    return protos, tuple(assign), epochs_run, converged, _total(d, codes, masks, assign)
 
 
 def fit(dataset, config: FitConfig, debug: bool = False) -> ClusterModel:
@@ -498,8 +446,8 @@ def fit(dataset, config: FitConfig, debug: bool = False) -> ClusterModel:
     restart 0 and lose the tie to it: a density fit runs restart 0 alone.
     The model's config keeps the requested restarts.
 
-    debug=True recomputes the full objective around every accepted move under
-    the simple policy and raises if a move ever fails to decrease it.
+    debug=True recomputes the full objective around every accepted move and
+    raises if a move ever fails to decrease it.
     """
     if dataset.n < 1:
         raise ValueError("cannot fit an empty dataset")
@@ -526,13 +474,10 @@ def fit(dataset, config: FitConfig, debug: bool = False) -> ClusterModel:
     )
 
 
-def within_cluster_difference(dataset, modes, assignments, policy=None, weights=None) -> float:
-    """Total dissimilarity of every row to its cluster's prototype.
-
-    Under the weighted policy a missing weight table is derived from the
-    assignment itself.
-    """
-    policy = policy if policy is not None else DissimilarityPolicy()
+def within_cluster_difference(dataset, modes, assignments, policy=None) -> float:
+    """Total simple-matching distance of every row to its cluster's
+    prototype. ``policy`` takes a fit's ``config.policy``; simple matching
+    is the only measure, so it changes nothing."""
     modes = _mode_vectors(modes)
     k = len(modes)
     if len(assignments) != dataset.n:
@@ -544,18 +489,13 @@ def within_cluster_difference(dataset, modes, assignments, policy=None, weights=
             raise ValueError(f"assignment {l} out of range for k={k}")
     attrs = dataset.attrs
     check_inputs(attrs, modes)
-    if policy.mode == WEIGHTED and weights is not None:
-        stats = {"weights": weights}
-    else:
-        stats = policy_statistics(policy, dataset, assignments, k)
-    point, d = measure(policy, attrs, **stats)
+    point, d = measure(attrs)
     targets = [point(z) for z in modes]
     return float(_total(d, (point(r.values) for r in dataset.rows), targets, assignments))
 
 
-def elbow_scan(dataset, k_min, k_max, policy=None, seed=0, restarts=1, init="random_rows"):
+def elbow_scan(dataset, k_min, k_max, seed=0, restarts=1, init="random_rows"):
     """Fit every k in [k_min, k_max] and return the (k, cost) curve."""
-    policy = policy if policy is not None else DissimilarityPolicy()
     if not 1 <= k_min <= k_max:
         raise ValueError(f"need 1 <= k_min <= k_max, got {k_min}..{k_max}")
     if k_max > dataset.n:
@@ -564,7 +504,7 @@ def elbow_scan(dataset, k_min, k_max, policy=None, seed=0, restarts=1, init="ran
         )
     curve = []
     for k in range(k_min, k_max + 1):
-        model = fit(dataset, FitConfig(k=k, policy=policy, seed=seed, restarts=restarts, init=init))
+        model = fit(dataset, FitConfig(k=k, seed=seed, restarts=restarts, init=init))
         curve.append((k, model.cost))
     return curve
 

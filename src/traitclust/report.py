@@ -171,26 +171,8 @@ def _report_doc(report: PercentReport) -> dict:
     }
 
 
-def _labeling_doc(labeling: ClusterLabeling) -> dict:
-    return {
-        "kind": "cluster_labeling",
-        "dimensions": list(labeling.dimensions),
-        "n": labeling.n,
-        "clusters": [
-            {
-                "index": c.index,
-                "size": c.size,
-                "dominant": c.dominant,
-                "mean_percent": {d: c.mean_percent[d] for d in labeling.dimensions},
-            }
-            for c in labeling.clusters
-        ],
-        "metadata": dict(labeling.meta),
-    }
-
-
 def emit_report(obj, fmt: str = "json") -> str:
-    """Serialize a PercentReport or ClusterLabeling.
+    """Serialize a PercentReport; any other object raises TypeError.
 
     json keeps full float precision (emit -> parse is lossless); text and
     piedata render numbers with three decimals, round-half-even. piedata is
@@ -198,35 +180,20 @@ def emit_report(obj, fmt: str = "json") -> str:
     """
     if fmt not in FORMATS:
         raise ReportError(f"unknown report format {fmt!r}")
-    if isinstance(obj, PercentReport):
-        if fmt == "json":
-            return json.dumps(_report_doc(obj), indent=2, sort_keys=True) + "\n"
-        if fmt == "piedata":
-            lines = ["dimension,percentage"]
-            lines += [f"{d},{_round3(obj.percent[d])}" for d in obj.dimensions]
-            return "\n".join(lines) + "\n"
-        width = max(len(d) for d in obj.dimensions)
-        lines = [f"trait percentages ({obj.provenance})"]
-        for d in obj.dimensions:
-            lines.append(f"{d:<{width}}  {_round3(obj.percent[d]):>8}")
-        lines.append(f"{'total':<{width}}  {_round3(math.fsum(obj.percent.values())):>8}")
+    if not isinstance(obj, PercentReport):
+        raise TypeError(f"cannot emit {type(obj).__name__}")
+    if fmt == "json":
+        return json.dumps(_report_doc(obj), indent=2, sort_keys=True) + "\n"
+    if fmt == "piedata":
+        lines = ["dimension,percentage"]
+        lines += [f"{d},{_round3(obj.percent[d])}" for d in obj.dimensions]
         return "\n".join(lines) + "\n"
-    if isinstance(obj, ClusterLabeling):
-        if fmt == "json":
-            return json.dumps(_labeling_doc(obj), indent=2, sort_keys=True) + "\n"
-        if fmt == "piedata":
-            shares = personality_percentages(obj).percent
-            lines = ["dimension,percentage"]
-            lines += [f"{d},{_round3(shares[d])}" for d in obj.dimensions]
-            return "\n".join(lines) + "\n"
-        width = max(len(d) for d in obj.dimensions)
-        lines = [f"{obj.n} respondents in {len(obj.clusters)} clusters"]
-        for c in obj.clusters:
-            lines.append(f"cluster {c.index}: size {c.size}, dominant {c.dominant}")
-            for d in obj.dimensions:
-                lines.append(f"  {d:<{width}}  {_round3(c.mean_percent[d]):>8}")
-        return "\n".join(lines) + "\n"
-    raise TypeError(f"cannot emit {type(obj).__name__}")
+    width = max(len(d) for d in obj.dimensions)
+    lines = [f"trait percentages ({obj.provenance})"]
+    for d in obj.dimensions:
+        lines.append(f"{d:<{width}}  {_round3(obj.percent[d]):>8}")
+    lines.append(f"{'total':<{width}}  {_round3(math.fsum(obj.percent.values())):>8}")
+    return "\n".join(lines) + "\n"
 
 
 def parse_report(text: str) -> PercentReport:

@@ -110,9 +110,6 @@ class SurveySchema:
             plan.append((_picker(pos), _picker(neg), len(neg) * span))
         object.__setattr__(self, "_score_plan", tuple(plan))
 
-    def items_for(self, dimension: str) -> tuple[SurveyItem, ...]:
-        return tuple(item for item in self.items if item.dimension == dimension)
-
 
 @dataclass(frozen=True)
 class ResponseTable:

@@ -17,13 +17,9 @@ import oracle
 from conftest import APPLICANT_CSV, record_acceptance
 
 from traitclust import (
-    CATEGORICAL,
-    AttributeSpec,
     CategoricalDataset,
     FitConfig,
     PercentReport,
-    Record,
-    compute_category_weights,
     elbow_scan,
     emit_report,
     fit,
@@ -36,7 +32,6 @@ from traitclust import (
     personality_percentages,
     score_profile,
     select_k,
-    update_mode_attribute,
     within_cluster_difference,
 )
 from traitclust.dissimilarity import BitEncoder
@@ -150,16 +145,19 @@ def test_02_every_accepted_move_descends_and_fits_converge():
 
 @_criterion(3)
 def test_03_mode_update_equals_brute_force_majority():
-    """The batch mode update and the incremental per-cluster mode that fit
-    keeps both equal a count-every-value majority with lowest-code
-    tie-breaking: on 10000 random multisets, and after every step of 1000
-    random add/remove sequences."""
+    """The per-cluster mode that fit keeps equals a count-every-value
+    majority with lowest-code tie-breaking: on 10000 random multisets added
+    in one batch, and after every step of 1000 random add/remove
+    sequences."""
     rng = random.Random(3)
     for _ in range(10000):
         length = rng.randint(1, 30)
         top = rng.randint(1, 6)
         values = [rng.randrange(top + 1) for _ in range(length)]
-        assert update_mode_attribute(values) == oracle.majority_value(values)
+        cluster = _Cluster([rng.randrange(top + 1)], BitEncoder(1))
+        for v in values:
+            cluster.add((v,))
+        assert cluster.mode == [oracle.majority_value(values)]
     steps = 0
     for case in range(1000):
         m = rng.randint(1, 4)
@@ -181,7 +179,7 @@ def test_03_mode_update_equals_brute_force_majority():
                 )
     return (
         "10000 random multisets and 1000 add/remove sequences "
-        f"({steps} steps): batch and incremental modes equal the brute-force majority"
+        f"({steps} steps): the cluster mode equals the brute-force majority"
     )
 
 
@@ -405,57 +403,3 @@ def test_09_synthetic_population_recovers_all_five_traits():
     lo = min(rep.percent.values())
     hi = max(rep.percent.values())
     return f"all 5 dominant traits recovered with shares {lo:.1f}..{hi:.1f}% in {elapsed:.2f}s"
-
-
-@_criterion(10)
-def test_10_category_weights_bounded_and_monotone_in_counts():
-    """Every derived weight lies in [0, 1] on 10000 random (dataset,
-    assignment) pairs, and flipping one member's value from u to v never
-    lowers the cluster's weight for v or raises it for u."""
-    rng = random.Random(10)
-    swaps = 0
-    for case in range(10000):
-        n = rng.randint(2, 12)
-        m = rng.randint(1, 3)
-        cats = rng.randint(2, 3)
-        k = rng.randint(1, 3)
-        attrs = tuple(
-            AttributeSpec(index=j, kind=CATEGORICAL, categories=tuple(range(cats)))
-            for j in range(m)
-        )
-        rows = tuple(
-            Record(values=tuple(rng.randrange(cats) for _ in range(m)), row_id=i)
-            for i in range(n)
-        )
-        dataset = CategoricalDataset(attrs=attrs, rows=rows)
-        assignment = tuple(rng.randrange(k) for _ in range(n))
-        table = compute_category_weights(dataset, assignment, k)
-        assert len(table.entries) == m * cats * k
-        for key, w in table.entries.items():
-            assert 0.0 <= w <= 1.0, f"case {case}: weight {w} for {key} out of [0, 1]"
-
-        i = rng.randrange(n)
-        j = rng.randrange(m)
-        u = rows[i].values[j]
-        v = rng.randrange(cats)
-        if v == u:
-            continue
-        swapped_values = list(rows[i].values)
-        swapped_values[j] = v
-        swapped = list(rows)
-        swapped[i] = Record(values=tuple(swapped_values), row_id=i)
-        table2 = compute_category_weights(
-            CategoricalDataset(attrs=attrs, rows=tuple(swapped)), assignment, k
-        )
-        c = assignment[i]
-        assert table2.weight(j, v, c) >= table.weight(j, v, c) - 1e-12, (
-            f"case {case}: weight of the gaining category dropped"
-        )
-        assert table2.weight(j, u, c) <= table.weight(j, u, c) + 1e-12, (
-            f"case {case}: weight of the losing category rose"
-        )
-        swaps += 1
-    return (
-        f"bounds held on 10000 weight tables; {swaps} count-increasing swaps "
-        "moved both affected weights the right way"
-    )

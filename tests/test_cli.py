@@ -169,16 +169,14 @@ class TestFitCommand:
         assert out == ""
 
     def test_gamma_flag_validation(self, capsys):
-        # mixed is library-only and --gamma is gone from every command
-        code, out, err = run(capsys, "fit", "-i", FIXTURE, "--schema", "scenario3",
-                             "--k", "2", "--policy", "mixed")
-        assert (code, out) == (1, "")
-        assert "--policy" in err
+        # --policy and --gamma are gone from every command
         for command, k_flag in (("fit", "--k"), ("elbow", "--k-max"), ("report", "--k")):
-            code, out, err = run(capsys, command, "-i", FIXTURE, "--schema", "scenario3",
-                                 k_flag, "2", "--gamma", "2")
-            assert (code, out) == (1, "")
-            assert "--gamma" in err
+            for flag, value in (("--policy", "mixed"), ("--policy", "weighted"),
+                                ("--policy", "simple"), ("--gamma", "2")):
+                code, out, err = run(capsys, command, "-i", FIXTURE, "--schema", "scenario3",
+                                     k_flag, "2", flag, value)
+                assert (code, out) == (1, "")
+                assert err.count("\n") == 1 and flag in err
 
 
 class TestReportCommand:
@@ -239,20 +237,33 @@ class TestReportCommand:
         ("epochs_run", float("inf")),
         ("config_seed", float("inf")),
         ("policy_mode", "mixed"),
+        ("k_and_config_k", 3.5),
+        ("config_seed", True),
+        ("config_max_epochs", 100.5),
+        ("config_restarts", "1"),
+        ("epochs_run", 2.5),
+        ("assignment", True),
+        ("assignment", 1.0),
+        ("converged", "no"),
+        ("cost", "6.0"),
+        ("modes", [[1, 1, "a"], [2, 2, 2], [3, 3, 3]]),
+        ("modes", [[1, 1, True], [2, 2, 2], [3, 3, 3]]),
+        ("policy_mode", "weighted"),
     ])
     def test_inconsistent_model_document(self, capsys, tmp_path, field, value):
         model_path = tmp_path / "model.json"
         run(capsys, "fit", "-i", FIXTURE, "--schema", "scenario3", "--k", "3",
             "--seed", "42", "-o", str(model_path))
         doc = json.loads(model_path.read_text())
-        if field == "config_k":
-            doc["config"]["k"] = value
-        elif field == "config_seed":
-            doc["config"]["seed"] = value
+        if field == "k_and_config_k":
+            doc["k"] = doc["config"]["k"] = value
+        elif field.startswith("config_"):
+            doc["config"][field.removeprefix("config_")] = value
         elif field == "policy_mode":
             doc["config"]["policy"]["mode"] = value
         elif field == "assignment":
-            doc["assignments"]["DIVYA"] = value
+            # cluster 0 keeps other members, so only the value can fail the load
+            doc["assignments"]["ANUSHREE D"] = value
         else:
             doc[field] = value
         model_path.write_text(json.dumps(doc))

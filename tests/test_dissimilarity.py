@@ -1,4 +1,4 @@
-"""Unit tests for the two dissimilarity policies and their helpers."""
+"""Unit tests for the simple-matching measure and its helpers."""
 
 import random
 
@@ -10,17 +10,15 @@ from traitclust import (
     AlignmentError,
     AttributeSpec,
     CategoricalDataset,
-    CategoryWeightTable,
     DissimilarityPolicy,
     PolicyError,
     Prototype,
     Record,
-    compute_category_weights,
-    nearest_mode,
     simple_matching,
-    weighted_matching,
     within_cluster_difference,
 )
+from traitclust.dissimilarity import measure
+from traitclust.kmodes import _nearest
 
 import oracle
 
@@ -65,114 +63,9 @@ class TestSimpleMatching:
         assert simple_matching(a, c, attrs) <= dab + simple_matching(b, c, attrs)
 
 
-class TestWeightedMatching:
-    def test_match_costs_complement_mismatch_costs_weight(self):
-        # record (2, 2) against prototype (2, 3): the first attribute matches
-        # at weight 0.8 (cost 0.2), the second mismatches at weight 0.4.
-        attrs = _cat_attrs(2)
-        table = CategoryWeightTable(entries={(0, 2, 0): 0.8, (1, 2, 0): 0.4})
-        proto = Prototype(values=(2, 3), cluster_index=0)
-        assert weighted_matching((2, 2), proto, attrs, table) == pytest.approx(0.6)
-
-    def test_weight_lookup_uses_the_records_value(self):
-        # mismatch cost must follow the record's category, not the prototype's
-        attrs = _cat_attrs(1)
-        table = CategoryWeightTable(entries={(0, 1, 0): 0.9, (0, 2, 0): 0.1})
-        proto = Prototype(values=(2,), cluster_index=0)
-        assert weighted_matching((1,), proto, attrs, table) == pytest.approx(0.9)
-
-    def test_unseen_combinations_fall_back_to_default(self):
-        attrs = _cat_attrs(1)
-        table = CategoryWeightTable(entries={})
-        proto = Prototype(values=(0,), cluster_index=3)
-        assert weighted_matching((0,), proto, attrs, table) == pytest.approx(0.5)
-        assert weighted_matching((1,), proto, attrs, table) == pytest.approx(0.5)
-
-    def test_requires_a_prototype(self):
-        with pytest.raises(PolicyError):
-            weighted_matching((1,), (1,), _cat_attrs(1), CategoryWeightTable())
-
-    def test_rejects_numeric_attributes(self):
-        with pytest.raises(ValueError):
-            attrs = (AttributeSpec(0, "numeric"),)
-            weighted_matching((1.0,), Prototype((1.0,), 0), attrs, CategoryWeightTable())
-
-    @given(st.data())
-    def test_stays_within_attribute_count(self, data):
-        m = data.draw(st.integers(1, 5))
-        vals = data.draw(st.tuples(*[st.integers(0, 3)] * m))
-        proto_vals = data.draw(st.tuples(*[st.integers(0, 3)] * m))
-        entries = {
-            (j, c, 0): data.draw(st.floats(0.0, 1.0))
-            for j in range(m)
-            for c in range(4)
-        }
-        table = CategoryWeightTable(entries=entries)
-        d = weighted_matching(vals, Prototype(proto_vals, 0), _cat_attrs(m), table)
-        assert 0.0 <= d <= m
-
-
-class TestCategoryWeights:
-    def test_pure_clusters_earn_the_clamped_maximum(self):
-        # two pure clusters: within-cluster relative frequency 1, dataset
-        # frequency 0.5, ratio 2 clamped to 1
-        dataset = CategoricalDataset.from_values([(0,), (0,), (1,), (1,)])
-        table = compute_category_weights(dataset, (0, 0, 1, 1), 2)
-        assert table.weight(0, 0, 0) == 1.0
-        assert table.weight(0, 1, 1) == 1.0
-
-    def test_absent_category_scores_zero(self):
-        dataset = CategoricalDataset.from_values([(0,), (0,), (1,), (1,)])
-        table = compute_category_weights(dataset, (0, 0, 1, 1), 2)
-        assert table.weight(0, 1, 0) == 0.0
-        assert table.weight(0, 0, 1) == 0.0
-
-    def test_unclamped_ratio(self):
-        # category 0 fills half of cluster 1 but three quarters of the data
-        dataset = CategoricalDataset.from_values([(0,), (0,), (1,), (0,)])
-        table = compute_category_weights(dataset, (0, 0, 1, 1), 2)
-        assert table.weight(0, 0, 1) == (1 / 2) / (3 / 4)
-
-    def test_empty_cluster_takes_the_default(self):
-        dataset = CategoricalDataset.from_values([(0,), (1,)])
-        table = compute_category_weights(dataset, (0, 0), 2)
-        assert table.weight(0, 0, 1) == 0.5
-        assert table.weight(0, 1, 1) == 0.5
-
-    def test_covers_every_combination(self):
-        dataset = CategoricalDataset.from_values([(0, 1), (1, 0), (2, 1)])
-        table = compute_category_weights(dataset, (0, 1, 0), 2)
-        assert set(table.entries) == {
-            (j, c, l)
-            for j, cats in ((0, (0, 1, 2)), (1, (1, 0)))
-            for c in cats
-            for l in (0, 1)
-        }
-
-    def test_rejects_misaligned_assignments(self):
-        dataset = CategoricalDataset.from_values([(0,), (1,)])
-        with pytest.raises(AlignmentError):
-            compute_category_weights(dataset, (0,), 2)
-        with pytest.raises(ValueError):
-            compute_category_weights(dataset, (0, 5), 2)
-
-    @given(st.data())
-    def test_all_weights_in_unit_interval(self, data):
-        n = data.draw(st.integers(1, 12))
-        m = data.draw(st.integers(1, 3))
-        k = data.draw(st.integers(1, 4))
-        rows = [
-            tuple(data.draw(st.integers(0, 2)) for _ in range(m)) for _ in range(n)
-        ]
-        assignments = tuple(data.draw(st.integers(0, k - 1)) for _ in range(n))
-        table = compute_category_weights(CategoricalDataset.from_values(rows), assignments, k)
-        for w in table.entries.values():
-            assert 0.0 <= w <= 1.0
-
-
 class TestValidation:
     def test_policy_rejects_unknown_mode(self):
-        for mode in ("fancy", "mixed"):
+        for mode in ("fancy", "mixed", "weighted"):
             with pytest.raises(PolicyError):
                 DissimilarityPolicy(mode=mode)
 
@@ -188,12 +81,6 @@ class TestValidation:
     def test_attribute_rejects_negative_codes(self):
         with pytest.raises(ValueError):
             AttributeSpec(index=0, kind=CATEGORICAL, categories=(-1,))
-
-    def test_weight_table_rejects_out_of_range_values(self):
-        with pytest.raises(ValueError):
-            CategoryWeightTable(entries={(0, 0, 0): 1.5})
-        with pytest.raises(ValueError):
-            CategoryWeightTable(default_weight=-0.1)
 
 
 def test_simple_matching_agrees_with_reference_hamming():
@@ -222,8 +109,9 @@ def _vector(rng, m, codes=SPARSE_CODES + OUTSIDE):
 
 
 class TestSimpleKernelAgainstOracle:
-    """simple runs on bitsets; every public entry point must still count
-    exactly the mismatching attributes, as oracle.hamming does."""
+    """simple runs on bitsets; the public entry points and the argmin fit
+    runs (kmodes._nearest) must still count exactly the mismatching
+    attributes, as oracle.hamming does."""
 
     def test_simple_matching(self):
         rng = random.Random(21)
@@ -248,7 +136,8 @@ class TestSimpleKernelAgainstOracle:
             dists = [oracle.hamming(record, z) for z in modes]
             best = min(dists)
             ties += dists.count(best) > 1
-            got = nearest_mode(record, modes, _sparse_attrs(m), DissimilarityPolicy())
+            point, d = measure(_sparse_attrs(m))
+            got = _nearest(d, point(record), [point(z) for z in modes])
             assert got == (dists.index(best), best)
         assert ties > 50
 

@@ -12,7 +12,6 @@ from traitclust import (
     AttributeSpec,
     CategoricalDataset,
     DissimilarityPolicy,
-    EmptyClusterError,
     FitConfig,
     InfeasibleConfigError,
     PolicyError,
@@ -21,14 +20,12 @@ from traitclust import (
     elbow_scan,
     fit,
     init_modes,
-    nearest_mode,
     select_k,
-    update_mode_attribute,
     within_cluster_difference,
 )
 from traitclust import kmodes
-from traitclust.dissimilarity import BitEncoder
-from traitclust.kmodes import _Cluster
+from traitclust.dissimilarity import BitEncoder, measure
+from traitclust.kmodes import _Cluster, _nearest
 from traitclust.survey import generate_synthetic, load_schema
 
 import oracle
@@ -68,21 +65,26 @@ class TestDatasetConstruction:
             CategoricalDataset(attrs=attrs, rows=())
 
 
+def _mode_of(values):
+    """The mode fit's cluster state keeps for a one-attribute multiset,
+    added in order to a cluster seeded with the first value."""
+    cluster = _Cluster(values[:1], BitEncoder(1))
+    for v in values:
+        cluster.add((v,))
+    return cluster.mode[0]
+
+
 class TestModeUpdate:
     def test_majority_wins(self):
-        assert update_mode_attribute([5, 5, 1]) == 5
+        assert _mode_of([5, 5, 1]) == 5
 
     def test_ties_break_to_the_lowest_code(self):
-        assert update_mode_attribute([2, 3, 2, 3]) == 2
-        assert update_mode_attribute([3, 2]) == 2
-
-    def test_empty_multiset_is_an_error(self):
-        with pytest.raises(EmptyClusterError):
-            update_mode_attribute([])
+        assert _mode_of([2, 3, 2, 3]) == 2
+        assert _mode_of([3, 2]) == 2
 
     @given(st.lists(st.integers(0, 9), min_size=1, max_size=50))
     def test_matches_brute_force_majority(self, values):
-        assert update_mode_attribute(values) == oracle.majority_value(values)
+        assert _mode_of(values) == oracle.majority_value(values)
 
 
 class TestIncrementalMode:
@@ -196,22 +198,8 @@ class TestInitModes:
 class TestNearestMode:
     def test_ties_go_to_the_lowest_cluster_index(self):
         ds = CategoricalDataset.from_values([(0, 1)])
-        modes = [Prototype((0, 0), 0), Prototype((1, 1), 1)]
-        l, d = nearest_mode((0, 1), modes, ds.attrs, DissimilarityPolicy())
-        assert (l, d) == (0, 1)
-
-    def test_rejects_misaligned_and_mislabeled_modes(self):
-        ds = CategoricalDataset.from_values([(0, 1)])
-        with pytest.raises(AlignmentError):
-            nearest_mode((0, 1), [(0, 1), (0, 1, 2)], ds.attrs, DissimilarityPolicy())
-        with pytest.raises(ValueError):
-            nearest_mode((0, 1), [Prototype((0, 1), 1)], ds.attrs, DissimilarityPolicy())
-
-    def test_weighted_policy_requires_a_table(self):
-        ds = CategoricalDataset.from_values([(0,)])
-        with pytest.raises(PolicyError):
-            nearest_mode((0,), [Prototype((0,), 0)], ds.attrs,
-                         DissimilarityPolicy(mode="weighted"))
+        point, d = measure(ds.attrs)
+        assert _nearest(d, point((0, 1)), [point((0, 0)), point((1, 1))]) == (0, 1)
 
 
 class TestFitValidation:
@@ -242,6 +230,8 @@ class TestFitValidation:
             fit(ds, FitConfig(k=1, policy=DissimilarityPolicy(mode="mixed")))
 
     def test_config_rejects_bad_settings(self):
+        with pytest.raises(PolicyError):
+            FitConfig(k=1, policy="weighted")
         with pytest.raises(ValueError):
             FitConfig(k=1, init="kmeanspp")
         with pytest.raises(ValueError):
@@ -289,7 +279,7 @@ class TestFit:
         model = fit(ds, FitConfig(k=3, seed=2))
         assert model.cost == within_cluster_difference(ds, model.modes, model.assignments)
 
-    @pytest.mark.parametrize("policy", ["simple", "weighted"])
+    @pytest.mark.parametrize("policy", ["simple"])
     def test_density_fits_once_whatever_the_restarts(self, monkeypatch, policy):
         # density init ignores the seed, so restart 0 already is the model
         ds = random_dataset(random.Random(23), 40, 4, 3)
@@ -323,34 +313,6 @@ class TestFit:
             k = rng.randint(1, min(4, distinct))
             model = fit(CategoricalDataset.from_values(rows), FitConfig(k=k, seed=case))
             assert set(model.assignments) == set(range(k))
-
-    def test_weighted_policy_returns_a_valid_deterministic_model(self):
-        # the weighted measure re-derives its weights every epoch, so the
-        # run may end in a cycle rather than a zero-move epoch; the model
-        # must still be a valid partition and bit-reproducible
-        ds = random_dataset(random.Random(23), 20, 3, 3)
-        cfg = FitConfig(k=2, policy=DissimilarityPolicy(mode="weighted"), seed=1)
-        a, b = fit(ds, cfg), fit(ds, cfg)
-        assert a.cost >= 0.0
-        assert set(a.assignments) == {0, 1}
-        assert a.epochs_run <= cfg.max_epochs
-        assert a.assignments == b.assignments
-        assert a.cost == b.cost
-        assert a.converged == b.converged
-
-    def test_weighted_policy_converges_on_separated_blocks(self):
-        rows = [(0, 0, 0)] * 6 + [(1, 1, 1)] * 6 + [(2, 2, 2)] * 6
-        ds = CategoricalDataset.from_values(rows)
-        model = fit(ds, FitConfig(k=3, policy=DissimilarityPolicy(mode="weighted"), restarts=5))
-        assert model.converged
-        assert model.cost == 0.0
-        assert len(set(model.assignments)) == 3
-
-    def test_weighted_cost_is_self_consistent(self):
-        ds = random_dataset(random.Random(29), 18, 3, 3)
-        policy = DissimilarityPolicy(mode="weighted")
-        model = fit(ds, FitConfig(k=2, policy=policy, seed=3))
-        assert model.cost == within_cluster_difference(ds, model.modes, model.assignments, policy)
 
     def test_density_init_fits(self):
         ds = random_dataset(random.Random(37), 15, 3, 3)
@@ -386,13 +348,11 @@ def _golden_dataset():
 
 GOLDEN_POLICIES = {
     "simple": DissimilarityPolicy(),
-    "weighted": DissimilarityPolicy(mode="weighted"),
 }
 
 # (cost.hex(), epochs_run, converged, sha256 of repr((modes, assignments))).
-# A change to a measure, the mode update or the epoch loop that alters any
-# bit of a fit shows here. weighted spends its 100-epoch budget without
-# converging, so its pins cover every per-epoch weight recompute.
+# A change to the measure, the mode update or the epoch loop that alters any
+# bit of a fit shows here.
 GOLDEN_FITS = {
     ("simple", "random_rows"): (
         "0x1.4400000000000p+6", 3, True,
@@ -400,12 +360,6 @@ GOLDEN_FITS = {
     ("simple", "density"): (
         "0x1.5000000000000p+6", 2, True,
         "89231d8cfe80db2f30040b47af38e96f3656bfe99d295dc62610589d6071a981"),
-    ("weighted", "random_rows"): (
-        "0x1.1df86a93900abp+6", 100, False,
-        "4c4fc06d3bf7d5da4bcd8c653f5056e2297656bfb47e35519a66672858167847"),
-    ("weighted", "density"): (
-        "0x1.1c5211716766cp+6", 100, False,
-        "d6bdf835a2bfae04d17733b428de59f83296911d0ab66920c22225534ca8ae50"),
 }
 
 
@@ -437,7 +391,7 @@ def ocean50_population():
 
 # The same record as GOLDEN_FITS, on ocean50_population with k=5, seed=5 and
 # 2 restarts. random_rows moves rows in its first epoch; density lands on the
-# planted traits and converges at once; weighted is capped at 3 epochs.
+# planted traits and converges at once.
 OCEAN50_GOLDEN_FITS = {
     ("simple", "random_rows"): (
         "0x1.1370000000000p+13", 2, True,
@@ -445,9 +399,6 @@ OCEAN50_GOLDEN_FITS = {
     ("simple", "density"): (
         "0x1.7520000000000p+12", 1, True,
         "e9186e66174baeb92fbd9c1333b9686fdc89e802a9fa83212041916ce668219b"),
-    ("weighted", "random_rows"): (
-        "0x1.00b46d21822d5p+13", 3, False,
-        "6a47c8d650a87b51b0c939ef59933e1d91c0660b53f53120e8451191f8ba40b2"),
 }
 
 OCEAN50_GOLDEN_ELBOW = [
@@ -459,8 +410,7 @@ OCEAN50_GOLDEN_ELBOW = [
 
 @pytest.mark.parametrize("name, init", sorted(OCEAN50_GOLDEN_FITS))
 def test_ocean50_fit_is_bit_identical_to_the_golden_record(ocean50_population, name, init):
-    config = FitConfig(k=5, policy=GOLDEN_POLICIES[name], init=init, seed=5, restarts=2,
-                       max_epochs=3 if name == "weighted" else 100)
+    config = FitConfig(k=5, policy=GOLDEN_POLICIES[name], init=init, seed=5, restarts=2)
     assert _golden_record(fit(ocean50_population, config)) == OCEAN50_GOLDEN_FITS[name, init]
 
 

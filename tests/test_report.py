@@ -203,19 +203,6 @@ class TestEmission:
         assert "North" in text and "South" in text
         assert text.rstrip().endswith("100.000")
 
-    def test_labeling_emits_all_formats(self):
-        schema = load_schema(COMPASS_SCHEMA)
-        profiles = [_profile(North=90.0, South=10.0), _profile(North=20.0, South=80.0)]
-        labeling = label_clusters(_model((0, 1), 2), profiles, schema)
-        doc = json.loads(emit_report(labeling, "json"))
-        assert doc["kind"] == "cluster_labeling"
-        assert doc["n"] == 2
-        assert [c["dominant"] for c in doc["clusters"]] == ["North", "South"]
-        pie = emit_report(labeling, "piedata")
-        assert pie == "dimension,percentage\nNorth,50.000\nSouth,50.000\n"
-        text = emit_report(labeling, "text")
-        assert "cluster 0" in text and "cluster 1" in text
-
     def test_unknown_format(self):
         with pytest.raises(ReportError):
             emit_report(_report({"North": 100.0}), "yaml")
@@ -223,6 +210,11 @@ class TestEmission:
     def test_unsupported_object(self):
         with pytest.raises(TypeError):
             emit_report({"North": 100.0})
+        # a labeling is emitted through personality_percentages
+        profiles = [_profile(North=90.0, South=10.0), _profile(North=20.0, South=80.0)]
+        labeling = label_clusters(_model((0, 1), 2), profiles, load_schema(COMPASS_SCHEMA))
+        with pytest.raises(TypeError):
+            emit_report(labeling)
 
 
 class TestParseReport:

@@ -12,6 +12,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize("argv", [
     ["applicant_pipeline.py"],
+    pytest.param(["applicant_pipeline.py", "--k", "3"], id="applicant_pipeline.py-k3"),
     ["synthetic_elbow.py", "--n", "60", "--noise", "0", "0.15", "--k-max", "6",
      "--restarts", "2"],
 ], ids=lambda argv: argv[0])

@@ -54,10 +54,11 @@ class TestPresets:
         assert schema.dimensions == OCEAN_DIMS
         assert len(schema.items) == 50
         positives = {
-            d: sum(1 for it in schema.items_for(d) if it.keying == "positive")
+            d: sum(1 for it in schema.items if it.dimension == d and it.keying == "positive")
             for d in schema.dimensions
         }
-        assert all(len(schema.items_for(d)) == 10 for d in schema.dimensions)
+        assert all(sum(1 for it in schema.items if it.dimension == d) == 10
+                   for d in schema.dimensions)
         assert positives == {
             "Extraversion": 5,
             "Neuroticism": 8,
