@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .dissimilarity import DissimilarityPolicy, Prototype
 from .errors import InfeasibleConfigError, PolicyError
-from .kmodes import ClusterModel, FitConfig, elbow_scan, fit, select_k
+from .kmodes import ClusterModel, FitConfig, check_selection, elbow_scan, fit, select_k
 from .report import (
     emit_report,
     fuse_profiles,
@@ -257,6 +257,8 @@ def _cmd_fit(args) -> str:
 def _cmd_elbow(args) -> str:
     schema = load_schema(args.schema)
     result = _parse_input(args, schema)
+    if 1 <= args.k_min <= args.k_max:  # otherwise elbow_scan names the bad range
+        check_selection(args.k_max - args.k_min + 1, args.epsilon)
     curve = elbow_scan(result.dataset, args.k_min, args.k_max,
                        seed=args.seed, restarts=args.restarts, init=args.init)
     chosen = select_k(curve, args.epsilon)

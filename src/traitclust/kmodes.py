@@ -7,7 +7,8 @@ clusters (updating both affected modes immediately) until an epoch makes no
 moves or the epoch budget is exhausted (Huang, "Extensions to the k-Means
 Algorithm for Clustering Large Data Sets with Categorical Values", DMKD 1998).
 
-fit encodes every row once as a BitEncoder mask, shared by all restarts, so
+fit encodes every row once as a BitEncoder mask, shared by all restarts
+(elbow_scan encodes once for all k), so
 a simple-matching distance is ``m - (row & mode).bit_count()``: the
 allocation pass, the empty-cluster repair, every epoch, density init and
 the final cost measure that way. Each cluster keeps its mode and the
@@ -208,11 +209,13 @@ def _encode_rows(dataset):
 
 
 def _density_seeds(dataset, k, codes):
-    # Seed 1 is the row whose values are, summed over attributes, the most
-    # frequent in the dataset; later seeds greedily maximize the minimum
-    # mismatch distance to the seeds chosen so far, which `nearest` holds
-    # per row. Ties take the lowest row index. codes are the rows' masks
-    # under one BitEncoder.
+    """Seed 1 is the row whose values are, summed over attributes, the most
+    frequent in the dataset; later seeds greedily maximize the minimum
+    mismatch distance to the seeds chosen so far, which `nearest` holds per
+    row. Ties take the lowest row index. codes are the rows' masks under one
+    BitEncoder. Each step depends only on the seeds before it, so for every
+    k <= K the k seeds are the first k of the K seeds (the prefix property).
+    """
     rows = [r.values for r in dataset.rows]
     m = len(dataset.attrs)
     _, d = measure(dataset.attrs)
@@ -361,12 +364,13 @@ def _total(d, points, modes, assignments):
     return total
 
 
-def _fit_once(dataset, rows, encoder, codes, config, seed, debug):
+def _fit_once(dataset, rows, encoder, codes, config, seed, debug, seeds):
     k = config.k
     # Every distance below is measured on the rows' masks.
     _, d = measure(dataset.attrs)
 
-    seeds = _init_vectors(dataset, k, config.init, seed, codes)
+    if seeds is None:
+        seeds = _init_vectors(dataset, k, config.init, seed, codes)
     clusters = [_Cluster(v, encoder) for v in seeds]
     # Each cluster updates its mode list in place, so these stay current;
     # masks are ints and are refreshed after every add/remove.
@@ -448,6 +452,10 @@ def fit(dataset, config: FitConfig, debug: bool = False) -> ClusterModel:
 
     debug=True recomputes the full objective around every accepted move and
     raises if a move ever fails to decrease it.
+
+    elbow_scan shares one encoding across k and, as density seeds have the
+    prefix property (see _density_seeds), one seed sequence; an init without
+    that property must pass seeds=None to _fit_encoded.
     """
     if dataset.n < 1:
         raise ValueError("cannot fit an empty dataset")
@@ -455,12 +463,18 @@ def fit(dataset, config: FitConfig, debug: bool = False) -> ClusterModel:
         raise InfeasibleConfigError(
             f"k={config.k} exceeds the number of rows ({dataset.n})"
         )
-    # Every restart measures on the same row masks.
-    rows = [r.values for r in dataset.rows]
     encoder, codes = _encode_rows(dataset)
+    return _fit_encoded(dataset, [r.values for r in dataset.rows], encoder, codes,
+                        config, debug=debug)
+
+
+def _fit_encoded(dataset, rows, encoder, codes, config, seeds=None, debug=False):
+    """fit on rows already encoded as codes under encoder. Every mode code
+    is a row code, so the encoder gains no bits and can serve many fits.
+    seeds, if given, replace the init's k initial modes in every restart."""
     best = None
     for r in range(1 if config.init == "density" else config.restarts):
-        out = _fit_once(dataset, rows, encoder, codes, config, config.seed + r, debug)
+        out = _fit_once(dataset, rows, encoder, codes, config, config.seed + r, debug, seeds)
         if best is None or out[4] < best[4]:
             best = out
     modes, assignments, epochs_run, converged, cost = best
@@ -495,18 +509,38 @@ def within_cluster_difference(dataset, modes, assignments, policy=None) -> float
 
 
 def elbow_scan(dataset, k_min, k_max, seed=0, restarts=1, init="random_rows"):
-    """Fit every k in [k_min, k_max] and return the (k, cost) curve."""
+    """Fit every k in [k_min, k_max] and return the (k, cost) curve, each
+    cost equal to that of ``fit`` at k bit for bit.
+
+    All arguments are checked before any work. The rows are encoded once,
+    and density seeds are derived once at k_max: by their prefix property
+    fit k starts from the first k. An init without it must pass seeds=None.
+    """
     if not 1 <= k_min <= k_max:
         raise ValueError(f"need 1 <= k_min <= k_max, got {k_min}..{k_max}")
     if k_max > dataset.n:
         raise InfeasibleConfigError(
             f"k_max={k_max} exceeds the number of rows ({dataset.n})"
         )
-    curve = []
-    for k in range(k_min, k_max + 1):
-        model = fit(dataset, FitConfig(k=k, seed=seed, restarts=restarts, init=init))
-        curve.append((k, model.cost))
-    return curve
+    configs = [FitConfig(k=k, seed=seed, restarts=restarts, init=init)
+               for k in range(k_min, k_max + 1)]
+    rows = [r.values for r in dataset.rows]
+    encoder, codes = _encode_rows(dataset)
+    seeds = _density_seeds(dataset, k_max, codes) if init == "density" else None
+    return [
+        (c.k, _fit_encoded(dataset, rows, encoder, codes, c,
+                           seeds[:c.k] if seeds else None).cost)
+        for c in configs
+    ]
+
+
+def check_selection(points: int, epsilon: float) -> None:
+    """Raise ValueError unless select_k can pick a k from a curve of
+    ``points`` points with this epsilon; callers may check before a scan."""
+    if points < 2:
+        raise ValueError("elbow curve needs at least two points")
+    if not 0 < epsilon < 1:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
 
 
 def select_k(curve, epsilon: float = 0.05) -> int:
@@ -514,10 +548,7 @@ def select_k(curve, epsilon: float = 0.05) -> int:
     (relative); k_max if every step keeps paying off. A zero-cost point is
     returned as soon as it is seen."""
     curve = list(curve)
-    if len(curve) < 2:
-        raise ValueError("elbow curve needs at least two points")
-    if not 0 < epsilon < 1:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    check_selection(len(curve), epsilon)
     ks = [k for k, _ in curve]
     if any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError("elbow curve k values must be strictly ascending")

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from traitclust import dump_schema, load_schema, parse_responses, score_profile
+from traitclust import dump_schema, kmodes, load_schema, parse_responses, score_profile
 from traitclust.cli import main
 
 from conftest import APPLICANT_CSV
@@ -328,6 +328,20 @@ class TestElbowCommand:
         assert doc["kind"] == "elbow"
         assert [k for k, _ in doc["curve"]] == [1, 2, 3, 4]
         assert isinstance(doc["selected_k"], int)
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--k-max", "4", "--epsilon", "2"), "epsilon must lie in (0, 1), got 2.0"),
+        (("--k-max", "4", "--epsilon", "nan"), "epsilon must lie in (0, 1), got nan"),
+        (("--k-min", "3", "--k-max", "3"), "elbow curve needs at least two points"),
+    ])
+    def test_selection_arguments_are_rejected_before_any_fit(self, capsys, monkeypatch,
+                                                             flags, message):
+        def no_fit(*args):
+            raise AssertionError("the scan ran a fit")
+
+        monkeypatch.setattr(kmodes, "_fit_once", no_fit)
+        code, out, err = run(capsys, "elbow", "-i", FIXTURE, "--schema", "scenario3", *flags)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_k_max_above_n_exits_2(self, capsys):
         code, out, err = run(capsys, "elbow", "-i", FIXTURE, "--schema",

@@ -477,6 +477,67 @@ class TestElbow:
         with pytest.raises(InfeasibleConfigError):
             elbow_scan(ds, 1, 3)
 
+    @staticmethod
+    def _duplicated_dataset(seed, n=30, m=3, pool=5):
+        # n rows drawn from `pool` distinct rows: density scores and
+        # farthest-first distances tie, and seeds past the distinct rows
+        # repeat, which empties clusters after the allocation pass.
+        rng = random.Random(seed)
+        distinct = list(dict.fromkeys(random_rows(rng, 4 * pool, m, 3)))[:pool]
+        return CategoricalDataset.from_values([rng.choice(distinct) for _ in range(n)])
+
+    @pytest.mark.parametrize("init", ["random_rows", "density"])
+    @pytest.mark.parametrize("restarts", [1, 3])
+    @pytest.mark.parametrize("seed", [0, 11])
+    @pytest.mark.parametrize("population", ["random", "duplicates"])
+    def test_scan_equals_a_fit_per_k(self, init, restarts, seed, population):
+        if population == "random":
+            ds, k_max = random_dataset(random.Random(43 + seed), 30, 4, 3), 6
+        else:
+            ds = self._duplicated_dataset(seed)
+            # density may seed past the 5 distinct rows; random_rows may not
+            k_max = 7 if init == "density" else 5
+        curve = elbow_scan(ds, 1, k_max, seed=seed, restarts=restarts, init=init)
+        expected = [
+            (k, fit(ds, FitConfig(k=k, seed=seed, restarts=restarts, init=init)).cost)
+            for k in range(1, k_max + 1)
+        ]
+        assert [(k, c.hex()) for k, c in curve] == [(k, c.hex()) for k, c in expected]
+
+    def test_random_rows_scan_past_the_distinct_rows_fails_at_that_k(self):
+        ds = CategoricalDataset.from_values([(0, 1), (1, 1), (0, 1), (2, 0), (1, 1)])
+        with pytest.raises(InfeasibleConfigError,
+                           match=r"^k=4 exceeds the number of distinct rows \(3\)$"):
+            elbow_scan(ds, 2, 5, init="random_rows", restarts=2)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_density_seeds_have_the_prefix_property(self, data):
+        m = data.draw(st.integers(1, 4))
+        pool = data.draw(st.lists(st.tuples(*[st.integers(0, 2)] * m), min_size=1, max_size=4))
+        rows = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=25))
+        ds = CategoricalDataset.from_values(rows)
+        codes = kmodes._encode_rows(ds)[1]
+        k_max = data.draw(st.integers(1, len(rows)))
+        full = kmodes._density_seeds(ds, k_max, codes)
+        for k in range(1, k_max + 1):
+            assert kmodes._density_seeds(ds, k, codes) == full[:k]
+
+    @pytest.mark.parametrize("init, seedings", [("density", 1), ("random_rows", 0)])
+    def test_scan_encodes_once_and_seeds_density_once(self, monkeypatch, init, seedings):
+        ds = random_dataset(random.Random(47), 30, 4, 3)
+        calls = {"_encode_rows": 0, "_density_seeds": 0}
+        for name in calls:
+            real = getattr(kmodes, name)
+
+            def counting(*args, _name=name, _real=real):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(kmodes, name, counting)
+        elbow_scan(ds, 1, 6, seed=2, restarts=2, init=init)
+        assert calls == {"_encode_rows": 1, "_density_seeds": seedings}
+
     def test_select_k_picks_the_first_flat_step(self):
         curve = [(1, 100.0), (2, 10.0), (3, 9.8), (4, 9.7)]
         assert select_k(curve, epsilon=0.05) == 2
