@@ -1,12 +1,8 @@
-"""The dissimilarity measure between data records and cluster prototypes.
+"""Attributes, records, prototypes and the dissimilarity between them.
 
-Every attribute is categorical, and there is one measure: simple matching
-(Hamming), the number of attributes on which two value vectors disagree. It
-runs on BitEncoder masks (one bit per attribute and code), so a distance is
-one AND and one popcount.
-
-The measure is symmetric in the value vectors, invariant under bijective
-recoding of category codes, and deterministic.
+Every attribute is categorical, and there is one measure, simple matching,
+which BitEncoder defines. It is symmetric in the value vectors, invariant
+under bijective recoding of category codes, and deterministic.
 """
 
 from dataclasses import dataclass
@@ -100,6 +96,9 @@ def check_inputs(attrs, vectors):
 class BitEncoder:
     """Value vectors as Python ints with one bit per (attribute, category
     code): two vectors agree on as many attributes as their AND has set bits.
+    This defines the measure. The simple-matching (Hamming) distance of two
+    vectors of m codes is the number of attributes on which they disagree,
+    ``m - (encode(a) & encode(b)).bit_count()`` under one encoder.
 
     A code takes its bit the first time it is encoded on its attribute, so a
     code outside the attribute's categories keeps the meaning it has under
@@ -130,30 +129,9 @@ class BitEncoder:
             return sum(self.bit(j, v) for j, v in enumerate(vals))
 
 
-def measure(attrs):
-    """Simple matching as ``(point, d)``: ``point`` turns a value vector into
-    the form ``d`` takes, and ``d(x, z)`` is the distance from point ``x`` to
-    point ``z``.
-
-    This is the one implementation of the measure; fit,
-    within_cluster_difference and simple_matching all call it. It checks
-    nothing, so callers run check_inputs once per call.
-
-    ``d`` counts mismatches as ``m - (x & z).bit_count()`` on the masks of
-    one BitEncoder; ``point`` is a fresh encoder's, so a caller encodes
-    every vector it compares with the same ``point``.
-    """
-    m = len(attrs)
-
-    def d(x, z):
-        return m - (x & z).bit_count()
-
-    return BitEncoder(m).encode, d
-
-
 def simple_matching(a, b, attrs) -> int:
     """Number of positions where the two vectors disagree."""
     va, vb = _vector(a), _vector(b)
     check_inputs(attrs, (va, vb))
-    point, d = measure(attrs)
-    return d(point(va), point(vb))
+    encode = BitEncoder(len(attrs)).encode
+    return len(attrs) - (encode(va) & encode(vb)).bit_count()

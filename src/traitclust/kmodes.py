@@ -8,10 +8,10 @@ moves or the epoch budget is exhausted (Huang, "Extensions to the k-Means
 Algorithm for Clustering Large Data Sets with Categorical Values", DMKD 1998).
 
 fit encodes every row once as a BitEncoder mask, shared by all restarts
-(elbow_scan encodes once for all k), so
-a simple-matching distance is ``m - (row & mode).bit_count()``: the
-allocation pass, the empty-cluster repair, every epoch, density init and
-the final cost measure that way. Each cluster keeps its mode and the
+(elbow_scan encodes once for all k). The allocation pass, the
+empty-cluster repair, every epoch, density init and the final cost all
+count agreements ``(row & mode).bit_count()`` on those masks: the nearest
+mode is the one that agrees most. Each cluster keeps its mode and the
 mode's mask incrementally (see _Cluster) instead of rescanning its counts on
 every add and remove. Neither changes any result.
 
@@ -38,7 +38,6 @@ from .dissimilarity import (
     Prototype,
     Record,
     check_inputs,
-    measure,
 )
 from .errors import AlignmentError, InfeasibleConfigError, PolicyError
 
@@ -210,47 +209,50 @@ def _encode_rows(dataset):
 
 def _density_seeds(dataset, k, codes):
     """Seed 1 is the row whose values are, summed over attributes, the most
-    frequent in the dataset; later seeds greedily maximize the minimum
-    mismatch distance to the seeds chosen so far, which `nearest` holds per
-    row. Ties take the lowest row index. codes are the rows' masks under one
-    BitEncoder. Each step depends only on the seeds before it, so for every
-    k <= K the k seeds are the first k of the K seeds (the prefix property).
+    frequent in the dataset; later seeds greedily minimize the agreement
+    with the nearest seed chosen so far, which `nearest` holds per row (the
+    farthest row). Ties take the lowest row index. codes are the rows' masks
+    under one BitEncoder. Each step depends only on the seeds before it, so
+    for every k <= K the k seeds are the first k of the K seeds (the prefix
+    property).
     """
     rows = [r.values for r in dataset.rows]
-    m = len(dataset.attrs)
-    _, d = measure(dataset.attrs)
-    freq = [Counter(vals[j] for vals in rows) for j in range(m)]
+    freq = [Counter(col) for col in zip(*rows)]
     best_i, best_score = 0, -1
     for i, vals in enumerate(rows):
         score = sum(map(dict.__getitem__, freq, vals))
         if score > best_score:
             best_i, best_score = i, score
     chosen = [best_i]
-    nearest = [m] * len(rows)  # no distance exceeds m
+    nearest = [0] * len(rows)
     while len(chosen) < k:
         z = codes[chosen[-1]]
-        nearest = [min(di, d(x, z)) for di, x in zip(nearest, codes)]
-        chosen.append(nearest.index(max(nearest)))
+        nearest = [max(a, (x & z).bit_count()) for a, x in zip(nearest, codes)]
+        chosen.append(nearest.index(min(nearest)))
     return [rows[i] for i in chosen]
 
 
-def _init_vectors(dataset, k, strategy, seed, codes):
-    n = dataset.n
-    if k < 1:
-        raise InfeasibleConfigError(f"k must be >= 1, got {k}")
-    if k > n:
-        raise InfeasibleConfigError(f"k={k} exceeds the number of rows ({n})")
-    if strategy == "random_rows":
-        distinct = list(dict.fromkeys(r.values for r in dataset.rows))
-        if k > len(distinct):
-            raise InfeasibleConfigError(
-                f"k={k} exceeds the number of distinct rows ({len(distinct)})"
-            )
-        rng = random.Random(seed)
-        return rng.sample(distinct, k)
-    if strategy == "density":
-        return _density_seeds(dataset, k, codes)
-    raise ValueError(f"unknown init strategy {strategy!r}")
+def _seed_pool(dataset, codes, init, k_min, k_max):
+    """What a fit at any k in [k_min, k_max] draws its k initial modes from:
+    the distinct rows for random_rows, and the k_max density seeds, whose
+    first k are the seeds at k by their prefix property. An init without
+    that property would need a pool per k. Raises InfeasibleConfigError,
+    naming the first infeasible k, if random_rows cannot draw k_max."""
+    if init == "density":
+        return _density_seeds(dataset, k_max, codes)
+    distinct = list(dict.fromkeys(r.values for r in dataset.rows))
+    if k_max > len(distinct):
+        raise InfeasibleConfigError(
+            f"k={max(k_min, len(distinct) + 1)} exceeds the number of distinct "
+            f"rows ({len(distinct)})"
+        )
+    return distinct
+
+
+def _draw_seeds(pool, k, init, seed):
+    if init == "density":
+        return pool[:k]
+    return random.Random(seed).sample(pool, k)
 
 
 def init_modes(dataset, k: int, strategy: str = "random_rows", seed: int = 0):
@@ -259,8 +261,15 @@ def init_modes(dataset, k: int, strategy: str = "random_rows", seed: int = 0):
     random_rows samples k distinct rows without replacement (seeded);
     density starts from the highest-frequency row and then spreads out.
     """
+    if k < 1:
+        raise InfeasibleConfigError(f"k must be >= 1, got {k}")
+    if k > dataset.n:
+        raise InfeasibleConfigError(f"k={k} exceeds the number of rows ({dataset.n})")
+    if strategy not in INIT_STRATEGIES:
+        raise ValueError(f"unknown init strategy {strategy!r}")
     codes = _encode_rows(dataset)[1] if strategy == "density" else None
-    chosen = _init_vectors(dataset, k, strategy, seed, codes)
+    pool = _seed_pool(dataset, codes, strategy, k, k)
+    chosen = _draw_seeds(pool, k, strategy, seed)
     return [Prototype(values=v, cluster_index=i) for i, v in enumerate(chosen)]
 
 
@@ -278,15 +287,15 @@ def _mode_vectors(modes):
     return vectors
 
 
-def _nearest(d, x, modes):
-    # Strict improvement only, so distance ties go to the lowest index.
-    best_l = 0
-    best_d = d(x, modes[0])
-    for l in range(1, len(modes)):
-        dl = d(x, modes[l])
-        if dl < best_d:
-            best_l, best_d = l, dl
-    return best_l, best_d
+def _nearest(x, masks):
+    """The index of the mask that agrees most with x, and that agreement.
+    Strict improvement only, so ties go to the lowest index."""
+    best_l, best_a = 0, -1
+    for l, z in enumerate(masks):
+        a = (x & z).bit_count()
+        if a > best_a:
+            best_l, best_a = l, a
+    return best_l, best_a
 
 
 class _Cluster:
@@ -355,23 +364,15 @@ class _Cluster:
                     self._promote(j, w, o[w], top)
 
 
-def _total(d, points, modes, assignments):
-    """Summed distance of every point to its cluster's mode, accumulated
-    row by row in float."""
-    total = 0.0
-    for x, l in zip(points, assignments):
-        total += d(x, modes[l])
-    return total
+def _total(m, points, masks, assignments):
+    """Summed distance of every point to its cluster's mode, m attributes
+    less their agreement each. Exact in float: the sum is at most n * m."""
+    return float(sum(m - (x & masks[l]).bit_count() for x, l in zip(points, assignments)))
 
 
-def _fit_once(dataset, rows, encoder, codes, config, seed, debug, seeds):
-    k = config.k
-    # Every distance below is measured on the rows' masks.
-    _, d = measure(dataset.attrs)
-
-    if seeds is None:
-        seeds = _init_vectors(dataset, k, config.init, seed, codes)
-    clusters = [_Cluster(v, encoder) for v in seeds]
+def _fit_once(dataset, rows, encoder, codes, config, seed, debug, pool):
+    k, m = config.k, len(dataset.attrs)
+    clusters = [_Cluster(v, encoder) for v in _draw_seeds(pool, k, config.init, seed)]
     # Each cluster updates its mode list in place, so these stay current;
     # masks are ints and are refreshed after every add/remove.
     modes = [c.mode for c in clusters]
@@ -387,32 +388,34 @@ def _fit_once(dataset, rows, encoder, codes, config, seed, debug, seeds):
 
     # Initial allocation pass.
     for i, x in enumerate(codes):
-        l, _ = _nearest(d, x, masks)
+        l, _ = _nearest(x, masks)
         assign[i] = l
         clusters[l].add(rows[i])
         masks[l] = clusters[l].mask
 
     # A mode can drift onto another seed's territory during the pass and
     # leave that seed's cluster empty; repair deterministically by moving
-    # the row farthest from its own mode (lowest index on ties) out of a
-    # cluster that can spare one. k <= n guarantees a donor exists.
+    # the row farthest from its own mode, the one agreeing least (lowest
+    # index on ties), out of a cluster that can spare one. k <= n
+    # guarantees a donor exists.
     for l in range(k):
         if clusters[l].size:
             continue
-        best_i, best_d = None, -1
+        best_i, best_a = None, m + 1
         for i, x in enumerate(codes):
             s = assign[i]
             if clusters[s].size < 2:
                 continue
-            di = d(x, masks[s])
-            if di > best_d:
-                best_i, best_d = i, di
+            a = (x & masks[s]).bit_count()
+            if a < best_a:
+                best_i, best_a = i, a
         move(best_i, l)
 
     # Reallocation epochs. A row moves only when some mode is strictly
-    # closer than its current one (equidistant rows stay put, which is what
-    # makes every accepted move strictly decrease the live cost) and only
-    # when the move does not empty its source cluster.
+    # closer (agrees on more attributes) than its current one (equidistant
+    # rows stay put, which is what makes every accepted move strictly
+    # decrease the live cost) and only when the move does not empty its
+    # source cluster.
     epochs_run = 0
     converged = False
     for epoch in range(1, config.max_epochs + 1):
@@ -420,15 +423,14 @@ def _fit_once(dataset, rows, encoder, codes, config, seed, debug, seeds):
         moves = 0
         for i, x in enumerate(codes):
             s = assign[i]
-            ds = d(x, masks[s])
-            t, dt = _nearest(d, x, masks)
-            if dt < ds and clusters[s].size >= 2:
+            t, at = _nearest(x, masks)
+            if at > (x & masks[s]).bit_count() and clusters[s].size >= 2:
                 if debug:
-                    before = _total(d, codes, masks, assign)
+                    before = _total(m, codes, masks, assign)
                 move(i, t)
                 moves += 1
                 if debug:
-                    after = _total(d, codes, masks, assign)
+                    after = _total(m, codes, masks, assign)
                     if not after < before:
                         raise AssertionError(
                             f"accepted move of row {i} failed to decrease cost "
@@ -438,8 +440,8 @@ def _fit_once(dataset, rows, encoder, codes, config, seed, debug, seeds):
             converged = True
             break
 
-    protos = tuple(Prototype(values=tuple(m), cluster_index=l) for l, m in enumerate(modes))
-    return protos, tuple(assign), epochs_run, converged, _total(d, codes, masks, assign)
+    protos = tuple(Prototype(values=tuple(z), cluster_index=l) for l, z in enumerate(modes))
+    return protos, tuple(assign), epochs_run, converged, _total(m, codes, masks, assign)
 
 
 def fit(dataset, config: FitConfig, debug: bool = False) -> ClusterModel:
@@ -453,9 +455,8 @@ def fit(dataset, config: FitConfig, debug: bool = False) -> ClusterModel:
     debug=True recomputes the full objective around every accepted move and
     raises if a move ever fails to decrease it.
 
-    elbow_scan shares one encoding across k and, as density seeds have the
-    prefix property (see _density_seeds), one seed sequence; an init without
-    that property must pass seeds=None to _fit_encoded.
+    The rows are encoded, and the init's seed pool (see _seed_pool) built,
+    once for all restarts; elbow_scan shares both across k.
     """
     if dataset.n < 1:
         raise ValueError("cannot fit an empty dataset")
@@ -464,17 +465,18 @@ def fit(dataset, config: FitConfig, debug: bool = False) -> ClusterModel:
             f"k={config.k} exceeds the number of rows ({dataset.n})"
         )
     encoder, codes = _encode_rows(dataset)
+    pool = _seed_pool(dataset, codes, config.init, config.k, config.k)
     return _fit_encoded(dataset, [r.values for r in dataset.rows], encoder, codes,
-                        config, debug=debug)
+                        config, pool, debug=debug)
 
 
-def _fit_encoded(dataset, rows, encoder, codes, config, seeds=None, debug=False):
-    """fit on rows already encoded as codes under encoder. Every mode code
-    is a row code, so the encoder gains no bits and can serve many fits.
-    seeds, if given, replace the init's k initial modes in every restart."""
+def _fit_encoded(dataset, rows, encoder, codes, config, pool, debug=False):
+    """fit on rows already encoded as codes under encoder, drawing each
+    restart's initial modes from pool. Every mode code is a row code, so the
+    encoder gains no bits and can serve many fits."""
     best = None
     for r in range(1 if config.init == "density" else config.restarts):
-        out = _fit_once(dataset, rows, encoder, codes, config, config.seed + r, debug, seeds)
+        out = _fit_once(dataset, rows, encoder, codes, config, config.seed + r, debug, pool)
         if best is None or out[4] < best[4]:
             best = out
     modes, assignments, epochs_run, converged, cost = best
@@ -501,20 +503,20 @@ def within_cluster_difference(dataset, modes, assignments, policy=None) -> float
     for l in assignments:
         if not 0 <= l < k:
             raise ValueError(f"assignment {l} out of range for k={k}")
-    attrs = dataset.attrs
-    check_inputs(attrs, modes)
-    point, d = measure(attrs)
-    targets = [point(z) for z in modes]
-    return float(_total(d, (point(r.values) for r in dataset.rows), targets, assignments))
+    check_inputs(dataset.attrs, modes)
+    encoder, codes = _encode_rows(dataset)
+    masks = [encoder.encode(z) for z in modes]
+    return _total(len(dataset.attrs), codes, masks, assignments)
 
 
 def elbow_scan(dataset, k_min, k_max, seed=0, restarts=1, init="random_rows"):
     """Fit every k in [k_min, k_max] and return the (k, cost) curve, each
     cost equal to that of ``fit`` at k bit for bit.
 
-    All arguments are checked before any work. The rows are encoded once,
-    and density seeds are derived once at k_max: by their prefix property
-    fit k starts from the first k. An init without it must pass seeds=None.
+    All arguments, and under random_rows the number of distinct rows, are
+    checked before any fit. The rows are encoded, and the seed pool built
+    (density seeds are derived once at k_max; see _seed_pool), once for the
+    whole scan.
     """
     if not 1 <= k_min <= k_max:
         raise ValueError(f"need 1 <= k_min <= k_max, got {k_min}..{k_max}")
@@ -526,12 +528,9 @@ def elbow_scan(dataset, k_min, k_max, seed=0, restarts=1, init="random_rows"):
                for k in range(k_min, k_max + 1)]
     rows = [r.values for r in dataset.rows]
     encoder, codes = _encode_rows(dataset)
-    seeds = _density_seeds(dataset, k_max, codes) if init == "density" else None
-    return [
-        (c.k, _fit_encoded(dataset, rows, encoder, codes, c,
-                           seeds[:c.k] if seeds else None).cost)
-        for c in configs
-    ]
+    pool = _seed_pool(dataset, codes, init, k_min, k_max)
+    return [(c.k, _fit_encoded(dataset, rows, encoder, codes, c, pool).cost)
+            for c in configs]
 
 
 def check_selection(points: int, epsilon: float) -> None:

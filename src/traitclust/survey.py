@@ -167,31 +167,49 @@ class ParseResult:
     report: ParseReport
 
 
+_JSON_TYPES = {str: "a string", int: "an integer", list: "a list"}
+
+
+def _field(doc, key, kind, where, default=None):
+    """doc[key], or default when absent; raises SchemaError unless it is a
+    JSON value of kind (str, int or list). JSON booleans are not integers."""
+    value = doc.get(key, default)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise SchemaError(f"{where}: {key!r} must be {_JSON_TYPES[kind]}, got {value!r}")
+    return value
+
+
 def _schema_from_dict(doc) -> SurveySchema:
     if not isinstance(doc, dict):
         raise SchemaError(f"schema document must be an object, got {type(doc).__name__}")
     for key in ("name", "dimensions", "items"):
         if key not in doc:
             raise SchemaError(f"schema document is missing {key!r}")
+    name = _field(doc, "name", str, "schema document")
+    where = f"schema {name!r}"
+    dimensions = _field(doc, "dimensions", list, where)
+    for d in dimensions:
+        if not isinstance(d, str):
+            raise SchemaError(f"{where}: dimensions must be strings, got {d!r}")
     items = []
-    for entry in doc["items"]:
+    for entry in _field(doc, "items", list, where):
         if not isinstance(entry, dict) or "column" not in entry or "dimension" not in entry:
             raise SchemaError(f"malformed schema item: {entry!r}")
-        items.append(
-            SurveyItem(
-                column=str(entry["column"]),
-                dimension=str(entry["dimension"]),
-                keying=str(entry.get("keying", POSITIVE)),
-                text=str(entry.get("text", "")),
-            )
-        )
+        column = _field(entry, "column", str, f"{where} item")
+        at = f"{where} item {column!r}"
+        items.append(SurveyItem(
+            column=column,
+            dimension=_field(entry, "dimension", str, at),
+            keying=_field(entry, "keying", str, at, POSITIVE),
+            text=_field(entry, "text", str, at, ""),
+        ))
     return SurveySchema(
-        name=str(doc["name"]),
-        dimensions=tuple(str(d) for d in doc["dimensions"]),
+        name=name,
+        dimensions=tuple(dimensions),
         items=tuple(items),
-        likert_min=int(doc.get("likert_min", 1)),
-        likert_max=int(doc.get("likert_max", 5)),
-        missing_code=int(doc.get("missing_code", 0)),
+        likert_min=_field(doc, "likert_min", int, where, 1),
+        likert_max=_field(doc, "likert_max", int, where, 5),
+        missing_code=_field(doc, "missing_code", int, where, 0),
     )
 
 

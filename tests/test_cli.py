@@ -41,6 +41,19 @@ class TestSchemaCommand:
         assert code == 1
         assert "big7" in err
 
+    @pytest.mark.parametrize("field, value", [
+        ("likert_min", None), ("likert_max", 4.5), ("items", 5), ("name", 3)])
+    def test_mistyped_document_is_one_line_error(self, capsys, tmp_path, field, value):
+        doc = json.loads(dump_schema(load_schema("iwp")))
+        doc[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "schema", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(field) in err
+
 
 class TestGenCommand:
     def test_deterministic_output(self, capsys):

@@ -17,7 +17,7 @@ from traitclust import (
     simple_matching,
     within_cluster_difference,
 )
-from traitclust.dissimilarity import measure
+from traitclust.dissimilarity import BitEncoder
 from traitclust.kmodes import _nearest
 
 import oracle
@@ -136,9 +136,9 @@ class TestSimpleKernelAgainstOracle:
             dists = [oracle.hamming(record, z) for z in modes]
             best = min(dists)
             ties += dists.count(best) > 1
-            point, d = measure(_sparse_attrs(m))
-            got = _nearest(d, point(record), [point(z) for z in modes])
-            assert got == (dists.index(best), best)
+            encode = BitEncoder(m).encode
+            got = _nearest(encode(record), [encode(z) for z in modes])
+            assert got == (dists.index(best), m - best)
         assert ties > 50
 
     def test_within_cluster_difference(self):

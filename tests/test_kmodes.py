@@ -24,7 +24,7 @@ from traitclust import (
     within_cluster_difference,
 )
 from traitclust import kmodes
-from traitclust.dissimilarity import BitEncoder, measure
+from traitclust.dissimilarity import BitEncoder
 from traitclust.kmodes import _Cluster, _nearest
 from traitclust.survey import generate_synthetic, load_schema
 
@@ -197,9 +197,8 @@ class TestInitModes:
 
 class TestNearestMode:
     def test_ties_go_to_the_lowest_cluster_index(self):
-        ds = CategoricalDataset.from_values([(0, 1)])
-        point, d = measure(ds.attrs)
-        assert _nearest(d, point((0, 1)), [point((0, 0)), point((1, 1))]) == (0, 1)
+        encode = BitEncoder(2).encode
+        assert _nearest(encode((0, 1)), [encode((0, 0)), encode((1, 1))]) == (0, 1)
 
 
 class TestFitValidation:
@@ -313,6 +312,16 @@ class TestFit:
             k = rng.randint(1, min(4, distinct))
             model = fit(CategoricalDataset.from_values(rows), FitConfig(k=k, seed=case))
             assert set(model.assignments) == set(range(k))
+
+    def test_empty_cluster_repair_moves_the_first_farthest_row(self):
+        # 3 distinct rows: the density seeds of clusters 3 and 4 repeat
+        # (0, 0), so both end the allocation pass empty. Every row then
+        # agrees fully with its mode, so the first row of a cluster that
+        # can spare one moves: row 0 to cluster 3, then row 1 to cluster 4.
+        ds = CategoricalDataset.from_values([(0, 0)] * 3 + [(0, 1)] * 2 + [(1, 0)])
+        model = fit(ds, FitConfig(k=5, init="density"))
+        assert model.assignments == (3, 4, 0, 1, 1, 2)
+        assert model.cost == 0.0
 
     def test_density_init_fits(self):
         ds = random_dataset(random.Random(37), 15, 3, 3)
@@ -504,11 +513,16 @@ class TestElbow:
         ]
         assert [(k, c.hex()) for k, c in curve] == [(k, c.hex()) for k, c in expected]
 
-    def test_random_rows_scan_past_the_distinct_rows_fails_at_that_k(self):
+    def test_random_rows_scan_past_the_distinct_rows_fails_at_that_k(self, monkeypatch):
+        # The distinct rows are counted once, before any fit.
         ds = CategoricalDataset.from_values([(0, 1), (1, 1), (0, 1), (2, 0), (1, 1)])
-        with pytest.raises(InfeasibleConfigError,
-                           match=r"^k=4 exceeds the number of distinct rows \(3\)$"):
-            elbow_scan(ds, 2, 5, init="random_rows", restarts=2)
+        fitted = []
+        monkeypatch.setattr(kmodes, "_fit_once", lambda *args: fitted.append(args[4].k))
+        for k_min, first_infeasible in [(2, 4), (5, 5)]:
+            message = rf"^k={first_infeasible} exceeds the number of distinct rows \(3\)$"
+            with pytest.raises(InfeasibleConfigError, match=message):
+                elbow_scan(ds, k_min, 5, init="random_rows", restarts=2)
+        assert fitted == []
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -526,7 +540,7 @@ class TestElbow:
     @pytest.mark.parametrize("init, seedings", [("density", 1), ("random_rows", 0)])
     def test_scan_encodes_once_and_seeds_density_once(self, monkeypatch, init, seedings):
         ds = random_dataset(random.Random(47), 30, 4, 3)
-        calls = {"_encode_rows": 0, "_density_seeds": 0}
+        calls = {"_encode_rows": 0, "_seed_pool": 0, "_density_seeds": 0}
         for name in calls:
             real = getattr(kmodes, name)
 
@@ -536,7 +550,7 @@ class TestElbow:
 
             monkeypatch.setattr(kmodes, name, counting)
         elbow_scan(ds, 1, 6, seed=2, restarts=2, init=init)
-        assert calls == {"_encode_rows": 1, "_density_seeds": seedings}
+        assert calls == {"_encode_rows": 1, "_seed_pool": 1, "_density_seeds": seedings}
 
     def test_select_k_picks_the_first_flat_step(self):
         curve = [(1, 100.0), (2, 10.0), (3, 9.8), (4, 9.7)]

@@ -156,6 +156,43 @@ class TestSchemaValidation:
         with pytest.raises(SchemaError):
             load_schema(42)
 
+    @staticmethod
+    def _doc(**changes):
+        doc = {"name": "x", "dimensions": ["D"],
+               "items": [{"column": "Q1", "dimension": "D"}]}
+        for key, value in changes.items():
+            if key.startswith("item_"):
+                doc["items"][0][key[len("item_"):]] = value
+            else:
+                doc[key] = value
+        return doc
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"likert_min": None}, "'likert_min' must be an integer, got None"),
+        ({"likert_min": 1.9}, "'likert_min' must be an integer, got 1.9"),
+        ({"likert_max": "5"}, "'likert_max' must be an integer, got '5'"),
+        ({"likert_max": True}, "'likert_max' must be an integer, got True"),
+        ({"missing_code": False}, "'missing_code' must be an integer, got False"),
+        ({"items": 5}, "'items' must be a list, got 5"),
+        ({"dimensions": "D"}, "'dimensions' must be a list, got 'D'"),
+        ({"dimensions": ["D", 2]}, "dimensions must be strings, got 2"),
+        ({"name": 7}, "'name' must be a string, got 7"),
+        ({"item_column": 1}, "'column' must be a string, got 1"),
+        ({"item_dimension": ["D"]}, "'dimension' must be a string, got ['D']"),
+        ({"item_keying": None}, "'keying' must be a string, got None"),
+        ({"item_text": 3}, "'text' must be a string, got 3"),
+    ])
+    def test_documents_must_carry_json_types_without_coercion(self, changes, message):
+        with pytest.raises(SchemaError) as exc:
+            load_schema(self._doc(**changes))
+        assert str(exc.value).endswith(message)
+
+    def test_documents_with_json_integers_and_strings_load(self):
+        schema = load_schema(self._doc(likert_min=0, likert_max=6, missing_code=9,
+                                       item_keying="negative", item_text="t"))
+        assert (schema.likert_min, schema.likert_max, schema.missing_code) == (0, 6, 9)
+        assert schema.items == (SurveyItem("Q1", "D", "negative", "t"),)
+
 
 class TestParseResponses:
     def test_applicant_fixture(self, applicant_csv_text):
