@@ -4,17 +4,17 @@ Subcommands cover the full pipeline: gen (synthetic responses), score
 (per-respondent profiles), fit (persist a clustering), elbow (k selection),
 report (cluster-share trait percentages), fuse (combine two reports), and
 schema (inspect presets). Exit codes: 0 success, 1 input or validation
-error, 2 infeasible clustering configuration. Error paths write a one-line
-diagnostic to stderr and nothing to the primary output.
+error or an output file that cannot be written, 2 infeasible clustering
+configuration. Error paths write a one-line diagnostic to stderr and
+nothing to the primary output.
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from .dissimilarity import DissimilarityPolicy, Prototype
-from .errors import InfeasibleConfigError, PolicyError
+from . import documents
+from .errors import InfeasibleConfigError
 from .kmodes import ClusterModel, FitConfig, check_selection, elbow_scan, fit, select_k
 from .report import (
     emit_report,
@@ -146,104 +146,9 @@ def _parse_input(args, schema):
     )
 
 
-def _model_doc(model: ClusterModel, dataset, schema) -> dict:
-    cfg = model.config
-    return {
-        "kind": "cluster_model",
-        "schema": schema.name,
-        "n": dataset.n,
-        "k": len(model.modes),
-        "cost": model.cost,
-        "epochs_run": model.epochs_run,
-        "converged": model.converged,
-        "config": {
-            "k": cfg.k,
-            "policy": {"mode": cfg.policy.mode},
-            "init": cfg.init,
-            "seed": cfg.seed,
-            "max_epochs": cfg.max_epochs,
-            "restarts": cfg.restarts,
-        },
-        "modes": [list(p.values) for p in model.modes],
-        "assignments": {str(row.row_id): int(l)
-                        for row, l in zip(dataset.rows, model.assignments)},
-    }
-
-
-def _int(value, what):
-    # json gives bool for true/false, and bool is an int subclass.
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def _load_model(path: str, dataset, schema_name=None) -> ClusterModel:
-    """Read a model document written by ``fit`` and check it against the
-    dataset, and against ``schema_name`` when one is given. Counts, seeds,
-    mode values and assignments must be JSON integers, ``cost`` a JSON
-    number and ``converged`` a JSON boolean. ``config.policy.mode`` must be
-    ``simple``; other keys under ``config.policy``, which older documents
-    hold, are ignored."""
-    try:
-        doc = json.loads(_read_input(path))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid model JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("kind") != "cluster_model":
-        raise ValueError('expected a JSON object with kind "cluster_model"')
-    try:
-        if schema_name is not None and doc["schema"] != schema_name:
-            raise ValueError(
-                f"model was fitted under schema {doc['schema']!r}, not {schema_name!r}"
-            )
-        cfg_doc = doc["config"]
-        policy = DissimilarityPolicy(mode=cfg_doc["policy"]["mode"])
-        config = FitConfig(
-            k=_int(cfg_doc["k"], "config.k"),
-            policy=policy,
-            init=cfg_doc["init"],
-            seed=_int(cfg_doc["seed"], "config.seed"),
-            max_epochs=_int(cfg_doc["max_epochs"], "config.max_epochs"),
-            restarts=_int(cfg_doc["restarts"], "config.restarts"),
-        )
-        modes = tuple(
-            Prototype(values=tuple(_int(v, f"a value of mode {i}") for v in vals),
-                      cluster_index=i)
-            for i, vals in enumerate(doc["modes"])
-        )
-        k = _int(doc["k"], "k")
-        if not k == config.k == len(modes):
-            raise ValueError(f"model k={k}, config k={config.k} and {len(modes)} modes disagree")
-        m = len(dataset.attrs)
-        for p in modes:
-            if len(p.values) != m:
-                raise ValueError(
-                    f"model mode {p.cluster_index} has {len(p.values)} values, expected {m}"
-                )
-        amap = doc["assignments"]
-        assignments = []
-        for row in dataset.rows:
-            key = str(row.row_id)
-            if key not in amap:
-                raise ValueError(f"model has no assignment for row {key!r}")
-            l = _int(amap[key], f"the assignment of row {key!r}")
-            if not 0 <= l < k:
-                raise ValueError(f"model assigns row {key!r} to cluster {l}, outside 0..{k - 1}")
-            assignments.append(l)
-        converged, cost = doc["converged"], doc["cost"]
-        if not isinstance(converged, bool):
-            raise TypeError(f"converged must be true or false, got {converged!r}")
-        if isinstance(cost, bool) or not isinstance(cost, (int, float)):
-            raise TypeError(f"cost must be a number, got {cost!r}")
-        return ClusterModel(
-            modes=modes,
-            assignments=tuple(assignments),
-            cost=float(cost),
-            epochs_run=_int(doc["epochs_run"], "epochs_run"),
-            converged=converged,
-            config=config,
-        )
-    except (KeyError, TypeError, OverflowError, InfeasibleConfigError, PolicyError) as exc:
-        raise ValueError(f"malformed model document: {exc}") from exc
+    """``documents.load_model`` on the file at ``path`` (``-`` for stdin)."""
+    return documents.load_model(_read_input(path), dataset, schema_name)
 
 
 def _cmd_fit(args) -> str:
@@ -251,7 +156,7 @@ def _cmd_fit(args) -> str:
     result = _parse_input(args, schema)
     config = FitConfig(k=args.k, init=args.init, seed=args.seed, restarts=args.restarts)
     model = fit(result.dataset, config)
-    return json.dumps(_model_doc(model, result.dataset, schema), indent=2, sort_keys=True) + "\n"
+    return documents.dumps(documents.model_to_dict(model, result.dataset, schema.name))
 
 
 def _cmd_elbow(args) -> str:
@@ -263,13 +168,12 @@ def _cmd_elbow(args) -> str:
                        seed=args.seed, restarts=args.restarts, init=args.init)
     chosen = select_k(curve, args.epsilon)
     if args.format == "json":
-        doc = {
+        return documents.dumps({
             "kind": "elbow",
             "curve": [[k, wcd] for k, wcd in curve],
             "epsilon": args.epsilon,
             "selected_k": chosen,
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        })
     lines = ["k\twcd"]
     lines += [f"{k}\t{wcd:.3f}" for k, wcd in curve]
     lines.append(f"selected k = {chosen}")
@@ -282,7 +186,7 @@ def _cmd_score(args) -> str:
     profiles = [score_profile(row, schema) for row in result.table.rows]
     dims = schema.dimensions
     if args.format == "json":
-        doc = {
+        return documents.dumps({
             "kind": "profiles",
             "schema": schema.name,
             "dimensions": list(dims),
@@ -290,8 +194,7 @@ def _cmd_score(args) -> str:
                 {"id": str(rid), "raw": p.raw, "percent": p.percent}
                 for rid, p in zip(result.table.ids, profiles)
             ],
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        })
     sep = args.delimiter
     header = ["id"] + [f"raw:{d}" for d in dims] + [f"pct:{d}" for d in dims]
     lines = [sep.join(header)]
@@ -364,27 +267,19 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        args = build_parser().parse_args(argv)
+        out = _COMMANDS[args.command](args)
+        target = getattr(args, "output", "-")
+        if target == "-":
+            sys.stdout.write(out)
+        else:
+            Path(target).write_text(out, encoding="utf-8")
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 1
-    try:
-        out = _COMMANDS[args.command](args)
-    except InfeasibleConfigError as exc:
+    except (ValueError, OSError) as exc:  # _UsageError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    target = getattr(args, "output", "-")
-    if target in (None, "-"):
-        sys.stdout.write(out)
-    else:
-        Path(target).write_text(out, encoding="utf-8")
+        return 2 if isinstance(exc, InfeasibleConfigError) else 1
     return 0
 
 

@@ -7,10 +7,10 @@ different sources can be fused as a convex combination and emitted as JSON,
 a plain-text table, or a dimension,percentage CSV for plotting.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 
+from . import documents
 from .errors import AlignmentError, ReportError
 
 PROVENANCE_QUESTIONNAIRE = "questionnaire"
@@ -59,6 +59,8 @@ class PercentReport:
         object.__setattr__(self, "dimensions", tuple(self.dimensions))
         if self.provenance not in PROVENANCES:
             raise ReportError(f"unknown provenance {self.provenance!r}")
+        if len(set(self.dimensions)) != len(self.dimensions):
+            raise ReportError(f"duplicate dimensions in {list(self.dimensions)}")
         if set(self.percent) != set(self.dimensions):
             raise ReportError("percent keys do not match the dimension list")
         for d, v in self.percent.items():
@@ -183,7 +185,7 @@ def emit_report(obj, fmt: str = "json") -> str:
     if not isinstance(obj, PercentReport):
         raise TypeError(f"cannot emit {type(obj).__name__}")
     if fmt == "json":
-        return json.dumps(_report_doc(obj), indent=2, sort_keys=True) + "\n"
+        return documents.dumps(_report_doc(obj))
     if fmt == "piedata":
         lines = ["dimension,percentage"]
         lines += [f"{d},{_round3(obj.percent[d])}" for d in obj.dimensions]
@@ -199,34 +201,18 @@ def emit_report(obj, fmt: str = "json") -> str:
 def parse_report(text: str) -> PercentReport:
     """Inverse of emit_report(..., "json") for percent reports; also accepts
     externally produced documents (provenance "external")."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ReportError(f"invalid report JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("kind") != "percent_report":
-        raise ReportError('expected a JSON object with kind "percent_report"')
-    for key in ("dimensions", "percent", "provenance"):
-        if key not in doc:
-            raise ReportError(f"report document is missing {key!r}")
-    dims = doc["dimensions"]
-    if not isinstance(dims, list) or not all(isinstance(d, str) for d in dims):
-        raise ReportError("dimensions must be a list of strings")
-    percent = doc["percent"]
-    if not isinstance(percent, dict):
-        raise ReportError("percent must be an object")
-    for d, v in percent.items():
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ReportError(f"percentage for {d!r} must be a number, got {v!r}")
-    meta = doc.get("metadata", {})
-    if not isinstance(meta, dict):
-        raise ReportError("metadata must be an object")
-    try:
-        percent = {d: float(v) for d, v in percent.items()}
-    except OverflowError:
-        raise ReportError("a percentage is too large for a float") from None
+    doc = documents.loads(text, ReportError, "report", kind="percent_report")
+    where = "report document"
+    dims = documents.field(doc, "dimensions", list, ReportError, where)
+    for d in dims:
+        documents.typed(d, str, ReportError, "a dimension")
+    percent = documents.field(doc, "percent", dict, ReportError, where)
+    meta = documents.field(doc, "metadata", dict, ReportError, where, {})
+    percent = {d: documents.typed(v, float, ReportError, f"percentage for {d!r}")
+               for d, v in percent.items()}
     return PercentReport(
         dimensions=dims,
         percent=percent,
-        provenance=str(doc["provenance"]),
+        provenance=documents.field(doc, "provenance", str, ReportError, where),
         meta=dict(meta),
     )

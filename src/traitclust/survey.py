@@ -8,7 +8,6 @@ per dimension, reversing negatively keyed items as likert_min + likert_max
 
 import csv
 import io
-import json
 import math
 import random
 from collections import Counter
@@ -19,6 +18,7 @@ from operator import itemgetter
 from pathlib import Path
 
 from .dissimilarity import CATEGORICAL
+from . import documents
 from .errors import AlignmentError, DegenerateProfileError, ParseError, SchemaError
 from .kmodes import CategoricalDataset
 
@@ -167,49 +167,31 @@ class ParseResult:
     report: ParseReport
 
 
-_JSON_TYPES = {str: "a string", int: "an integer", list: "a list"}
-
-
-def _field(doc, key, kind, where, default=None):
-    """doc[key], or default when absent; raises SchemaError unless it is a
-    JSON value of kind (str, int or list). JSON booleans are not integers."""
-    value = doc.get(key, default)
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise SchemaError(f"{where}: {key!r} must be {_JSON_TYPES[kind]}, got {value!r}")
-    return value
-
-
 def _schema_from_dict(doc) -> SurveySchema:
-    if not isinstance(doc, dict):
-        raise SchemaError(f"schema document must be an object, got {type(doc).__name__}")
-    for key in ("name", "dimensions", "items"):
-        if key not in doc:
-            raise SchemaError(f"schema document is missing {key!r}")
-    name = _field(doc, "name", str, "schema document")
+    name = documents.field(doc, "name", str, SchemaError, "schema document")
     where = f"schema {name!r}"
-    dimensions = _field(doc, "dimensions", list, where)
+    dimensions = documents.field(doc, "dimensions", list, SchemaError, where)
     for d in dimensions:
         if not isinstance(d, str):
             raise SchemaError(f"{where}: dimensions must be strings, got {d!r}")
     items = []
-    for entry in _field(doc, "items", list, where):
-        if not isinstance(entry, dict) or "column" not in entry or "dimension" not in entry:
-            raise SchemaError(f"malformed schema item: {entry!r}")
-        column = _field(entry, "column", str, f"{where} item")
+    for entry in documents.field(doc, "items", list, SchemaError, where):
+        documents.typed(entry, dict, SchemaError, f"{where}: an item")
+        column = documents.field(entry, "column", str, SchemaError, f"{where} item")
         at = f"{where} item {column!r}"
         items.append(SurveyItem(
             column=column,
-            dimension=_field(entry, "dimension", str, at),
-            keying=_field(entry, "keying", str, at, POSITIVE),
-            text=_field(entry, "text", str, at, ""),
+            dimension=documents.field(entry, "dimension", str, SchemaError, at),
+            keying=documents.field(entry, "keying", str, SchemaError, at, POSITIVE),
+            text=documents.field(entry, "text", str, SchemaError, at, ""),
         ))
     return SurveySchema(
         name=name,
         dimensions=tuple(dimensions),
         items=tuple(items),
-        likert_min=_field(doc, "likert_min", int, where, 1),
-        likert_max=_field(doc, "likert_max", int, where, 5),
-        missing_code=_field(doc, "missing_code", int, where, 0),
+        likert_min=documents.field(doc, "likert_min", int, SchemaError, where, 1),
+        likert_max=documents.field(doc, "likert_max", int, SchemaError, where, 5),
+        missing_code=documents.field(doc, "missing_code", int, SchemaError, where, 0),
     )
 
 
@@ -228,11 +210,7 @@ def load_schema(source) -> SurveySchema:
             if not path.is_file():
                 raise SchemaError(f"unknown schema preset or missing file: {name!r}")
             text = path.read_text("utf-8")
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid schema JSON in {name!r}: {exc}") from exc
-        return _schema_from_dict(doc)
+        return _schema_from_dict(documents.loads(text, SchemaError, f"schema {name!r}"))
     raise SchemaError(f"cannot load a schema from {type(source).__name__}")
 
 
@@ -256,7 +234,7 @@ def schema_to_dict(schema: SurveySchema) -> dict:
 
 
 def dump_schema(schema: SurveySchema) -> str:
-    return json.dumps(schema_to_dict(schema), indent=2, sort_keys=True) + "\n"
+    return documents.dumps(schema_to_dict(schema))
 
 
 def parse_responses(stream, schema: SurveySchema, delimiter: str = ",",

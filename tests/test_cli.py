@@ -1,11 +1,12 @@
 """End-to-end tests for the command line interface, run in-process."""
 
+import hashlib
 import io
 import json
 
 import pytest
 
-from traitclust import dump_schema, kmodes, load_schema, parse_responses, score_profile
+from traitclust import cli, dump_schema, kmodes, load_schema, parse_responses, score_profile
 from traitclust.cli import main
 
 from conftest import APPLICANT_CSV
@@ -174,6 +175,24 @@ class TestFitCommand:
         assert out == ""
         assert "exceeds" in err
         assert not target.exists()
+
+    @pytest.mark.parametrize("target", ["missing_dir", "directory"])
+    def test_unwritable_output_is_one_line_error(self, capsys, tmp_path, target):
+        path = tmp_path / "no" / "model.json" if target == "missing_dir" else tmp_path
+        code, out, err = run(capsys, "fit", "-i", FIXTURE, "--schema", "scenario3",
+                             "--k", "2", "-o", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_perfbench_loader_call_returns_the_fitted_model(self, capsys, tmp_path):
+        # perfbench's rescore_cli job calls cli._load_model(path, dataset)
+        model_path = tmp_path / "model.json"
+        code, _, _ = run(capsys, "fit", "-i", FIXTURE, "--schema", "scenario3", "--k", "3",
+                         "--seed", "42", "--restarts", "20", "-o", str(model_path))
+        assert code == 0
+        dataset = parse_responses(APPLICANT_CSV.read_text(), load_schema("scenario3")).dataset
+        fitted = kmodes.fit(dataset, kmodes.FitConfig(k=3, seed=42, restarts=20))
+        assert cli._load_model(str(model_path), dataset) == fitted
 
     def test_missing_input_file(self, capsys):
         code, out, err = run(capsys, "fit", "-i", "/no/such/file.csv",
@@ -402,6 +421,18 @@ class TestFuseCommand:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_rejects_duplicate_dimensions(self, capsys, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        self._write_report(b, 50.0)
+        a.write_text(json.dumps({
+            "kind": "percent_report", "dimensions": ["North", "North"],
+            "percent": {"North": 100.0}, "provenance": "external",
+        }))
+        code, out, err = run(capsys, "fuse", str(a), str(b), "--format", "piedata")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "duplicate dimensions" in err
+
     def test_rejects_non_report_input(self, capsys, tmp_path):
         a = tmp_path / "a.json"
         a.write_text(json.dumps({"kind": "something_else"}))
@@ -410,6 +441,20 @@ class TestFuseCommand:
         code, out, err = run(capsys, "fuse", str(a), str(b))
         assert code == 1
         assert out == ""
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("fit", "--k", "3", "--seed", "42", "--restarts", "20"),
+     "996becfa1904e141d787c657aa6ec5dede9c5e19fba3175a1d62810740636781"),
+    (("elbow", "--k-max", "4", "--restarts", "10", "--format", "json"),
+     "349b9c8e487f3bdef38b05555f40a3e32c3bdbe9b3105c2b2e927f70f8d876d7"),
+    (("score", "--format", "json"),
+     "be80b44a237775f350197b028986b157c7121bb5b492d6ff2a3e1878ba850418"),
+], ids=["fit", "elbow", "score"])
+def test_json_documents_are_byte_frozen(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv, "-i", FIXTURE, "--schema", "scenario3")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 class TestMissingHandling:

@@ -181,6 +181,11 @@ class TestPercentReportValidation:
         with pytest.raises(ReportError):
             _report({"North": 60.0, "South": 60.0})
 
+    def test_rejects_duplicate_dimensions(self):
+        # the piedata rows of ("N", "N") would add up to 200
+        with pytest.raises(ReportError, match="duplicate dimensions"):
+            PercentReport(dimensions=("N", "N"), percent={"N": 100.0})
+
 
 class TestEmission:
     def test_json_document_shape(self):
@@ -274,6 +279,13 @@ class TestParseReport:
         doc.update(fields)
         with pytest.raises(ReportError):
             parse_report(json.dumps(doc))
+
+    def test_rejects_duplicate_dimensions(self):
+        with pytest.raises(ReportError, match="duplicate dimensions"):
+            parse_report(json.dumps({
+                "kind": "percent_report", "dimensions": ["N", "N"],
+                "percent": {"N": 100.0}, "provenance": "external",
+            }))
 
     def test_propagates_validation_of_parsed_values(self):
         with pytest.raises(ReportError):
