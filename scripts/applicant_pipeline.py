@@ -21,7 +21,7 @@ from traitclust import (
     load_schema,
     parse_responses,
     personality_percentages,
-    score_profile,
+    score_profiles,
     select_k,
 )
 
@@ -57,8 +57,8 @@ def main() -> int:
     status = "converged" if model.converged else "hit the epoch budget"
     print(f"fit cost {model.cost:.3f} after {model.epochs_run} epoch(s), {status}")
 
-    profiles = [score_profile(row, schema) for row in result.table.rows]
-    labeling = label_clusters(model, profiles, schema)
+    _, percent = score_profiles(result.table.rows, schema)
+    labeling = label_clusters(model, percent, schema)
     for summary in labeling.clusters:
         members = [str(rid) for rid, l in zip(result.table.ids, model.assignments)
                    if l == summary.index]

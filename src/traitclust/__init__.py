@@ -54,6 +54,7 @@ from .survey import (
     parse_responses,
     schema_to_dict,
     score_profile,
+    score_profiles,
 )
 
 __version__ = "0.1.0"

@@ -30,7 +30,7 @@ from .survey import (
     generate_synthetic,
     load_schema,
     parse_responses,
-    score_profile,
+    score_profiles,
 )
 
 _MISSING = {"drop": "drop_row", "impute": "impute_mode"}
@@ -147,8 +147,10 @@ def _parse_input(args, schema):
 
 
 def _load_model(path: str, dataset, schema_name=None) -> ClusterModel:
-    """``documents.load_model`` on the file at ``path`` (``-`` for stdin)."""
-    return documents.load_model(_read_input(path), dataset, schema_name)
+    """``documents.load_model`` on the file at ``path`` (``-`` for stdin),
+    checked against ``dataset``."""
+    return documents.load_model(_read_input(path), [r.row_id for r in dataset.rows],
+                                len(dataset.attrs), schema_name)
 
 
 def _cmd_fit(args) -> str:
@@ -183,25 +185,27 @@ def _cmd_elbow(args) -> str:
 def _cmd_score(args) -> str:
     schema = load_schema(args.schema)
     result = _parse_input(args, schema)
-    profiles = [score_profile(row, schema) for row in result.table.rows]
+    raw, percent = score_profiles(result.table.rows, schema)
     dims = schema.dimensions
+    raw_rows = zip(*(raw[d] for d in dims))
+    percent_rows = zip(*(percent[d] for d in dims))
     if args.format == "json":
         return documents.dumps({
             "kind": "profiles",
             "schema": schema.name,
             "dimensions": list(dims),
             "profiles": [
-                {"id": str(rid), "raw": p.raw, "percent": p.percent}
-                for rid, p in zip(result.table.ids, profiles)
+                {"id": str(rid), "raw": dict(zip(dims, r)), "percent": dict(zip(dims, p))}
+                for rid, r, p in zip(result.table.ids, raw_rows, percent_rows)
             ],
         })
     sep = args.delimiter
     header = ["id"] + [f"raw:{d}" for d in dims] + [f"pct:{d}" for d in dims]
     lines = [sep.join(header)]
-    for rid, p in zip(result.table.ids, profiles):
+    for rid, r, p in zip(result.table.ids, raw_rows, percent_rows):
         cells = [str(rid)]
-        cells += [str(p.raw[d]) for d in dims]
-        cells += [format(p.percent[d], ".3f") for d in dims]
+        cells += map(str, r)
+        cells += [format(v, ".3f") for v in p]
         lines.append(sep.join(cells))
     return "\n".join(lines) + "\n"
 
@@ -209,19 +213,20 @@ def _cmd_score(args) -> str:
 def _cmd_report(args) -> str:
     schema = load_schema(args.schema)
     result = _parse_input(args, schema)
-    profiles = [score_profile(row, schema) for row in result.table.rows]
+    _, percent = score_profiles(result.table.rows, schema)
     if args.aggregate == "mean":
-        rep = mean_percentages(profiles, schema, meta={"n": result.table.n})
+        rep = mean_percentages(percent, schema, meta={"n": result.table.n})
     else:
         if args.model:
-            model = _load_model(args.model, result.dataset, schema.name)
+            model = documents.load_model(_read_input(args.model), result.table.ids,
+                                         len(schema.columns), schema.name)
         else:
             if args.k is None:
                 raise ValueError("--k is required unless --model or --aggregate mean is given")
             config = FitConfig(k=args.k, init=args.init, seed=args.seed,
                                restarts=args.restarts)
             model = fit(result.dataset, config)
-        labeling = label_clusters(model, profiles, schema)
+        labeling = label_clusters(model, percent, schema)
         rep = personality_percentages(labeling)
     return emit_report(rep, args.format)
 

@@ -81,17 +81,23 @@ def model_to_dict(model: ClusterModel, dataset, schema_name: str) -> dict:
     }
 
 
-def load_model(text, dataset, schema_name=None) -> ClusterModel:
+def load_model(text, row_ids, m, schema_name=None) -> ClusterModel:
     """Read a model document written by ``fit`` and check it against the
-    dataset, and against ``schema_name`` when one is given. Keys under
-    ``config.policy`` other than ``mode``, which older documents hold, are
-    ignored. Every rejection is a ValueError."""
+    input it is applied to: ``row_ids``, unique, one per row in input order,
+    and ``m`` attributes. The document's ``n`` must be the row count and its
+    assignments must cover exactly those ids. When ``schema_name`` is given
+    the model must have been fitted under it. Keys under ``config.policy``
+    other than ``mode``, which older documents hold, are ignored. Every
+    rejection is a ValueError."""
     doc = loads(text, ValueError, "model", kind="cluster_model")
     where = "malformed model document"
     if schema_name is not None:
         schema = field(doc, "schema", str, ValueError, where)
         if schema != schema_name:
             raise ValueError(f"model was fitted under schema {schema!r}, not {schema_name!r}")
+    n = field(doc, "n", int, ValueError, where)
+    if n != len(row_ids):
+        raise ValueError(f"model was fitted on {n} rows, but the input has {len(row_ids)}")
     cfg_doc = field(doc, "config", dict, ValueError, where)
     at = "malformed model config"
     policy = field(cfg_doc, "policy", dict, ValueError, at)
@@ -107,7 +113,6 @@ def load_model(text, dataset, schema_name=None) -> ClusterModel:
         )
     except (InfeasibleConfigError, PolicyError) as exc:
         raise ValueError(f"{where}: {exc}") from exc
-    m = len(dataset.attrs)
     modes = []
     for i, vals in enumerate(field(doc, "modes", list, ValueError, where)):
         for v in typed(vals, list, ValueError, f"{where}: mode {i}"):
@@ -120,8 +125,8 @@ def load_model(text, dataset, schema_name=None) -> ClusterModel:
         raise ValueError(f"model k={k}, config k={config.k} and {len(modes)} modes disagree")
     amap = field(doc, "assignments", dict, ValueError, where)
     assignments = []
-    for row in dataset.rows:
-        key = str(row.row_id)
+    for rid in row_ids:
+        key = str(rid)
         l = amap.get(key)
         # A plain type test per row; the shared rule only names a failure.
         if type(l) is not int or not 0 <= l < k:
@@ -130,6 +135,9 @@ def load_model(text, dataset, schema_name=None) -> ClusterModel:
             typed(l, int, ValueError, f"{where}: the assignment of row {key!r}")
             raise ValueError(f"model assigns row {key!r} to cluster {l}, outside 0..{k - 1}")
         assignments.append(l)
+    # Every input id has an assignment, so an equal count leaves no other.
+    if len(amap) != n:
+        raise ValueError(f"model assigns {len(amap)} rows, but the input has {n}")
     return ClusterModel(
         modes=tuple(modes),
         assignments=tuple(assignments),

@@ -115,7 +115,12 @@ class CategoricalDataset:
             for j in range(m)
         ]
         records = [Record(values=r, row_id=rid) for r, rid in zip(rows, row_ids)]
-        return cls(attrs=tuple(attrs), rows=tuple(records))
+        # The categories come from these rows, so __post_init__'s scan
+        # could not fail: set the fields without it.
+        dataset = cls.__new__(cls)
+        object.__setattr__(dataset, "attrs", tuple(attrs))
+        object.__setattr__(dataset, "rows", tuple(records))
+        return dataset
 
     @classmethod
     def from_raw(cls, rows, kinds=None, names=None, row_ids=None):

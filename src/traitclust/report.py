@@ -73,30 +73,36 @@ class PercentReport:
 
 def label_clusters(model, profiles, schema) -> ClusterLabeling:
     """Tag each cluster with the dimension whose mean member percentage is
-    highest (earliest schema dimension on ties)."""
+    highest (earliest schema dimension on ties). ``profiles`` is one
+    TraitProfile per assigned row, or the percent columns that
+    ``score_profiles`` returns."""
+    percent = _percent_columns(profiles, schema.dimensions)
     n = len(model.assignments)
-    profiles = list(profiles)
-    if len(profiles) != n:
-        raise AlignmentError(f"{len(profiles)} profiles for {n} assigned rows")
-    k = len(model.modes)
     dims = schema.dimensions
-    sums = [{d: 0.0 for d in dims} for _ in range(k)]
-    sizes = [0] * k
-    for profile, l in zip(profiles, model.assignments):
-        sizes[l] += 1
-        for d in dims:
-            sums[l][d] += profile.percent[d]
+    rows = len(percent[dims[0]])
+    if rows != n:
+        raise AlignmentError(f"{rows} profiles for {n} assigned rows")
+    k = len(model.modes)
+    sums = {}
+    for d in dims:
+        # += from 0.0 in row order; sum() rounds differently from Python
+        # 3.12 on.
+        acc = [0.0] * k
+        for l, v in zip(model.assignments, percent[d]):
+            acc[l] += v
+        sums[d] = acc
     summaries = []
     for l in range(k):
-        if sizes[l] == 0:
+        size = model.assignments.count(l)
+        if size == 0:
             raise ReportError(f"cluster {l} has no members; cannot label")
-        mean = {d: sums[l][d] / sizes[l] for d in dims}
+        mean = {d: sums[d][l] / size for d in dims}
         dominant = dims[0]
         for d in dims:
             if mean[d] > mean[dominant]:
                 dominant = d
         summaries.append(
-            ClusterSummary(index=l, size=sizes[l], dominant=dominant, mean_percent=mean)
+            ClusterSummary(index=l, size=size, dominant=dominant, mean_percent=mean)
         )
     meta = {
         "k": k,
@@ -105,6 +111,15 @@ def label_clusters(model, profiles, schema) -> ClusterLabeling:
         "seed": model.config.seed,
     }
     return ClusterLabeling(dimensions=dims, clusters=tuple(summaries), n=n, meta=meta)
+
+
+def _percent_columns(profiles, dims) -> dict:
+    """Percent columns, dimension -> one value per row, from TraitProfiles
+    or passed through when ``profiles`` already is such a dict."""
+    if isinstance(profiles, dict):
+        return profiles
+    profiles = list(profiles)
+    return {d: [p.percent[d] for p in profiles] for d in dims}
 
 
 def personality_percentages(labeling: ClusterLabeling) -> PercentReport:
@@ -124,20 +139,19 @@ def personality_percentages(labeling: ClusterLabeling) -> PercentReport:
 
 def mean_percentages(profiles, schema, meta=None) -> PercentReport:
     """Alternative aggregate: the arithmetic mean of individual percentage
-    profiles (no clustering involved)."""
-    profiles = list(profiles)
-    if not profiles:
-        raise ReportError("cannot aggregate an empty profile list")
+    profiles (no clustering involved). ``profiles`` is a TraitProfile list
+    or the percent columns that ``score_profiles`` returns."""
     dims = schema.dimensions
-    percent = {
-        d: math.fsum(p.percent[d] for p in profiles) / len(profiles) for d in dims
-    }
+    percent = _percent_columns(profiles, dims)
+    n = len(percent[dims[0]])
+    if not n:
+        raise ReportError("cannot aggregate an empty profile list")
     base = {"aggregate": "mean", "schema": schema.name}
     if meta:
         base.update(meta)
     return PercentReport(
         dimensions=dims,
-        percent=percent,
+        percent={d: math.fsum(percent[d]) / n for d in dims},
         provenance=PROVENANCE_QUESTIONNAIRE,
         meta=base,
     )

@@ -11,10 +11,11 @@ import io
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
-from itertools import compress
-from operator import itemgetter
+from itertools import compress, repeat
+from operator import add, itemgetter, mul, sub, truediv
 from pathlib import Path
 
 from .dissimilarity import CATEGORICAL
@@ -163,8 +164,19 @@ class ParseReport:
 @dataclass(frozen=True)
 class ParseResult:
     table: ResponseTable
-    dataset: CategoricalDataset
     report: ParseReport
+
+    @cached_property
+    def dataset(self) -> CategoricalDataset:
+        """The table as a categorical dataset, built on first access (only a
+        fit needs it). Its records share the table's row tuples."""
+        table = self.table
+        return CategoricalDataset.from_values(
+            table.rows,
+            kinds=[CATEGORICAL] * len(table.columns),
+            names=list(table.columns),
+            row_ids=list(table.ids),
+        )
 
 
 def _schema_from_dict(doc) -> SurveySchema:
@@ -239,7 +251,8 @@ def dump_schema(schema: SurveySchema) -> str:
 
 def parse_responses(stream, schema: SurveySchema, delimiter: str = ",",
                     missing_policy: str = "drop_row") -> ParseResult:
-    """Parse delimited text into a ResponseTable and its categorical dataset.
+    """Parse delimited text into a ResponseTable (and, on demand, its
+    categorical dataset).
 
     The header must contain every schema column; extra columns are ignored.
     The first non-schema column, if any, supplies row ids (otherwise the row
@@ -310,18 +323,12 @@ def parse_responses(stream, schema: SurveySchema, delimiter: str = ",",
         rows=tuple(kept_rows),
         id_name=id_name,
     )
-    dataset = CategoricalDataset.from_values(
-        kept_rows,
-        kinds=[CATEGORICAL] * len(columns),
-        names=list(columns),
-        row_ids=list(kept_ids),
-    )
     report = ParseReport(
         rows_read=rows_read,
         rows_kept=len(kept_rows),
         rows_dropped=rows_read - len(kept_rows),
     )
-    return ParseResult(table=table, dataset=dataset, report=report)
+    return ParseResult(table=table, report=report)
 
 
 def _checked_cells(cells, columns, lineno, lo, hi, miss):
@@ -396,6 +403,53 @@ def score_profile(values, schema: SurveySchema) -> TraitProfile:
         for pos, neg, reversal in schema._score_plan
     ]))
     return TraitProfile(raw=raw, percent=normalize_profile(raw))
+
+
+def score_profiles(rows, schema: SurveySchema):
+    """Score many answer vectors at once. Returns ``(raw, percent)``, each a
+    dict from dimension to a list with one value per row, equal to what
+    ``score_profile`` gives row by row (``float.hex`` for percentages). A
+    row ``score_profile`` would reject raises its error, for the first such
+    row."""
+    rows = [tuple(r) for r in rows]
+    dims = schema.dimensions
+    n = len(rows)
+    if not n:
+        return {d: [] for d in dims}, {d: [] for d in dims}
+    lo, hi = schema.likert_min, schema.likert_max
+    columns = list(zip(*rows))
+    # Plain ints in range, checked once per column; anything else scores
+    # row by row, which raises the per-row error or lets an int subclass
+    # through.
+    if (set(map(len, rows)) != {len(schema.items)}
+            or not all(_plain_answers(col, lo, hi) for col in columns)):
+        return _profile_columns([score_profile(r, schema) for r in rows], dims)
+    raw = {}
+    for d, (pos, neg, reversal) in zip(dims, schema._score_plan):
+        acc = [reversal] * n
+        for col in pos(columns):
+            acc = list(map(add, acc, col))
+        for col in neg(columns):
+            acc = list(map(sub, acc, col))
+        raw[d] = acc
+    totals = [0] * n
+    for col in raw.values():
+        totals = list(map(add, totals, col))
+    if 0 in totals:  # score_profile names the first degenerate row
+        score_profile(rows[totals.index(0)], schema)
+    # Answers in [lo, hi] with lo >= 0 give no negative raw score, so
+    # normalize_profile's check is skipped; float(total) equals its exact
+    # fsum of integers.
+    totals = list(map(float, totals))
+    percent = {d: list(map(truediv, map(mul, repeat(100.0), col), totals))
+               for d, col in raw.items()}
+    return raw, percent
+
+
+def _profile_columns(profiles, dims):
+    """The ``(raw, percent)`` columns of a list of TraitProfiles."""
+    return ({d: [p.raw[d] for p in profiles] for d in dims},
+            {d: [p.percent[d] for p in profiles] for d in dims})
 
 
 def _plain_answers(values, lo, hi) -> bool:

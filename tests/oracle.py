@@ -1,4 +1,4 @@
-"""Brute-force references for the clustering and parsing tests.
+"""Brute-force references for the clustering, parsing and labeling tests.
 
 Deliberately independent of the package under test: plain lists, plain
 loops. Partitions are enumerated as restricted-growth strings, which walks
@@ -162,3 +162,16 @@ def reference_parse(text, columns, likert_min, likert_max, missing_code,
     report = (rows_read, len(rows), rows_read - len(rows))
     return (id_name, tuple(ids), tuple(tuple(row) for row in rows),
             tuple(categories), report)
+
+
+def reference_cluster_means(percents, assignments, k, dims):
+    """Per cluster, (size, {dimension: mean percentage}) with every sum
+    taken by += from 0.0 in row order, or None for an empty cluster."""
+    sums = [{d: 0.0 for d in dims} for _ in range(k)]
+    sizes = [0] * k
+    for percent, label in zip(percents, assignments):
+        sizes[label] += 1
+        for d in dims:
+            sums[label][d] += percent[d]
+    return [(sizes[l], {d: sums[l][d] / sizes[l] for d in dims}) if sizes[l] else None
+            for l in range(k)]

@@ -6,7 +6,9 @@ import json
 
 import pytest
 
-from traitclust import cli, dump_schema, kmodes, load_schema, parse_responses, score_profile
+from traitclust import (
+    cli, dump_schema, kmodes, load_schema, parse_responses, score_profile, survey,
+)
 from traitclust.cli import main
 
 from conftest import APPLICANT_CSV
@@ -281,6 +283,9 @@ class TestReportCommand:
         ("modes", [[1, 1, "a"], [2, 2, 2], [3, 3, 3]]),
         ("modes", [[1, 1, True], [2, 2, 2], [3, 3, 3]]),
         ("policy_mode", "weighted"),
+        ("n", 10),
+        ("n", 8),
+        ("n", "9"),
     ])
     def test_inconsistent_model_document(self, capsys, tmp_path, field, value):
         model_path = tmp_path / "model.json"
@@ -338,6 +343,32 @@ class TestReportCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "scenario" in err and "iwp" in err
 
+    @pytest.mark.parametrize("change, message", [
+        ("subset", "model was fitted on 9 rows, but the input has 8"),
+        ("superset", "model was fitted on 9 rows, but the input has 10"),
+        ("subset_with_n", "model assigns 9 rows, but the input has 8"),
+        ("superset_with_n", "model has no assignment for row 'NEW ONE'"),
+    ])
+    def test_model_must_cover_exactly_the_input_rows(self, capsys, tmp_path, change,
+                                                     message):
+        model_path, csv_path = tmp_path / "model.json", tmp_path / "responses.csv"
+        run(capsys, "fit", "-i", FIXTURE, "--schema", "scenario3", "--k", "3",
+            "--seed", "42", "--restarts", "20", "-o", str(model_path))
+        lines = APPLICANT_CSV.read_text().splitlines(keepends=True)
+        if change.startswith("subset"):
+            del lines[-1]
+        else:
+            lines.append("NEW ONE,AID999,3,3,3\n")
+        csv_path.write_text("".join(lines))
+        if change.endswith("_with_n"):
+            doc = json.loads(model_path.read_text())
+            doc["n"] = len(lines) - 1
+            model_path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "report", "-i", str(csv_path), "--schema",
+                             "scenario3", "--model", str(model_path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
     def test_malformed_model_document(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"kind": "cluster_model", "config": {}}))
@@ -345,6 +376,35 @@ class TestReportCommand:
                              "scenario3", "--model", str(bad))
         assert code == 1
         assert "malformed" in err
+
+
+def test_report_and_score_run_without_datasets_or_profiles(capsys, monkeypatch, tmp_path):
+    # report --model, report --aggregate mean and score work on columns: a
+    # CategoricalDataset or a TraitProfile built on the way is a fall-back
+    # to the per-row path.
+    model_path = tmp_path / "model.json"
+    run(capsys, "fit", "-i", FIXTURE, "--schema", "scenario3", "--k", "3",
+        "--seed", "42", "--restarts", "20", "-o", str(model_path))
+    commands = [
+        ("report", "--model", str(model_path)),
+        ("report", "--model", str(model_path), "--format", "text"),
+        ("report", "--aggregate", "mean"),
+        ("score",),
+        ("score", "--format", "json"),
+    ]
+    expected = [run(capsys, *argv, "-i", FIXTURE, "--schema", "scenario3")
+                for argv in commands]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the report path built a per-row object")
+
+    # Every dataset is built by from_values or checked in __post_init__.
+    monkeypatch.setattr(kmodes.CategoricalDataset, "from_values", refuse)
+    monkeypatch.setattr(kmodes.CategoricalDataset, "__post_init__", refuse)
+    monkeypatch.setattr(survey.TraitProfile, "__init__", refuse)
+    for argv, before in zip(commands, expected):
+        assert before[0] == 0
+        assert run(capsys, *argv, "-i", FIXTURE, "--schema", "scenario3") == before
 
 
 class TestElbowCommand:

@@ -43,6 +43,16 @@ class TestDatasetConstruction:
         ds = CategoricalDataset.from_values([(1,), (2,)])
         assert [r.row_id for r in ds.rows] == [0, 1]
 
+    def test_from_values_skips_the_scan_and_equals_the_checked_construction(
+            self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("from_values re-checked its own categories")
+
+        monkeypatch.setattr(CategoricalDataset, "__post_init__", refuse)
+        ds = CategoricalDataset.from_values([(2, 5), (2, 1), (3, 5)], row_ids="xyz")
+        monkeypatch.undo()
+        assert CategoricalDataset(attrs=ds.attrs, rows=ds.rows) == ds
+
     def test_from_raw_densifies_by_first_appearance(self):
         ds = CategoricalDataset.from_raw([("b", 10), ("a", 20), ("b", 10)])
         assert [r.values for r in ds.rows] == [(0, 0), (1, 1), (0, 0)]

@@ -4,7 +4,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from traitclust import (
     AlignmentError,
@@ -24,6 +24,8 @@ from traitclust import (
     parse_report,
     personality_percentages,
 )
+
+import oracle
 
 COMPASS_SCHEMA = {
     "name": "compass",
@@ -55,15 +57,29 @@ def _report(percent, provenance="questionnaire", dims=None):
     return PercentReport(dimensions=dims, percent=dict(percent), provenance=provenance)
 
 
+def _columns(profiles, schema):
+    """The percent columns score_profiles would give for these profiles."""
+    return {d: [p.percent[d] for p in profiles] for d in schema.dimensions}
+
+
+# label_clusters and mean_percentages take TraitProfiles or percent columns.
+FORMS = {"profiles": lambda profiles, schema: profiles, "columns": _columns}
+
+
+@pytest.fixture(params=sorted(FORMS))
+def form(request):
+    return FORMS[request.param]
+
+
 class TestLabelClusters:
-    def test_labels_each_cluster_with_its_mean_dominant(self):
+    def test_labels_each_cluster_with_its_mean_dominant(self, form):
         schema = load_schema(COMPASS_SCHEMA)
         profiles = [
             _profile(North=80.0, South=20.0),
             _profile(North=60.0, South=40.0),
             _profile(North=10.0, South=90.0),
         ]
-        labeling = label_clusters(_model((0, 0, 1), 2), profiles, schema)
+        labeling = label_clusters(_model((0, 0, 1), 2), form(profiles, schema), schema)
         assert labeling.n == 3
         assert [c.dominant for c in labeling.clusters] == ["North", "South"]
         assert labeling.clusters[0].size == 2
@@ -71,22 +87,65 @@ class TestLabelClusters:
         assert labeling.meta["k"] == 2
         assert labeling.meta["schema"] == "compass"
 
-    def test_mean_ties_break_to_the_earliest_dimension(self):
+    def test_mean_ties_break_to_the_earliest_dimension(self, form):
         schema = load_schema(COMPASS_SCHEMA)
         profiles = [_profile(North=50.0, South=50.0)]
-        labeling = label_clusters(_model((0,), 1), profiles, schema)
+        labeling = label_clusters(_model((0,), 1), form(profiles, schema), schema)
         assert labeling.clusters[0].dominant == "North"
 
-    def test_empty_cluster_cannot_be_labeled(self):
+    def test_empty_cluster_cannot_be_labeled(self, form):
         schema = load_schema(COMPASS_SCHEMA)
         profiles = [_profile(North=50.0, South=50.0)]
-        with pytest.raises(ReportError, match="no members"):
-            label_clusters(_model((0,), 2), profiles, schema)
+        with pytest.raises(ReportError, match="cluster 1 has no members"):
+            label_clusters(_model((0,), 2), form(profiles, schema), schema)
 
-    def test_profile_count_must_match_assignments(self):
+    def test_profile_count_must_match_assignments(self, form):
         schema = load_schema(COMPASS_SCHEMA)
-        with pytest.raises(AlignmentError):
-            label_clusters(_model((0, 0), 1), [_profile(North=50.0, South=50.0)], schema)
+        profiles = [_profile(North=50.0, South=50.0)]
+        with pytest.raises(AlignmentError, match="1 profiles for 2 assigned rows"):
+            label_clusters(_model((0, 0), 1), form(profiles, schema), schema)
+
+
+THREE_SCHEMA = {
+    "name": "three",
+    "dimensions": ["A", "B", "C"],
+    "items": [{"column": f"Q{j}", "dimension": d} for j, d in enumerate("ABC")],
+}
+# Profiles normalized from small raw scores: dimension means often tie, and
+# values such as 100/3 do not add exactly, so the summation order shows.
+RAW_SCORES = st.lists(st.integers(0, 4), min_size=3, max_size=3).filter(any)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_both_forms_match_the_per_row_reference(data):
+    schema = load_schema(THREE_SCHEMA)
+    dims = schema.dimensions
+    k = data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(1, 12))
+    assignments = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    profiles = []
+    for raw in data.draw(st.lists(RAW_SCORES, min_size=n, max_size=n)):
+        profiles.append(_profile(**{d: 100.0 * v / sum(raw) for d, v in zip(dims, raw)}))
+    model = _model(assignments, k)
+    expected = oracle.reference_cluster_means(
+        [p.percent for p in profiles], assignments, k, dims)
+    for given_form in (profiles, _columns(profiles, schema)):
+        if None in expected:
+            with pytest.raises(ReportError) as info:
+                label_clusters(model, given_form, schema)
+            assert str(info.value) == (
+                f"cluster {expected.index(None)} has no members; cannot label")
+            continue
+        labeling = label_clusters(model, given_form, schema)
+        assert labeling.n == n
+        for summary, (size, mean) in zip(labeling.clusters, expected):
+            assert summary.size == size
+            assert [v.hex() for v in summary.mean_percent.values()] == [
+                v.hex() for v in mean.values()]
+            assert summary.dominant == next(d for d in dims if mean[d] == max(mean.values()))
+    assert mean_percentages(profiles, schema) == mean_percentages(
+        _columns(profiles, schema), schema)
 
 
 class TestPercentages:
@@ -111,19 +170,20 @@ class TestPercentages:
         rep = personality_percentages(labeling)
         assert rep.percent == {"North": 100.0, "South": 0.0}
 
-    def test_mean_aggregate_averages_profiles(self):
+    def test_mean_aggregate_averages_profiles(self, form):
         schema = load_schema(COMPASS_SCHEMA)
         profiles = [
             _profile(North=80.0, South=20.0),
             _profile(North=40.0, South=60.0),
         ]
-        rep = mean_percentages(profiles, schema, meta={"n": 2})
+        rep = mean_percentages(form(profiles, schema), schema, meta={"n": 2})
         assert rep.percent == {"North": 60.0, "South": 40.0}
         assert rep.meta == {"aggregate": "mean", "schema": "compass", "n": 2}
 
-    def test_mean_aggregate_needs_profiles(self):
+    def test_mean_aggregate_needs_profiles(self, form):
+        schema = load_schema(COMPASS_SCHEMA)
         with pytest.raises(ReportError):
-            mean_percentages([], load_schema(COMPASS_SCHEMA))
+            mean_percentages(form([], schema), schema)
 
 
 class TestFusion:

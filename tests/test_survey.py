@@ -26,6 +26,7 @@ from traitclust import (
     parse_responses,
     schema_to_dict,
     score_profile,
+    score_profiles,
 )
 
 import oracle
@@ -275,6 +276,17 @@ class TestParseResponses:
         for record, row in zip(result.dataset.rows, result.table.rows):
             assert record.values is row
 
+    def test_the_dataset_is_built_on_first_access(self):
+        result = parse_responses("Q1\n2\n5\n", load_schema(TINY_SCHEMA))
+        assert "dataset" not in vars(result)
+        assert result.dataset is result.dataset
+        assert [r.values for r in result.dataset.rows] == [(2,), (5,)]
+
+    def test_an_empty_table_gives_a_dataset_of_every_column(self):
+        result = parse_responses("Q1\n0\n", load_schema(TINY_SCHEMA))
+        assert result.dataset.n == 0
+        assert [a.name for a in result.dataset.attrs] == ["Q1"]
+
     def test_unknown_missing_policy(self):
         with pytest.raises(ValueError):
             parse_responses("Q1\n1\n", load_schema(TINY_SCHEMA), missing_policy="guess")
@@ -498,6 +510,56 @@ class TestScoreProfileMessages:
         assert type(profile.raw["D"]) is int
 
 
+# Answers from 0 make all-zero rows, which cannot be normalized; dimension
+# C has no items.
+ZERO_FLOOR_SCHEMA = {
+    "name": "zero-floor", "dimensions": ["A", "B", "C"],
+    "items": [
+        {"column": "Q1", "dimension": "A"},
+        {"column": "Q2", "dimension": "B"},
+        {"column": "Q3", "dimension": "A"},
+    ],
+    "likert_min": 0, "likert_max": 2, "missing_code": -1,
+}
+SCORE_SCHEMAS = [load_schema(name) for name in PRESETS] + [load_schema(ZERO_FLOOR_SCHEMA)]
+# Each is rejected by score_profile, except True, an int subclass it lets
+# through; "short" drops the row's last answer.
+PLANTED_ANSWERS = [3.0, "3", None, True, 6, -1, "short"]
+
+
+def _typed(values):
+    return [(type(v).__name__, v) for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_score_profiles_match_score_profile(data):
+    schema = data.draw(st.sampled_from(SCORE_SCHEMAS))
+    m = len(schema.items)
+    answers = st.lists(st.integers(schema.likert_min, schema.likert_max),
+                       min_size=m, max_size=m)
+    rows = data.draw(st.lists(answers, max_size=6))
+    for _ in range(data.draw(st.integers(0, 2)) if rows else 0):
+        row = rows[data.draw(st.integers(0, len(rows) - 1))]
+        planted = data.draw(st.sampled_from(PLANTED_ANSWERS))
+        if planted == "short":
+            row.pop()
+        else:
+            row[data.draw(st.integers(0, m - 1))] = planted
+    try:
+        expected = [score_profile(row, schema) for row in rows]
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as info:
+            score_profiles(rows, schema)
+        assert str(info.value) == str(exc)
+        return
+    raw, percent = score_profiles(rows, schema)
+    assert list(raw) == list(percent) == list(schema.dimensions)
+    for d in schema.dimensions:
+        assert _typed(raw[d]) == _typed(p.raw[d] for p in expected)
+        assert [v.hex() for v in percent[d]] == [p.percent[d].hex() for p in expected]
+
+
 PARSE_SCHEMAS = {
     code: load_schema({
         "name": "three", "dimensions": ["A", "B"],
@@ -583,6 +645,17 @@ def _ocean50_with_missing_cells():
     return schema, table.to_csv()
 
 
+def _scores_digest(profiles):
+    """SHA-256 of (raw, percent) dict pairs, with raw value types and the
+    float.hex of each percentage."""
+    scores = repr([
+        (tuple((d, type(v).__name__, v) for d, v in raw.items()),
+         tuple((d, v.hex()) for d, v in percent.items()))
+        for raw, percent in profiles
+    ])
+    return hashlib.sha256(scores.encode()).hexdigest()
+
+
 def _ingest_digests(text, schema, policy):
     result = parse_responses(text, schema, missing_policy=policy)
     parsed = repr((
@@ -591,13 +664,9 @@ def _ingest_digests(text, schema, policy):
         tuple((r.row_id, r.values) for r in result.dataset.rows),
         (result.report.rows_read, result.report.rows_kept, result.report.rows_dropped),
     ))
-    scores = repr([
-        (tuple((d, type(v).__name__, v) for d, v in p.raw.items()),
-         tuple((d, v.hex()) for d, v in p.percent.items()))
-        for p in (score_profile(row, schema) for row in result.table.rows)
-    ])
+    profiles = (score_profile(row, schema) for row in result.table.rows)
     return (hashlib.sha256(parsed.encode()).hexdigest(),
-            hashlib.sha256(scores.encode()).hexdigest())
+            _scores_digest((p.raw, p.percent) for p in profiles))
 
 
 # SHA-256 of (parse result, every score_profile) per input and missing
@@ -625,3 +694,9 @@ def test_ingest_is_bit_identical_to_the_golden_record(source, policy, applicant_
     else:
         schema, text = load_schema("scenario3"), applicant_csv_text
     assert _ingest_digests(text, schema, policy) == INGEST_GOLDEN[source, policy]
+    dims = schema.dimensions
+    raw, percent = score_profiles(
+        parse_responses(text, schema, missing_policy=policy).table.rows, schema)
+    batch = zip(zip(*(raw[d] for d in dims)), zip(*(percent[d] for d in dims)))
+    assert _scores_digest((dict(zip(dims, r)), dict(zip(dims, p))) for r, p in batch) == (
+        INGEST_GOLDEN[source, policy][1])
