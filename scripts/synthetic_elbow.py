@@ -42,7 +42,7 @@ def main() -> int:
         dataset = parse_responses(table.to_csv(), schema).dataset
         # noise-free data collapses to one pattern per trait; the scan cannot
         # ask for more clusters than there are distinct rows
-        distinct = len({r.values for r in dataset.rows})
+        distinct = len(set(dataset.rows))
         k_max = min(args.k_max, distinct)
         curve = elbow_scan(dataset, 1, k_max, seed=args.seed,
                            restarts=args.restarts)

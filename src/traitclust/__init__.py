@@ -6,7 +6,6 @@ from .dissimilarity import (
     AttributeSpec,
     DissimilarityPolicy,
     Prototype,
-    Record,
     simple_matching,
 )
 from .errors import (

@@ -10,6 +10,8 @@ nothing to the primary output.
 """
 
 import argparse
+import csv
+import io
 import sys
 from pathlib import Path
 
@@ -149,8 +151,8 @@ def _parse_input(args, schema):
 def _load_model(path: str, dataset, schema_name=None) -> ClusterModel:
     """``documents.load_model`` on the file at ``path`` (``-`` for stdin),
     checked against ``dataset``."""
-    return documents.load_model(_read_input(path), [r.row_id for r in dataset.rows],
-                                len(dataset.attrs), schema_name)
+    return documents.load_model(_read_input(path), dataset.row_ids, len(dataset.attrs),
+                                schema_name)
 
 
 def _cmd_fit(args) -> str:
@@ -199,25 +201,26 @@ def _cmd_score(args) -> str:
                 for rid, r, p in zip(result.table.ids, raw_rows, percent_rows)
             ],
         })
-    sep = args.delimiter
-    header = ["id"] + [f"raw:{d}" for d in dims] + [f"pct:{d}" for d in dims]
-    lines = [sep.join(header)]
+    buf = io.StringIO()
+    writer = csv.writer(buf, delimiter=args.delimiter, lineterminator="\n")
+    writer.writerow(["id"] + [f"raw:{d}" for d in dims] + [f"pct:{d}" for d in dims])
     for rid, r, p in zip(result.table.ids, raw_rows, percent_rows):
-        cells = [str(rid)]
-        cells += map(str, r)
-        cells += [format(v, ".3f") for v in p]
-        lines.append(sep.join(cells))
-    return "\n".join(lines) + "\n"
+        writer.writerow([rid, *r, *(format(v, ".3f") for v in p)])
+    return buf.getvalue()
 
 
 def _cmd_report(args) -> str:
+    if args.aggregate == "mean" and (args.model is not None or args.k is not None):
+        raise ValueError("--model and --k do not apply to --aggregate mean")
+    if args.model is not None and args.k is not None:
+        raise ValueError("--k does not apply to --model, whose fit fixes k")
     schema = load_schema(args.schema)
     result = _parse_input(args, schema)
     _, percent = score_profiles(result.table.rows, schema)
     if args.aggregate == "mean":
         rep = mean_percentages(percent, schema, meta={"n": result.table.n})
     else:
-        if args.model:
+        if args.model is not None:
             model = documents.load_model(_read_input(args.model), result.table.ids,
                                          len(schema.columns), schema.name)
         else:

@@ -1,4 +1,4 @@
-"""Attributes, records, prototypes and the dissimilarity between them.
+"""Attributes, prototypes and the dissimilarity between them.
 
 Every attribute is categorical, and there is one measure, simple matching,
 which BitEncoder defines. It is symmetric in the value vectors, invariant
@@ -45,22 +45,10 @@ class AttributeSpec:
 
 
 @dataclass(frozen=True)
-class Record:
-    """One observation: a value per attribute plus an opaque row identifier."""
-
-    values: tuple
-    row_id: object = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-
-
-@dataclass(frozen=True)
 class Prototype:
     """A cluster representative: one category code per attribute."""
 
     values: tuple
-    cluster_index: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(self.values))
@@ -79,9 +67,7 @@ class DissimilarityPolicy:
 
 
 def _vector(x):
-    if isinstance(x, (Record, Prototype)):
-        return x.values
-    return tuple(x)
+    return x.values if isinstance(x, Prototype) else tuple(x)
 
 
 def check_inputs(attrs, vectors):

@@ -76,8 +76,8 @@ def model_to_dict(model: ClusterModel, dataset, schema_name: str) -> dict:
             "restarts": cfg.restarts,
         },
         "modes": [list(p.values) for p in model.modes],
-        "assignments": {str(row.row_id): int(l)
-                        for row, l in zip(dataset.rows, model.assignments)},
+        "assignments": {str(rid): int(l)
+                        for rid, l in zip(dataset.row_ids, model.assignments)},
     }
 
 
@@ -119,7 +119,7 @@ def load_model(text, row_ids, m, schema_name=None) -> ClusterModel:
             typed(v, int, ValueError, f"{where}: a value of mode {i}")
         if len(vals) != m:
             raise ValueError(f"model mode {i} has {len(vals)} values, expected {m}")
-        modes.append(Prototype(values=tuple(vals), cluster_index=i))
+        modes.append(Prototype(values=tuple(vals)))
     k = field(doc, "k", int, ValueError, where)
     if not k == config.k == len(modes):
         raise ValueError(f"model k={k}, config k={config.k} and {len(modes)} modes disagree")

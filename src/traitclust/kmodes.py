@@ -36,7 +36,7 @@ from .dissimilarity import (
     BitEncoder,
     DissimilarityPolicy,
     Prototype,
-    Record,
+    _vector,
     check_inputs,
 )
 from .errors import AlignmentError, InfeasibleConfigError, PolicyError
@@ -46,15 +46,21 @@ INIT_STRATEGIES = ("random_rows", "density")
 
 @dataclass(frozen=True)
 class CategoricalDataset:
-    """An immutable table of Records plus per-attribute metadata. Every
-    value must be one of its attribute's category codes."""
+    """An immutable table of value tuples, one opaque id per row beside
+    them, plus per-attribute metadata. ``row_ids`` defaults to the row
+    ordinals. Every value must be one of its attribute's category codes."""
 
     attrs: tuple[AttributeSpec, ...]
-    rows: tuple[Record, ...]
+    rows: tuple[tuple, ...]
+    row_ids: tuple = None
 
     def __post_init__(self):
         object.__setattr__(self, "attrs", tuple(self.attrs))
-        object.__setattr__(self, "rows", tuple(self.rows))
+        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
+        ids = range(len(self.rows)) if self.row_ids is None else self.row_ids
+        object.__setattr__(self, "row_ids", tuple(ids))
+        if len(self.row_ids) != len(self.rows):
+            raise AlignmentError(f"{len(self.row_ids)} row ids for {len(self.rows)} rows")
         m = len(self.attrs)
         for j, spec in enumerate(self.attrs):
             if spec.index != j:
@@ -62,18 +68,16 @@ class CategoricalDataset:
                     f"attribute {spec.name!r} carries index {spec.index}, expected {j}"
                 )
         category_sets = [set(spec.categories) for spec in self.attrs]
-        if _columns_valid([r.values for r in self.rows], m, category_sets):
+        if _columns_valid(self.rows, m, category_sets):
             return
         # Some row is bad: scan row by row to name the first one.
-        for row in self.rows:
-            if len(row.values) != m:
-                raise AlignmentError(
-                    f"row {row.row_id!r} has {len(row.values)} values, expected {m}"
-                )
-            for v, cats, spec in zip(row.values, category_sets, self.attrs):
+        for rid, row in zip(self.row_ids, self.rows):
+            if len(row) != m:
+                raise AlignmentError(f"row {rid!r} has {len(row)} values, expected {m}")
+            for v, cats, spec in zip(row, category_sets, self.attrs):
                 if v not in cats:
                     raise ValueError(
-                        f"row {row.row_id!r}: value {v!r} is not a category of "
+                        f"row {rid!r}: value {v!r} is not a category of "
                         f"attribute {spec.name or spec.index}"
                     )
 
@@ -88,15 +92,11 @@ class CategoricalDataset:
         Cells must already be small non-negative integers (such as Likert
         answers); each attribute's category list records first-appearance
         order. ``kinds``, if given, must name ``"categorical"`` for every
-        attribute.
+        attribute. Without rows, the attribute count comes from ``names``,
+        else from ``kinds``.
         """
-        rows = [tuple(r) for r in rows]
-        if rows:
-            m = len(rows[0])
-        elif kinds is not None:
-            m = len(kinds)
-        else:
-            m = 0
+        rows = tuple(map(tuple, rows))
+        m = len(rows[0]) if rows else len(names if names is not None else kinds or ())
         if not set(map(len, rows)) <= {m}:
             r = next(r for r in rows if len(r) != m)
             raise AlignmentError(f"ragged input row of length {len(r)}, expected {m}")
@@ -104,9 +104,8 @@ class CategoricalDataset:
         names = list(names) if names is not None else [f"attr{j}" for j in range(m)]
         if len(kinds) != m or len(names) != m:
             raise AlignmentError("kinds/names do not match the attribute count")
-        if row_ids is None:
-            row_ids = list(range(len(rows)))
-        elif len(row_ids) != len(rows):
+        row_ids = tuple(range(len(rows)) if row_ids is None else row_ids)
+        if len(row_ids) != len(rows):
             raise AlignmentError("row_ids do not match the row count")
         # One transposition; dict.fromkeys keeps first-appearance order.
         categories = [tuple(dict.fromkeys(col)) for col in zip(*rows)] if rows else [()] * m
@@ -114,12 +113,12 @@ class CategoricalDataset:
             AttributeSpec(index=j, kind=kinds[j], name=names[j], categories=categories[j])
             for j in range(m)
         ]
-        records = [Record(values=r, row_id=rid) for r, rid in zip(rows, row_ids)]
         # The categories come from these rows, so __post_init__'s scan
         # could not fail: set the fields without it.
         dataset = cls.__new__(cls)
         object.__setattr__(dataset, "attrs", tuple(attrs))
-        object.__setattr__(dataset, "rows", tuple(records))
+        object.__setattr__(dataset, "rows", rows)
+        object.__setattr__(dataset, "row_ids", row_ids)
         return dataset
 
     @classmethod
@@ -209,7 +208,7 @@ def _mode_from_counts(counts) -> int:
 def _encode_rows(dataset):
     """A BitEncoder for the dataset and the mask of every row under it."""
     encoder = BitEncoder(len(dataset.attrs))
-    return encoder, [encoder.encode(r.values) for r in dataset.rows]
+    return encoder, list(map(encoder.encode, dataset.rows))
 
 
 def _density_seeds(dataset, k, codes):
@@ -221,7 +220,7 @@ def _density_seeds(dataset, k, codes):
     for every k <= K the k seeds are the first k of the K seeds (the prefix
     property).
     """
-    rows = [r.values for r in dataset.rows]
+    rows = dataset.rows
     freq = [Counter(col) for col in zip(*rows)]
     best_i, best_score = 0, -1
     for i, vals in enumerate(rows):
@@ -245,7 +244,7 @@ def _seed_pool(dataset, codes, init, k_min, k_max):
     naming the first infeasible k, if random_rows cannot draw k_max."""
     if init == "density":
         return _density_seeds(dataset, k_max, codes)
-    distinct = list(dict.fromkeys(r.values for r in dataset.rows))
+    distinct = list(dict.fromkeys(dataset.rows))
     if k_max > len(distinct):
         raise InfeasibleConfigError(
             f"k={max(k_min, len(distinct) + 1)} exceeds the number of distinct "
@@ -275,21 +274,7 @@ def init_modes(dataset, k: int, strategy: str = "random_rows", seed: int = 0):
     codes = _encode_rows(dataset)[1] if strategy == "density" else None
     pool = _seed_pool(dataset, codes, strategy, k, k)
     chosen = _draw_seeds(pool, k, strategy, seed)
-    return [Prototype(values=v, cluster_index=i) for i, v in enumerate(chosen)]
-
-
-def _mode_vectors(modes):
-    """Value vectors of modes given as Prototypes, whose cluster_index must
-    equal their position, or as plain sequences."""
-    vectors = []
-    for l, m in enumerate(modes):
-        if isinstance(m, Prototype):
-            if m.cluster_index != l:
-                raise ValueError("prototype cluster_index must equal its list position")
-            vectors.append(m.values)
-        else:
-            vectors.append(tuple(m))
-    return vectors
+    return [Prototype(values=v) for v in chosen]
 
 
 def _nearest(x, masks):
@@ -375,8 +360,8 @@ def _total(m, points, masks, assignments):
     return float(sum(m - (x & masks[l]).bit_count() for x, l in zip(points, assignments)))
 
 
-def _fit_once(dataset, rows, encoder, codes, config, seed, debug, pool):
-    k, m = config.k, len(dataset.attrs)
+def _fit_once(dataset, encoder, codes, config, seed, debug, pool):
+    k, m, rows = config.k, len(dataset.attrs), dataset.rows
     clusters = [_Cluster(v, encoder) for v in _draw_seeds(pool, k, config.init, seed)]
     # Each cluster updates its mode list in place, so these stay current;
     # masks are ints and are refreshed after every add/remove.
@@ -445,7 +430,7 @@ def _fit_once(dataset, rows, encoder, codes, config, seed, debug, pool):
             converged = True
             break
 
-    protos = tuple(Prototype(values=tuple(z), cluster_index=l) for l, z in enumerate(modes))
+    protos = tuple(Prototype(values=tuple(z)) for z in modes)
     return protos, tuple(assign), epochs_run, converged, _total(m, codes, masks, assign)
 
 
@@ -471,17 +456,16 @@ def fit(dataset, config: FitConfig, debug: bool = False) -> ClusterModel:
         )
     encoder, codes = _encode_rows(dataset)
     pool = _seed_pool(dataset, codes, config.init, config.k, config.k)
-    return _fit_encoded(dataset, [r.values for r in dataset.rows], encoder, codes,
-                        config, pool, debug=debug)
+    return _fit_encoded(dataset, encoder, codes, config, pool, debug=debug)
 
 
-def _fit_encoded(dataset, rows, encoder, codes, config, pool, debug=False):
+def _fit_encoded(dataset, encoder, codes, config, pool, debug=False):
     """fit on rows already encoded as codes under encoder, drawing each
     restart's initial modes from pool. Every mode code is a row code, so the
     encoder gains no bits and can serve many fits."""
     best = None
     for r in range(1 if config.init == "density" else config.restarts):
-        out = _fit_once(dataset, rows, encoder, codes, config, config.seed + r, debug, pool)
+        out = _fit_once(dataset, encoder, codes, config, config.seed + r, debug, pool)
         if best is None or out[4] < best[4]:
             best = out
     modes, assignments, epochs_run, converged, cost = best
@@ -499,7 +483,7 @@ def within_cluster_difference(dataset, modes, assignments, policy=None) -> float
     """Total simple-matching distance of every row to its cluster's
     prototype. ``policy`` takes a fit's ``config.policy``; simple matching
     is the only measure, so it changes nothing."""
-    modes = _mode_vectors(modes)
+    modes = list(map(_vector, modes))
     k = len(modes)
     if len(assignments) != dataset.n:
         raise AlignmentError(
@@ -531,10 +515,9 @@ def elbow_scan(dataset, k_min, k_max, seed=0, restarts=1, init="random_rows"):
         )
     configs = [FitConfig(k=k, seed=seed, restarts=restarts, init=init)
                for k in range(k_min, k_max + 1)]
-    rows = [r.values for r in dataset.rows]
     encoder, codes = _encode_rows(dataset)
     pool = _seed_pool(dataset, codes, init, k_min, k_max)
-    return [(c.k, _fit_encoded(dataset, rows, encoder, codes, c, pool).cost)
+    return [(c.k, _fit_encoded(dataset, encoder, codes, c, pool).cost)
             for c in configs]
 
 

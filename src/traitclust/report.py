@@ -7,6 +7,8 @@ different sources can be fused as a convex combination and emitted as JSON,
 a plain-text table, or a dimension,percentage CSV for plotting.
 """
 
+import csv
+import io
 import math
 from dataclasses import dataclass, field
 
@@ -201,9 +203,11 @@ def emit_report(obj, fmt: str = "json") -> str:
     if fmt == "json":
         return documents.dumps(_report_doc(obj))
     if fmt == "piedata":
-        lines = ["dimension,percentage"]
-        lines += [f"{d},{_round3(obj.percent[d])}" for d in obj.dimensions]
-        return "\n".join(lines) + "\n"
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["dimension", "percentage"])
+        writer.writerows((d, _round3(obj.percent[d])) for d in obj.dimensions)
+        return buf.getvalue()
     width = max(len(d) for d in obj.dimensions)
     lines = [f"trait percentages ({obj.provenance})"]
     for d in obj.dimensions:

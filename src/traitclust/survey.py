@@ -18,7 +18,6 @@ from itertools import compress, repeat
 from operator import add, itemgetter, mul, sub, truediv
 from pathlib import Path
 
-from .dissimilarity import CATEGORICAL
 from . import documents
 from .errors import AlignmentError, DegenerateProfileError, ParseError, SchemaError
 from .kmodes import CategoricalDataset
@@ -169,14 +168,10 @@ class ParseResult:
     @cached_property
     def dataset(self) -> CategoricalDataset:
         """The table as a categorical dataset, built on first access (only a
-        fit needs it). Its records share the table's row tuples."""
+        fit needs it). It shares the table's row tuples and ids."""
         table = self.table
-        return CategoricalDataset.from_values(
-            table.rows,
-            kinds=[CATEGORICAL] * len(table.columns),
-            names=list(table.columns),
-            row_ids=list(table.ids),
-        )
+        return CategoricalDataset.from_values(table.rows, names=table.columns,
+                                              row_ids=table.ids)
 
 
 def _schema_from_dict(doc) -> SurveySchema:

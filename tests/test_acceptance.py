@@ -68,7 +68,7 @@ FROZEN_APPLICANT_REPORT = """\
 
 
 def _criterion(num):
-    """Record one [acceptance NN] PASS/FAIL line per test."""
+    """Write one [acceptance NN] PASS/FAIL line per test."""
 
     def wrap(fn):
         @functools.wraps(fn)
@@ -212,7 +212,7 @@ def test_04_bijective_relabeling_leaves_the_fit_unchanged():
 
         d1 = CategoricalDataset.from_raw(raw)
         d2 = CategoricalDataset.from_raw(relabeled)
-        assert tuple(r.values for r in d1.rows) == tuple(r.values for r in d2.rows), (
+        assert d1.rows == d2.rows, (
             f"case {case}: dense codes differ under relabeling"
         )
         cfg = FitConfig(k=2, restarts=5, seed=case)
@@ -305,8 +305,7 @@ def test_07_applicant_fixture_report_is_frozen(applicant_csv_text):
     for _ in range(2):
         result = parse_responses(applicant_csv_text, schema)
         model = fit(result.dataset, FitConfig(k=3, seed=42, restarts=20))
-        rows = [r.values for r in result.dataset.rows]
-        opt = oracle.optimal_cost(rows, 3)
+        opt = oracle.optimal_cost(result.dataset.rows, 3)
         assert model.cost == float(opt) == APPLICANT_OPTIMAL_COST, (
             f"fit cost {model.cost}, exhaustive optimum {opt}, frozen {APPLICANT_OPTIMAL_COST}"
         )

@@ -1,5 +1,6 @@
 """End-to-end tests for the command line interface, run in-process."""
 
+import csv
 import hashlib
 import io
 import json
@@ -154,6 +155,29 @@ class TestScoreCommand:
         assert "100.000" in out
 
 
+    def test_ids_and_dimensions_holding_the_delimiter_round_trip(self, capsys, tmp_path):
+        schema = tmp_path / "comma.json"
+        schema.write_text(json.dumps({
+            "name": "comma", "dimensions": ["A, x", "B"],
+            "items": [{"column": "Q1", "dimension": "A, x"},
+                      {"column": "Q2", "dimension": "B"}],
+        }))
+        answers = tmp_path / "answers.csv"
+        answers.write_text('who,Q1,Q2\n"Smith, J",5,1\nLee,2,4\n')
+        code, out, _ = run(capsys, "score", "-i", str(answers), "--schema", str(schema))
+        assert code == 0
+        assert list(csv.reader(io.StringIO(out))) == [
+            ["id", "raw:A, x", "raw:B", "pct:A, x", "pct:B"],
+            ["Smith, J", "5", "1", "83.333", "16.667"],
+            ["Lee", "2", "4", "33.333", "66.667"],
+        ]
+        code, out, _ = run(capsys, "report", "-i", str(answers), "--schema", str(schema),
+                           "--aggregate", "mean", "--format", "piedata")
+        assert code == 0
+        assert list(csv.reader(io.StringIO(out))) == [
+            ["dimension", "percentage"], ["A, x", "58.333"], ["B", "41.667"]]
+
+
 class TestFitCommand:
     def test_model_document(self, capsys):
         code, out, _ = run(capsys, "fit", "-i", FIXTURE, "--schema", "scenario3",
@@ -249,6 +273,24 @@ class TestReportCommand:
         assert code == 1
         assert out == ""
         assert "--k" in err
+        assert not target.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--aggregate", "mean", "--k", "3"), "--model and --k do not apply to --aggregate mean"),
+        (("--aggregate", "mean", "--model", "MODEL"),
+         "--model and --k do not apply to --aggregate mean"),
+        (("--model", "MODEL", "--k", "3"), "--k does not apply to --model, whose fit fixes k"),
+    ])
+    def test_flags_the_report_would_ignore_are_refused(self, capsys, tmp_path, flags,
+                                                       message):
+        model_path = tmp_path / "model.json"
+        run(capsys, "fit", "-i", FIXTURE, "--schema", "scenario3", "--k", "2",
+            "-o", str(model_path))
+        target = tmp_path / "report.json"
+        flags = [str(model_path) if f == "MODEL" else f for f in flags]
+        code, out, err = run(capsys, "report", "-i", FIXTURE, "--schema", "scenario3",
+                             *flags, "-o", str(target))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
         assert not target.exists()
 
     def test_piedata_format(self, capsys):

@@ -13,7 +13,6 @@ from traitclust import (
     DissimilarityPolicy,
     PolicyError,
     Prototype,
-    Record,
     simple_matching,
     within_cluster_difference,
 )
@@ -34,11 +33,9 @@ class TestSimpleMatching:
         assert simple_matching((2, 2, 2), (2, 2, 2), attrs) == 0
         assert simple_matching((2, 2, 2), (2, 4, 3), attrs) == 2
 
-    def test_accepts_records_and_prototypes(self):
+    def test_accepts_rows_and_prototypes(self):
         attrs = _cat_attrs(2)
-        r = Record(values=(1, 2), row_id="x")
-        p = Prototype(values=(1, 3), cluster_index=0)
-        assert simple_matching(r, p, attrs) == 1
+        assert simple_matching((1, 2), Prototype(values=(1, 3)), attrs) == 1
 
     def test_rejects_numeric_attributes(self):
         # "numeric" is not an attribute kind, so such a column never
@@ -147,7 +144,7 @@ class TestSimpleKernelAgainstOracle:
             m, k, n = rng.randint(1, 6), rng.randint(1, 4), rng.randint(1, 12)
             attrs = _sparse_attrs(m)
             rows = [_vector(rng, m, SPARSE_CODES) for _ in range(n)]
-            ds = CategoricalDataset(attrs=attrs, rows=[Record(r) for r in rows])
+            ds = CategoricalDataset(attrs=attrs, rows=rows)
             modes = [_vector(rng, m) for _ in range(k)]
             assignments = tuple(rng.randrange(k) for _ in range(n))
             expected = sum(oracle.hamming(r, modes[l]) for r, l in zip(rows, assignments))

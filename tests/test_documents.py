@@ -117,8 +117,8 @@ def test_mutated_model_documents(workdir, model_doc, dataset, data):
     path = workdir / "model.json"
     text = json.dumps(_mutate(data, model_doc))
     path.write_text(text)
-    _library(lambda: documents.load_model(text, [r.row_id for r in dataset.rows],
-                                          len(dataset.attrs), "scenario3"))
+    _library(lambda: documents.load_model(text, dataset.row_ids, len(dataset.attrs),
+                                          "scenario3"))
     _check_outcome(*_run("report", "-i", FIXTURE, "--schema", "scenario3",
                          "--model", str(path)))
 

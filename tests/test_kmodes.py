@@ -15,8 +15,6 @@ from traitclust import (
     FitConfig,
     InfeasibleConfigError,
     PolicyError,
-    Prototype,
-    Record,
     elbow_scan,
     fit,
     init_modes,
@@ -35,13 +33,25 @@ from conftest import random_dataset, random_rows
 class TestDatasetConstruction:
     def test_from_values_keeps_cells_as_codes(self):
         ds = CategoricalDataset.from_values([(2, 5), (2, 1)])
-        assert ds.rows[0].values == (2, 5)
+        assert ds.rows[0] == (2, 5)
         assert ds.attrs[0].categories == (2,)
         assert ds.attrs[1].categories == (5, 1)
 
     def test_from_values_defaults_row_ids_to_ordinals(self):
         ds = CategoricalDataset.from_values([(1,), (2,)])
-        assert [r.row_id for r in ds.rows] == [0, 1]
+        assert ds.row_ids == (0, 1)
+        assert CategoricalDataset(attrs=ds.attrs, rows=ds.rows).row_ids == (0, 1)
+
+    def test_rejects_row_ids_of_another_length(self):
+        ds = CategoricalDataset.from_values([(1,), (2,)])
+        with pytest.raises(AlignmentError, match="^3 row ids for 2 rows$"):
+            CategoricalDataset(attrs=ds.attrs, rows=ds.rows, row_ids="xyz")
+        with pytest.raises(AlignmentError):
+            CategoricalDataset.from_values(ds.rows, row_ids="x")
+
+    def test_an_empty_table_takes_its_attributes_from_the_names(self):
+        ds = CategoricalDataset.from_values([], names=["a", "b"])
+        assert (ds.n, [a.name for a in ds.attrs]) == (0, ["a", "b"])
 
     def test_from_values_skips_the_scan_and_equals_the_checked_construction(
             self, monkeypatch):
@@ -51,11 +61,11 @@ class TestDatasetConstruction:
         monkeypatch.setattr(CategoricalDataset, "__post_init__", refuse)
         ds = CategoricalDataset.from_values([(2, 5), (2, 1), (3, 5)], row_ids="xyz")
         monkeypatch.undo()
-        assert CategoricalDataset(attrs=ds.attrs, rows=ds.rows) == ds
+        assert CategoricalDataset(attrs=ds.attrs, rows=ds.rows, row_ids=ds.row_ids) == ds
 
     def test_from_raw_densifies_by_first_appearance(self):
         ds = CategoricalDataset.from_raw([("b", 10), ("a", 20), ("b", 10)])
-        assert [r.values for r in ds.rows] == [(0, 0), (1, 1), (0, 0)]
+        assert ds.rows == ((0, 0), (1, 1), (0, 0))
         assert ds.attrs[0].categories == (0, 1)
 
     def test_rejects_ragged_rows(self):
@@ -67,7 +77,7 @@ class TestDatasetConstruction:
     def test_rejects_values_outside_the_category_list(self):
         attrs = (AttributeSpec(0, CATEGORICAL, categories=(0, 1)),)
         with pytest.raises(ValueError):
-            CategoricalDataset(attrs=attrs, rows=(Record(values=(2,)),))
+            CategoricalDataset(attrs=attrs, rows=((2,),))
 
     def test_rejects_misnumbered_attributes(self):
         attrs = (AttributeSpec(1, CATEGORICAL, categories=(0,)),)
@@ -178,7 +188,6 @@ class TestInitModes:
         vals = [p.values for p in protos]
         assert len(set(vals)) == 3
         assert all(v in {(0, 0), (1, 1), (2, 2)} for v in vals)
-        assert [p.cluster_index for p in protos] == [0, 1, 2]
 
     def test_random_rows_is_seed_deterministic(self):
         ds = random_dataset(random.Random(1), 20, 3, 4)
@@ -206,7 +215,7 @@ class TestInitModes:
 
 
 class TestNearestMode:
-    def test_ties_go_to_the_lowest_cluster_index(self):
+    def test_ties_go_to_the_lowest_index(self):
         encode = BitEncoder(2).encode
         assert _nearest(encode((0, 1)), [encode((0, 0)), encode((1, 1))]) == (0, 1)
 
@@ -296,7 +305,7 @@ class TestFit:
         real = kmodes._fit_once
 
         def counting(*args):
-            calls.append(args[5])
+            calls.append(args[4])
             return real(*args)
 
         monkeypatch.setattr(kmodes, "_fit_once", counting)
@@ -448,11 +457,6 @@ class TestWithinClusterDifference:
         ds = CategoricalDataset.from_values([(1, 1), (1, 2)])
         assert within_cluster_difference(ds, [(1, 1)], (0, 0)) == 1.0
 
-    def test_rejects_mislabeled_prototypes(self):
-        ds = CategoricalDataset.from_values([(1,), (2,)])
-        with pytest.raises(ValueError):
-            within_cluster_difference(ds, [Prototype((1,), 1)], (0, 0))
-
     def test_rejects_misaligned_modes(self):
         ds = CategoricalDataset.from_values([(1,), (2,)])
         with pytest.raises(AlignmentError):
@@ -527,7 +531,7 @@ class TestElbow:
         # The distinct rows are counted once, before any fit.
         ds = CategoricalDataset.from_values([(0, 1), (1, 1), (0, 1), (2, 0), (1, 1)])
         fitted = []
-        monkeypatch.setattr(kmodes, "_fit_once", lambda *args: fitted.append(args[4].k))
+        monkeypatch.setattr(kmodes, "_fit_once", lambda *args: fitted.append(args[3].k))
         for k_min, first_infeasible in [(2, 4), (5, 5)]:
             message = rf"^k={first_infeasible} exceeds the number of distinct rows \(3\)$"
             with pytest.raises(InfeasibleConfigError, match=message):

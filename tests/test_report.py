@@ -43,7 +43,7 @@ def _profile(**percent):
 
 def _model(assignments, k):
     return ClusterModel(
-        modes=tuple(Prototype(values=(0,), cluster_index=l) for l in range(k)),
+        modes=(Prototype(values=(0,)),) * k,
         assignments=tuple(assignments),
         cost=0.0,
         epochs_run=1,
