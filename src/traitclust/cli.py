@@ -67,6 +67,9 @@ def _add_parse_flags(p):
                    help="drop rows with missing answers or impute the column mode")
 
 
+_FIT_FLAGS = ("seed", "restarts", "init")
+
+
 def _add_fit_flags(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=1)
@@ -104,6 +107,9 @@ def build_parser() -> _Parser:
     _add_parse_flags(p)
     p.add_argument("--k", type=int, help="number of clusters")
     _add_fit_flags(p)
+    # A fit flag left out stays None, so report can refuse the ones it would
+    # ignore; a fit falls back on FitConfig's defaults, which are the above.
+    p.set_defaults(**dict.fromkeys(_FIT_FLAGS))
     p.add_argument("--format", choices=("json", "text", "piedata"), default="json")
     p.add_argument("--aggregate", choices=("share", "mean"), default="share",
                    help="share: dominant-cluster population shares; mean: mean profile")
@@ -214,6 +220,12 @@ def _cmd_report(args) -> str:
         raise ValueError("--model and --k do not apply to --aggregate mean")
     if args.model is not None and args.k is not None:
         raise ValueError("--k does not apply to --model, whose fit fixes k")
+    given = {name: getattr(args, name) for name in _FIT_FLAGS
+             if getattr(args, name) is not None}
+    if given and (args.model is not None or args.aggregate == "mean"):
+        flags = ", ".join(f"--{name}" for name in given)
+        where = "--aggregate mean" if args.aggregate == "mean" else "--model"
+        raise ValueError(f"{flags} {'does' if len(given) == 1 else 'do'} not apply to {where}")
     schema = load_schema(args.schema)
     result = _parse_input(args, schema)
     _, percent = score_profiles(result.table.rows, schema)
@@ -226,9 +238,7 @@ def _cmd_report(args) -> str:
         else:
             if args.k is None:
                 raise ValueError("--k is required unless --model or --aggregate mean is given")
-            config = FitConfig(k=args.k, init=args.init, seed=args.seed,
-                               restarts=args.restarts)
-            model = fit(result.dataset, config)
+            model = fit(result.dataset, FitConfig(k=args.k, **given))
         labeling = label_clusters(model, percent, schema)
         rep = personality_percentages(labeling)
     return emit_report(rep, args.format)

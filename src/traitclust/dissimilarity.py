@@ -89,22 +89,29 @@ class BitEncoder:
     A code takes its bit the first time it is encoded on its attribute, so a
     code outside the attribute's categories keeps the meaning it has under
     ``==``: equal codes share a bit and different codes never do. Codes must
-    be hashable.
+    be hashable. Bit ``p`` is ``1 << p``; ``attr_of[p]`` and ``code_of[p]``
+    name its attribute and code, and ``positions[j]`` lists the bit
+    positions of attribute j's codes.
     """
 
-    __slots__ = ("_bits", "_next")
+    __slots__ = ("_bits", "attr_of", "code_of", "positions")
 
     def __init__(self, m):
         self._bits = [{} for _ in range(m)]
-        self._next = 0
+        self.attr_of = []
+        self.code_of = []
+        self.positions = [[] for _ in range(m)]
 
     def bit(self, j, code) -> int:
         """The bit of ``code`` on attribute ``j``."""
         bits = self._bits[j]
         b = bits.get(code)
         if b is None:
-            b = bits[code] = 1 << self._next
-            self._next += 1
+            p = len(self.code_of)
+            b = bits[code] = 1 << p
+            self.attr_of.append(j)
+            self.code_of.append(code)
+            self.positions[j].append(p)
         return b
 
     def encode(self, vals) -> int:

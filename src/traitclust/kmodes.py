@@ -9,11 +9,22 @@ Algorithm for Clustering Large Data Sets with Categorical Values", DMKD 1998).
 
 fit encodes every row once as a BitEncoder mask, shared by all restarts
 (elbow_scan encodes once for all k). The allocation pass, the
-empty-cluster repair, every epoch, density init and the final cost all
-count agreements ``(row & mode).bit_count()`` on those masks: the nearest
-mode is the one that agrees most. Each cluster keeps its mode and the
-mode's mask incrementally (see _Cluster) instead of rescanning its counts on
-every add and remove. Neither changes any result.
+empty-cluster repair, every epoch and density init count agreements
+``(row & mode).bit_count()`` on those masks: the nearest mode is the one
+that agrees most. Each cluster keeps its mode, the mode's mask and its
+member counts incrementally from the members' masks (see _Cluster): an add
+or remove touches only the attributes where the member differs from the
+mode, and a remove rescans an attribute's counts only where the other
+codes hold at least half the members. The final cost is the clusters'
+summed mismatch counts, not a pass over the rows. None of this changes any
+result.
+
+A fit is a pure function of the immutable dataset and the config, so fit
+and elbow_scan keep every model they compute in a memo on the dataset
+(CategoricalDataset._fits) and return it for an equal config: the refit at
+the k an elbow scan selected costs a dictionary lookup. The memo holds one
+model, an assignment tuple of n ints, per config fitted, for the life of
+the dataset. debug=True neither reads nor fills it.
 
 Everything is deterministic for a given dataset and config: rows are visited
 in dataset order, distance ties go to the lowest cluster index, mode ties to
@@ -26,9 +37,10 @@ model's ``converged`` flag is false only when max_epochs cuts a run short.
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
-from itertools import compress
-from operator import ne
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from itertools import compress, repeat
+from operator import ge
 
 from .dissimilarity import (
     CATEGORICAL,
@@ -84,6 +96,15 @@ class CategoricalDataset:
     @property
     def n(self) -> int:
         return len(self.rows)
+
+    @cached_property
+    def _fits(self) -> dict:
+        """The models fit and elbow_scan computed on this dataset, keyed by
+        their FitConfig. The dataset is immutable and a fit deterministic,
+        so an entry stays valid for the dataset's life; it costs one model,
+        an assignment tuple of n ints, per config fitted. Not a field, so
+        equality, hashing and repr ignore it."""
+        return {}
 
     @classmethod
     def from_values(cls, rows, kinds=None, names=None, row_ids=None):
@@ -196,15 +217,6 @@ class ClusterModel:
         object.__setattr__(self, "assignments", tuple(self.assignments))
 
 
-def _mode_from_counts(counts) -> int:
-    best_code = None
-    best_count = -1
-    for code, count in counts.items():
-        if count > best_count or (count == best_count and code < best_code):
-            best_code, best_count = code, count
-    return best_code
-
-
 def _encode_rows(dataset):
     """A BitEncoder for the dataset and the mask of every row under it."""
     encoder = BitEncoder(len(dataset.attrs))
@@ -289,69 +301,110 @@ def _nearest(x, masks):
 
 
 class _Cluster:
-    """Incremental per-cluster state: the member count, the current mode,
-    its mask under the fit's BitEncoder, and per attribute the member
-    counts of every code other than the mode code (``others[j]``) and
-    their sum (``rest[j]``). The mode code of j thus counts
-    ``size - rest[j]`` members, and an add or remove that agrees with the
-    mode on attribute j touches nothing there.
+    """Incremental per-cluster state over the rows' BitEncoder masks: the
+    member count, the current mode (its codes, its mask, and per attribute
+    the bit position of its code), and per attribute j the number of
+    members whose code differs from the mode code (``rest[j]``). Every
+    other code keeps its member count at its bit position; the mode code
+    of j counts ``size - rest[j]``.
+
+    add and remove take a member's mask. Only the set bits of
+    ``x & ~mask`` change a count: the attributes where the member differs
+    from the mode, found one at a time with ``bit_length``. The cost is
+    thus proportional to those attributes, not to m.
 
     The mode always equals the majority of the members with ties to the
-    lowest code. An add can only promote the code it adds, so it compares
-    that code's new count with the mode code's. A remove rescans attribute
-    j only when it takes a member from j's mode code. Whenever a mode code
-    changes, the mask swaps the old code's bit for the new one's. An
-    emptied cluster keeps its last mode.
+    lowest code. An add can only promote a code it adds, so it compares
+    that code's new count with the mode code's. A remove that agrees with
+    the mode on j leaves the mode code ``size - rest[j]`` members, which
+    no other code (at most ``rest[j]``) can reach unless
+    ``2 * rest[j] >= size``. One C-level pass over rest finds those
+    attributes, and only they are rescanned. Whenever a mode code changes,
+    the mask swaps the old code's bit for the new one's. An emptied cluster
+    keeps its last mode.
+
+    Bits the encoder assigns after the cluster was built (codes no member
+    had then) get a zero count when first seen.
     """
 
-    __slots__ = ("size", "mode", "mask", "others", "rest", "_bit")
+    __slots__ = ("size", "mode", "mask", "rest", "_pos", "_counts",
+                 "_attr_of", "_code_of", "_positions")
 
     def __init__(self, seed_values, encoder):
         self.size = 0
         self.mode = list(seed_values)
-        self.mask = encoder.encode(self.mode)
-        self.others = [{} for _ in self.mode]
+        bits = list(map(encoder.bit, range(len(self.mode)), self.mode))
+        self.mask = sum(bits)
+        self._pos = [b.bit_length() - 1 for b in bits]
         self.rest = [0] * len(self.mode)
-        self._bit = encoder.bit
+        self._counts = [0] * len(encoder.code_of)
+        self._attr_of = encoder.attr_of
+        self._code_of = encoder.code_of
+        self._positions = encoder.positions
 
-    def _promote(self, j, code, count, top):
-        # code, with count members, replaces the mode code of j, which has
-        # top members and joins the other codes.
-        others = self.others[j]
-        del others[code]
-        if top:
-            others[self.mode[j]] = top
-        self.rest[j] += top - count
-        self.mask ^= self._bit(j, self.mode[j]) ^ self._bit(j, code)
-        self.mode[j] = code
+    def _grow(self):
+        # Zero counts for the bits the encoder assigned since the last call.
+        self._counts.extend([0] * (len(self._code_of) - len(self._counts)))
 
-    def add(self, vals):
+    def _promote(self, j, p, n, top):
+        # The code at bit p, with n members, replaces the mode code of j,
+        # which has top members and joins the other codes.
+        q = self._pos[j]
+        self._counts[q], self._counts[p] = top, 0
+        self.rest[j] += top - n
+        self.mask ^= (1 << q) ^ (1 << p)
+        self._pos[j] = p
+        self.mode[j] = self._code_of[p]
+
+    def add(self, x):
         self.size += 1
-        mode, others, rest = self.mode, self.others, self.rest
-        for j in compress(range(len(mode)), map(ne, vals, mode)):
-            v = vals[j]
-            n = others[j][v] = others[j].get(v, 0) + 1
-            rest[j] += 1
-            top = self.size - rest[j]
-            if n > top or (n == top and v < mode[j]):
-                self._promote(j, v, n, top)
+        size, counts, rest, mode = self.size, self._counts, self.rest, self.mode
+        attr_of, code_of = self._attr_of, self._code_of
+        d = x & ~self.mask
+        while d:
+            p = d.bit_length() - 1
+            d ^= 1 << p
+            j = attr_of[p]
+            try:
+                n = counts[p] + 1
+            except IndexError:  # a bit assigned after this cluster was built
+                self._grow()
+                n = 1
+            counts[p] = n
+            r = rest[j] = rest[j] + 1
+            top = size - r
+            if n > top or (n == top and code_of[p] < mode[j]):
+                self._promote(j, p, n, top)
 
-    def remove(self, vals):
+    def remove(self, x):
         self.size -= 1
-        mode, others, rest = self.mode, self.others, self.rest
-        for j, v in enumerate(vals):
-            o = others[j]
-            if v != mode[j]:
-                if o[v] == 1:
-                    del o[v]
-                else:
-                    o[v] -= 1
-                rest[j] -= 1
-            elif self.size and o:
-                top = self.size - rest[j]
-                w = _mode_from_counts(o)
-                if o[w] > top or (o[w] == top and w < v):
-                    self._promote(j, w, o[w], top)
+        size, counts, rest, attr_of = self.size, self._counts, self.rest, self._attr_of
+        d = x & ~self.mask
+        while d:
+            p = d.bit_length() - 1
+            d ^= 1 << p
+            counts[p] -= 1
+            rest[attr_of[p]] -= 1
+        if not size:
+            return
+        pos = self._pos
+        for j in compress(range(len(rest)), map(ge, rest, repeat((size + 1) // 2))):
+            if x >> pos[j] & 1:
+                self._rescan(j, size - rest[j])
+
+    def _rescan(self, j, top):
+        # The mode code of j, with top members, yields to the code with the
+        # most members, the lowest code among the maxima.
+        self._grow()
+        counts, code_of = self._counts, self._code_of
+        best_p = q = self._pos[j]
+        best_n = top
+        for p in self._positions[j]:
+            n = counts[p]
+            if n > best_n or (n == best_n and code_of[p] < code_of[best_p]):
+                best_p, best_n = p, n
+        if best_p != q:
+            self._promote(j, best_p, best_n, top)
 
 
 def _total(m, points, masks, assignments):
@@ -361,18 +414,18 @@ def _total(m, points, masks, assignments):
 
 
 def _fit_once(dataset, encoder, codes, config, seed, debug, pool):
-    k, m, rows = config.k, len(dataset.attrs), dataset.rows
+    k, m = config.k, len(dataset.attrs)
     clusters = [_Cluster(v, encoder) for v in _draw_seeds(pool, k, config.init, seed)]
     # Each cluster updates its mode list in place, so these stay current;
     # masks are ints and are refreshed after every add/remove.
     modes = [c.mode for c in clusters]
     masks = [c.mask for c in clusters]
-    assign = [0] * len(rows)
+    assign = [0] * len(codes)
 
     def move(i, t):
         s = assign[i]
-        clusters[s].remove(rows[i])
-        clusters[t].add(rows[i])
+        clusters[s].remove(codes[i])
+        clusters[t].add(codes[i])
         masks[s], masks[t] = clusters[s].mask, clusters[t].mask
         assign[i] = t
 
@@ -380,7 +433,7 @@ def _fit_once(dataset, encoder, codes, config, seed, debug, pool):
     for i, x in enumerate(codes):
         l, _ = _nearest(x, masks)
         assign[i] = l
-        clusters[l].add(rows[i])
+        clusters[l].add(x)
         masks[l] = clusters[l].mask
 
     # A mode can drift onto another seed's territory during the pass and
@@ -430,8 +483,15 @@ def _fit_once(dataset, encoder, codes, config, seed, debug, pool):
             converged = True
             break
 
+    # rest[j] counts the members that differ from their mode on j, so the
+    # rests sum to the objective: O(k * m) instead of _total's O(n * k).
+    cost = float(sum(sum(c.rest) for c in clusters))
+    if debug:
+        recount = _total(m, codes, masks, assign)
+        if cost != recount:
+            raise AssertionError(f"cluster state cost {cost} != recounted cost {recount}")
     protos = tuple(Prototype(values=tuple(z)) for z in modes)
-    return protos, tuple(assign), epochs_run, converged, _total(m, codes, masks, assign)
+    return protos, tuple(assign), epochs_run, converged, cost
 
 
 def fit(dataset, config: FitConfig, debug: bool = False) -> ClusterModel:
@@ -442,11 +502,15 @@ def fit(dataset, config: FitConfig, debug: bool = False) -> ClusterModel:
     restart 0 and lose the tie to it: a density fit runs restart 0 alone.
     The model's config keeps the requested restarts.
 
-    debug=True recomputes the full objective around every accepted move and
-    raises if a move ever fails to decrease it.
+    debug=True recomputes the full objective around every accepted move,
+    raises if a move ever fails to decrease it, and checks the final cost
+    against a recount. It neither reads nor fills the dataset's memo.
 
     The rows are encoded, and the init's seed pool (see _seed_pool) built,
-    once for all restarts; elbow_scan shares both across k.
+    once for all restarts; elbow_scan shares both across k. A fit is a pure
+    function of the dataset and the config, so the model is kept in the
+    dataset's memo (see CategoricalDataset._fits), and a later fit or
+    elbow_scan with an equal config returns it, carrying its own config.
     """
     if dataset.n < 1:
         raise ValueError("cannot fit an empty dataset")
@@ -454,9 +518,14 @@ def fit(dataset, config: FitConfig, debug: bool = False) -> ClusterModel:
         raise InfeasibleConfigError(
             f"k={config.k} exceeds the number of rows ({dataset.n})"
         )
-    encoder, codes = _encode_rows(dataset)
-    pool = _seed_pool(dataset, codes, config.init, config.k, config.k)
-    return _fit_encoded(dataset, encoder, codes, config, pool, debug=debug)
+    model = None if debug else dataset._fits.get(config)
+    if model is None:
+        encoder, codes = _encode_rows(dataset)
+        pool = _seed_pool(dataset, codes, config.init, config.k, config.k)
+        model = _fit_encoded(dataset, encoder, codes, config, pool, debug=debug)
+        if not debug:
+            dataset._fits[config] = model
+    return model if model.config is config else replace(model, config=config)
 
 
 def _fit_encoded(dataset, encoder, codes, config, pool, debug=False):
@@ -505,7 +574,9 @@ def elbow_scan(dataset, k_min, k_max, seed=0, restarts=1, init="random_rows"):
     All arguments, and under random_rows the number of distinct rows, are
     checked before any fit. The rows are encoded, and the seed pool built
     (density seeds are derived once at k_max; see _seed_pool), once for the
-    whole scan.
+    whole scan. Each k's model is read from, or else added to, the
+    dataset's memo, as ``fit`` does; a scan whose every k is there encodes
+    nothing.
     """
     if not 1 <= k_min <= k_max:
         raise ValueError(f"need 1 <= k_min <= k_max, got {k_min}..{k_max}")
@@ -515,10 +586,14 @@ def elbow_scan(dataset, k_min, k_max, seed=0, restarts=1, init="random_rows"):
         )
     configs = [FitConfig(k=k, seed=seed, restarts=restarts, init=init)
                for k in range(k_min, k_max + 1)]
-    encoder, codes = _encode_rows(dataset)
-    pool = _seed_pool(dataset, codes, init, k_min, k_max)
-    return [(c.k, _fit_encoded(dataset, encoder, codes, c, pool).cost)
-            for c in configs]
+    memo = dataset._fits
+    missing = [c for c in configs if c not in memo]
+    if missing:
+        encoder, codes = _encode_rows(dataset)
+        pool = _seed_pool(dataset, codes, init, k_min, k_max)
+        for c in missing:
+            memo[c] = _fit_encoded(dataset, encoder, codes, c, pool)
+    return [(c.k, memo[c].cost) for c in configs]
 
 
 def check_selection(points: int, epsilon: float) -> None:

@@ -154,22 +154,24 @@ def test_03_mode_update_equals_brute_force_majority():
         length = rng.randint(1, 30)
         top = rng.randint(1, 6)
         values = [rng.randrange(top + 1) for _ in range(length)]
-        cluster = _Cluster([rng.randrange(top + 1)], BitEncoder(1))
+        encoder = BitEncoder(1)
+        cluster = _Cluster([rng.randrange(top + 1)], encoder)
         for v in values:
-            cluster.add((v,))
+            cluster.add(encoder.encode((v,)))
         assert cluster.mode == [oracle.majority_value(values)]
     steps = 0
     for case in range(1000):
         m = rng.randint(1, 4)
         top = rng.randint(1, 5)
-        cluster = _Cluster([rng.randrange(top + 1) for _ in range(m)], BitEncoder(m))
+        encoder = BitEncoder(m)
+        cluster = _Cluster([rng.randrange(top + 1) for _ in range(m)], encoder)
         members = []
         for _ in range(rng.randint(1, 40)):
             if members and rng.random() < 0.4:
-                cluster.remove(members.pop(rng.randrange(len(members))))
+                cluster.remove(encoder.encode(members.pop(rng.randrange(len(members)))))
             else:
                 members.append(tuple(rng.randrange(top + 1) for _ in range(m)))
-                cluster.add(members[-1])
+                cluster.add(encoder.encode(members[-1]))
             steps += 1
             assert cluster.size == len(members), f"case {case}: size drifted"
             if members:

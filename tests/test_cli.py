@@ -293,6 +293,48 @@ class TestReportCommand:
         assert (code, out, err) == (1, "", f"error: {message}\n")
         assert not target.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--model", "MODEL", "--seed", "9", "--restarts", "50", "--init", "density"),
+         "--seed, --restarts, --init do not apply to --model"),
+        (("--model", "MODEL", "--seed", "0"), "--seed does not apply to --model"),
+        (("--model", "MODEL", "--init", "random_rows"), "--init does not apply to --model"),
+        (("--aggregate", "mean", "--restarts", "1"),
+         "--restarts does not apply to --aggregate mean"),
+        (("--aggregate", "mean", "--seed", "3", "--init", "density"),
+         "--seed, --init do not apply to --aggregate mean"),
+    ])
+    def test_fit_flags_without_a_fit_are_refused(self, capsys, tmp_path, flags, message):
+        model_path = tmp_path / "model.json"
+        run(capsys, "fit", "-i", FIXTURE, "--schema", "scenario3", "--k", "2",
+            "-o", str(model_path))
+        target = tmp_path / "report.json"
+        flags = [str(model_path) if f == "MODEL" else f for f in flags]
+        code, out, err = run(capsys, "report", "-i", FIXTURE, "--schema", "scenario3",
+                             *flags, "-o", str(target))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not target.exists()
+
+    def test_report_k_fits_with_seed_0_one_restart_and_random_rows(self, capsys, tmp_path):
+        model_path = tmp_path / "model.json"
+        run(capsys, "fit", "-i", FIXTURE, "--schema", "scenario3", "--k", "3",
+            "-o", str(model_path))
+        base = ("report", "-i", FIXTURE, "--schema", "scenario3")
+        code, implicit, _ = run(capsys, *base, "--k", "3")
+        assert code == 0
+        explicit = run(capsys, *base, "--k", "3", "--seed", "0", "--restarts", "1",
+                       "--init", "random_rows")
+        assert explicit == (0, implicit, "")
+        assert run(capsys, *base, "--model", str(model_path)) == (0, implicit, "")
+
+    def test_only_report_leaves_the_fit_flags_unset(self):
+        parser = cli.build_parser()
+        common = ["--schema", "scenario3"]
+        for argv in (["fit", "--k", "2"], ["elbow", "--k-max", "3"]):
+            args = parser.parse_args(argv + common)
+            assert (args.seed, args.restarts, args.init) == (0, 1, "random_rows")
+        args = parser.parse_args(["report"] + common)
+        assert (args.seed, args.restarts, args.init) == (None, None, None)
+
     def test_piedata_format(self, capsys):
         code, out, _ = run(capsys, "report", "-i", FIXTURE, "--schema",
                            "scenario3", "--k", "3", "--seed", "42",

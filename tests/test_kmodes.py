@@ -24,7 +24,7 @@ from traitclust import (
 from traitclust import kmodes
 from traitclust.dissimilarity import BitEncoder
 from traitclust.kmodes import _Cluster, _nearest
-from traitclust.survey import generate_synthetic, load_schema
+from traitclust.survey import generate_synthetic, load_schema, parse_responses
 
 import oracle
 from conftest import random_dataset, random_rows
@@ -88,9 +88,10 @@ class TestDatasetConstruction:
 def _mode_of(values):
     """The mode fit's cluster state keeps for a one-attribute multiset,
     added in order to a cluster seeded with the first value."""
-    cluster = _Cluster(values[:1], BitEncoder(1))
+    encoder = BitEncoder(1)
+    cluster = _Cluster(values[:1], encoder)
     for v in values:
-        cluster.add((v,))
+        cluster.add(encoder.encode((v,)))
     return cluster.mode[0]
 
 
@@ -110,54 +111,84 @@ class TestModeUpdate:
 class TestIncrementalMode:
     """fit's clusters keep their modes incrementally: an add can only
     promote the code it adds, and a remove rescans an attribute only when
-    it takes a member from that attribute's mode code."""
+    it takes a member from that attribute's mode code and the other codes
+    then hold at least half the members (``2 * rest[j] >= size``)."""
 
     @staticmethod
     def cluster(*members):
         encoder = BitEncoder(len(members[0]))
         c = _Cluster(members[0], encoder)
         for row in members:
-            c.add(row)
+            c.add(encoder.encode(row))
         assert c.mask == encoder.encode(c.mode)
         return c, encoder
 
     def test_adding_a_lower_code_that_ties_the_mode_switches_to_it(self):
         c, encoder = self.cluster((5, 1), (5, 1), (3, 1))
         assert c.mode == [5, 1]
-        c.add((3, 1))
+        c.add(encoder.encode((3, 1)))
         assert c.mode == [3, 1]
         assert c.mask == encoder.encode((3, 1))
 
     def test_adding_a_higher_code_that_ties_the_mode_leaves_it(self):
         c, encoder = self.cluster((5, 1), (5, 1), (8, 1))
-        c.add((8, 1))
+        c.add(encoder.encode((8, 1)))
         assert c.mode == [5, 1]
         assert c.mask == encoder.encode((5, 1))
 
     def test_remove_that_drops_the_mode_below_another_code_rescans(self):
         c, encoder = self.cluster((4, 0), (4, 0), (6, 0), (6, 0))
         assert c.mode == [4, 0]
-        c.remove((4, 0))
+        c.remove(encoder.encode((4, 0)))
         assert c.mode == [6, 0]
         assert c.mask == encoder.encode((6, 0))
 
     def test_remove_into_a_tie_picks_the_lowest_code_among_the_maxima(self):
         c, encoder = self.cluster((6, 0), (6, 0), (6, 0), (4, 0), (4, 0), (9, 0), (9, 0))
         assert c.mode == [6, 0]
-        c.remove((6, 0))
+        c.remove(encoder.encode((6, 0)))
         assert c.mode == [4, 0]
         assert c.mask == encoder.encode((4, 0))
 
     def test_remove_into_a_tie_keeps_a_mode_that_is_the_lowest(self):
-        c, _ = self.cluster((2, 0), (2, 0), (2, 0), (5, 0), (5, 0))
-        c.remove((2, 0))
+        c, encoder = self.cluster((2, 0), (2, 0), (2, 0), (5, 0), (5, 0))
+        c.remove(encoder.encode((2, 0)))
         assert c.mode == [2, 0]
+
+    def test_remove_onto_the_boundary_promotes_a_lower_code_that_ties(self):
+        c, encoder = self.cluster((6, 0), (6, 0), (6, 0), (4, 0), (4, 0))
+        c.remove(encoder.encode((6, 0)))
+        assert (c.size, c.rest) == (4, [2, 0])
+        assert c.mode == [4, 0]
+        assert c.mask == encoder.encode((4, 0))
+
+    def test_remove_onto_the_boundary_keeps_the_mode_over_a_higher_code_that_ties(self):
+        c, encoder = self.cluster((6, 0), (6, 0), (6, 0), (9, 0), (9, 0))
+        c.remove(encoder.encode((6, 0)))
+        assert (c.size, c.rest) == (4, [2, 0])
+        assert c.mode == [6, 0]
+        assert c.mask == encoder.encode((6, 0))
+
+    def test_remove_rescans_only_agreeing_attributes_at_the_boundary(self, monkeypatch):
+        # Removing (1, 1, 9) leaves 4 members. Attribute 0 has 2 * rest = 2
+        # < 4, so its mode stands. Attribute 1 reaches the boundary and is
+        # rescanned. Attribute 2 reaches it too, but the removed row took a
+        # member from another code there, so the mode code kept its count.
+        c, encoder = self.cluster((1, 1, 1), (1, 1, 1), (1, 2, 2), (2, 2, 3), (1, 1, 9))
+        assert (c.mode, c.rest) == ([1, 1, 1], [1, 2, 3])
+        rescanned = []
+        real = _Cluster._rescan
+        monkeypatch.setattr(_Cluster, "_rescan",
+                            lambda self, j, top: (rescanned.append(j), real(self, j, top)))
+        c.remove(encoder.encode((1, 1, 9)))
+        assert (c.size, c.rest, rescanned) == (4, [1, 2, 2], [1])
+        assert c.mode == [1, 1, 1]
 
     def test_an_emptied_cluster_keeps_its_mode_until_the_next_add(self):
         c, encoder = self.cluster((3, 4))
-        c.remove((3, 4))
+        c.remove(encoder.encode((3, 4)))
         assert (c.size, c.mode) == (0, [3, 4])
-        c.add((7, 4))
+        c.add(encoder.encode((7, 4)))
         assert c.mode == [7, 4]
         assert c.mask == encoder.encode((7, 4))
 
@@ -171,10 +202,10 @@ class TestIncrementalMode:
             members = []
             for _ in range(rng.randint(1, 40)):
                 if members and rng.random() < 0.45:
-                    c.remove(members.pop(rng.randrange(len(members))))
+                    c.remove(encoder.encode(members.pop(rng.randrange(len(members)))))
                 else:
                     members.append(tuple(rng.choice(codes) for _ in range(m)))
-                    c.add(members[-1])
+                    c.add(encoder.encode(members[-1]))
                 assert c.mask == encoder.encode(c.mode), f"case {case}"
                 if members:
                     expected = [oracle.majority_value([r[j] for r in members]) for j in range(m)]
@@ -272,7 +303,8 @@ class TestFit:
     def test_is_bit_reproducible(self):
         ds = random_dataset(random.Random(7), 30, 4, 3)
         cfg = FitConfig(k=3, seed=11, restarts=4)
-        a, b = fit(ds, cfg), fit(ds, cfg)
+        # a second dataset, so the second fit runs rather than reading the memo
+        a, b = fit(ds, cfg), fit(CategoricalDataset.from_values(ds.rows), cfg)
         assert a.assignments == b.assignments
         assert a.cost == b.cost
         assert tuple(p.values for p in a.modes) == tuple(p.values for p in b.modes)
@@ -321,6 +353,24 @@ class TestFit:
         calls.clear()
         fit(ds, FitConfig(k=3, policy=pol, init="random_rows", seed=4, restarts=3))
         assert calls == [4, 5, 6]
+
+    def test_cost_from_the_cluster_state_equals_both_recounts(self):
+        # fit sums the clusters' rest counts; _total (debug's check) and
+        # within_cluster_difference count every row against its mode.
+        rng = random.Random(19)
+        for case in range(150):
+            n, m = rng.randint(3, 40), rng.randint(1, 5)
+            ds = random_dataset(rng, n, m, rng.randint(1, 4))
+            init = rng.choice(("random_rows", "density"))
+            k = rng.randint(1, min(5, n if init == "density" else len(set(ds.rows))))
+            config = FitConfig(k=k, init=init, seed=case, restarts=rng.randint(1, 3),
+                               max_epochs=rng.choice((1, 100)))
+            model = fit(ds, config)
+            encoder, codes = kmodes._encode_rows(ds)
+            masks = [encoder.encode(p.values) for p in model.modes]
+            assert model.cost == kmodes._total(m, codes, masks, model.assignments), case
+            assert model.cost == within_cluster_difference(ds, model.modes, model.assignments)
+            assert fit(CategoricalDataset.from_values(ds.rows), config, debug=True) == model
 
     def test_no_cluster_is_ever_left_empty(self):
         rng = random.Random(17)
@@ -452,6 +502,109 @@ def test_ocean50_elbow_curve_is_bit_identical_to_the_golden_record(ocean50_popul
     assert [(k, cost.hex()) for k, cost in curve] == OCEAN50_GOLDEN_ELBOW
 
 
+# SHA-256 over 1500 seeded random fits (small n and m, sparse and gapped
+# category codes, both inits, some fits cut short by max_epochs) and 20
+# elbow curves. Any change to the kernel that alters one bit of one fit
+# shows here.
+RANDOM_FITS_DIGEST = "d20c6518087b79b7659bc05ce956b7b9721599d2cb9c8b65506a6cd557f6bad9"
+
+
+def test_random_fits_are_bit_identical_to_the_pinned_digest():
+    rng = random.Random(1313)
+    h = hashlib.sha256()
+    for _ in range(1500):
+        n, m = rng.randint(3, 60), rng.randint(1, 6)
+        codes = rng.sample((0, 1, 2, 3, 7, 9, 40), rng.randint(1, 4))
+        rows = [tuple(rng.choice(codes) for _ in range(m)) for _ in range(n)]
+        init = rng.choice(("random_rows", "density"))
+        k = rng.randint(1, min(6, n if init == "density" else len(set(rows))))
+        config = FitConfig(k=k, init=init, seed=rng.randrange(2**32),
+                           restarts=rng.randint(1, 4), max_epochs=rng.choice((1, 2, 100)))
+        model = fit(CategoricalDataset.from_values(rows), config)
+        h.update(repr((tuple(p.values for p in model.modes), model.assignments,
+                       model.cost.hex(), model.epochs_run, model.converged)).encode())
+    for _ in range(20):
+        n, m = rng.randint(8, 60), rng.randint(1, 6)
+        rows = [tuple(rng.randrange(4) for _ in range(m)) for _ in range(n)]
+        init = rng.choice(("random_rows", "density"))
+        k_max = rng.randint(1, min(6, n if init == "density" else len(set(rows))))
+        curve = elbow_scan(CategoricalDataset.from_values(rows), 1, k_max,
+                           seed=rng.randrange(100), restarts=rng.randint(1, 3), init=init)
+        h.update(repr([(k, c.hex()) for k, c in curve]).encode())
+    assert h.hexdigest() == RANDOM_FITS_DIGEST
+
+
+class TestFitMemo:
+    """fit and elbow_scan keep each model in a memo on the dataset, keyed
+    by config, and serve an equal config from it."""
+
+    @staticmethod
+    def _refuse_fits(monkeypatch):
+        def no_fit(*args):
+            raise AssertionError("a fit ran instead of reading the memo")
+
+        monkeypatch.setattr(kmodes, "_fit_once", no_fit)
+
+    @pytest.mark.parametrize("init", ["random_rows", "density"])
+    def test_fit_after_a_scan_equals_a_fit_on_a_separately_parsed_dataset(
+            self, monkeypatch, init):
+        text = generate_synthetic(120, load_schema("ocean50"), seed=3, noise=0.2).to_csv()
+        scanned, fresh = (parse_responses(text, load_schema("ocean50")).dataset
+                          for _ in range(2))
+        assert scanned == fresh and scanned is not fresh
+        curve = elbow_scan(scanned, 1, 5, seed=8, restarts=3, init=init)
+        expected = fit(fresh, FitConfig(k=4, seed=8, restarts=3, init=init))
+        self._refuse_fits(monkeypatch)
+        model = fit(scanned, FitConfig(k=4, seed=8, restarts=3, init=init))
+        assert model == expected
+        assert dict(curve)[4] == model.cost
+
+    def test_the_model_carries_the_callers_config(self, monkeypatch):
+        ds = random_dataset(random.Random(5), 30, 3, 3)
+        elbow_scan(ds, 1, 3, seed=2)
+        first = FitConfig(k=2, seed=2)
+        self._refuse_fits(monkeypatch)
+        assert fit(ds, first).config is first
+        second = FitConfig(k=2, seed=2)
+        assert fit(ds, second).config is second
+
+    def test_debug_never_reads_the_memo_and_still_checks_every_move(self, monkeypatch):
+        ds = random_dataset(random.Random(9), 40, 4, 3)
+        config = FitConfig(k=3, seed=1, restarts=2)
+        model = fit(ds, config)
+        assert model.epochs_run > 1  # some row moved in the first epoch
+        calls = []
+        real = kmodes._fit_once
+
+        def counting(*args):
+            calls.append(args[4])
+            return real(*args)
+
+        monkeypatch.setattr(kmodes, "_fit_once", counting)
+        assert fit(ds, config, debug=True) == model
+        assert calls == [1, 2]
+        # A recount that never falls makes every accepted move look bad.
+        monkeypatch.setattr(kmodes, "_total", lambda *args: 0.0)
+        with pytest.raises(AssertionError, match="failed to decrease cost"):
+            fit(ds, config, debug=True)
+
+    def test_datasets_never_share_entries(self, monkeypatch):
+        rows = random_rows(random.Random(4), 25, 3, 3)
+        a = CategoricalDataset.from_values(rows)
+        b = CategoricalDataset(attrs=a.attrs, rows=a.rows)
+        c = CategoricalDataset.from_values(rows)
+        config = FitConfig(k=2, seed=6)
+        fit(a, config)
+        assert list(a._fits) == [config]
+        assert b._fits == {} and c._fits == {}
+        calls = []
+        real = kmodes._fit_once
+        monkeypatch.setattr(kmodes, "_fit_once", lambda *args: calls.append(1) or real(*args))
+        assert fit(b, config) == fit(c, config) == fit(a, config)
+        assert len(calls) == 2
+        assert a._fits is not b._fits and b._fits is not c._fits
+
+
 class TestWithinClusterDifference:
     def test_accepts_raw_mode_vectors(self):
         ds = CategoricalDataset.from_values([(1, 1), (1, 2)])
@@ -521,8 +674,9 @@ class TestElbow:
             # density may seed past the 5 distinct rows; random_rows may not
             k_max = 7 if init == "density" else 5
         curve = elbow_scan(ds, 1, k_max, seed=seed, restarts=restarts, init=init)
+        fresh = CategoricalDataset.from_values(ds.rows)  # fits that do not read the memo
         expected = [
-            (k, fit(ds, FitConfig(k=k, seed=seed, restarts=restarts, init=init)).cost)
+            (k, fit(fresh, FitConfig(k=k, seed=seed, restarts=restarts, init=init)).cost)
             for k in range(1, k_max + 1)
         ]
         assert [(k, c.hex()) for k, c in curve] == [(k, c.hex()) for k, c in expected]
