@@ -16,8 +16,9 @@ member counts incrementally from the members' masks (see _Cluster): an add
 or remove touches only the attributes where the member differs from the
 mode, and a remove rescans an attribute's counts only where the other
 codes hold at least half the members. The final cost is the clusters'
-summed mismatch counts, not a pass over the rows. None of this changes any
-result.
+summed mismatch counts, not a pass over the rows. An epoch re-examines
+only the rows for which some mode has changed since they were last placed
+or kept; every other row would stay put. None of this changes any result.
 
 A fit is a pure function of the immutable dataset and the config, so fit
 and elbow_scan keep every model they compute in a memo on the dataset
@@ -187,6 +188,12 @@ class FitConfig:
     restarts: int = 1
 
     def __post_init__(self):
+        # bool is an int subclass, and an equal float would share a
+        # memoised model's key, so each count must be a plain int.
+        for name in ("k", "restarts", "max_epochs", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.k < 1:
             raise InfeasibleConfigError(f"k must be >= 1, got {self.k}")
         if not isinstance(self.policy, DissimilarityPolicy):
@@ -197,7 +204,7 @@ class FitConfig:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 
 
@@ -417,30 +424,46 @@ def _fit_once(dataset, encoder, codes, config, seed, debug, pool):
     k, m = config.k, len(dataset.attrs)
     clusters = [_Cluster(v, encoder) for v in _draw_seeds(pool, k, config.init, seed)]
     # Each cluster updates its mode list in place, so these stay current;
-    # masks are ints and are refreshed after every add/remove.
+    # masks are ints, refreshed whenever an add or remove changes one.
     modes = [c.mode for c in clusters]
     masks = [c.mask for c in clusters]
     assign = [0] * len(codes)
+    # changes counts the updates that altered an entry of masks. seen[i] is
+    # the count under which row i was last found at its nearest mode, taken
+    # before its own add or move, or -1 if it was placed otherwise. A row
+    # with seen[i] == changes faces the very masks under which it stayed or
+    # was placed, so _nearest would give the same answer and it would stay.
+    changes = 0
+    seen = [-1] * len(codes)
 
     def move(i, t):
+        nonlocal changes
         s = assign[i]
         clusters[s].remove(codes[i])
         clusters[t].add(codes[i])
-        masks[s], masks[t] = clusters[s].mask, clusters[t].mask
+        ms, mt = clusters[s].mask, clusters[t].mask
+        if ms != masks[s] or mt != masks[t]:
+            masks[s], masks[t] = ms, mt
+            changes += 1
         assign[i] = t
 
     # Initial allocation pass.
     for i, x in enumerate(codes):
         l, _ = _nearest(x, masks)
         assign[i] = l
-        clusters[l].add(x)
-        masks[l] = clusters[l].mask
+        seen[i] = changes
+        c = clusters[l]
+        c.add(x)
+        if c.mask != masks[l]:
+            masks[l] = c.mask
+            changes += 1
 
     # A mode can drift onto another seed's territory during the pass and
     # leave that seed's cluster empty; repair deterministically by moving
     # the row farthest from its own mode, the one agreeing least (lowest
     # index on ties), out of a cluster that can spare one. k <= n
-    # guarantees a donor exists.
+    # guarantees a donor exists. The moved row was not placed at its
+    # nearest mode, so it gets no stamp.
     for l in range(k):
         if clusters[l].size:
             continue
@@ -453,32 +476,48 @@ def _fit_once(dataset, encoder, codes, config, seed, debug, pool):
             if a < best_a:
                 best_i, best_a = i, a
         move(best_i, l)
+        seen[best_i] = -1
 
     # Reallocation epochs. A row moves only when some mode is strictly
     # closer (agrees on more attributes) than its current one (equidistant
     # rows stay put, which is what makes every accepted move strictly
-    # decrease the live cost) and only when the move does not empty its
-    # source cluster.
+    # decrease the live cost). No move empties a cluster: a cluster of one
+    # row has that row as its mode, which agrees on all m attributes, so no
+    # mode is strictly closer. A row whose stamp is current is skipped: no
+    # mask has changed since it was placed or last stayed. debug=True looks
+    # at the skipped rows too and raises if one has a strictly closer mode.
     epochs_run = 0
     converged = False
     for epoch in range(1, config.max_epochs + 1):
         epochs_run = epoch
         moves = 0
         for i, x in enumerate(codes):
+            settled = seen[i] == changes
+            if settled and not debug:
+                continue
             s = assign[i]
             t, at = _nearest(x, masks)
-            if at > (x & masks[s]).bit_count() and clusters[s].size >= 2:
-                if debug:
-                    before = _total(m, codes, masks, assign)
-                move(i, t)
-                moves += 1
-                if debug:
-                    after = _total(m, codes, masks, assign)
-                    if not after < before:
-                        raise AssertionError(
-                            f"accepted move of row {i} failed to decrease cost "
-                            f"({before} -> {after})"
-                        )
+            seen[i] = changes
+            if at <= (x & masks[s]).bit_count():
+                continue
+            if debug:
+                if settled:
+                    raise AssertionError(
+                        f"row {i} was skipped as settled in cluster {s}, but cluster "
+                        f"{t} agrees with it on more attributes"
+                    )
+                if clusters[s].size < 2:
+                    raise AssertionError(f"moving row {i} would empty cluster {s}")
+                before = _total(m, codes, masks, assign)
+            move(i, t)
+            moves += 1
+            if debug:
+                after = _total(m, codes, masks, assign)
+                if not after < before:
+                    raise AssertionError(
+                        f"accepted move of row {i} failed to decrease cost "
+                        f"({before} -> {after})"
+                    )
         if moves == 0:
             converged = True
             break
@@ -503,8 +542,10 @@ def fit(dataset, config: FitConfig, debug: bool = False) -> ClusterModel:
     The model's config keeps the requested restarts.
 
     debug=True recomputes the full objective around every accepted move,
-    raises if a move ever fails to decrease it, and checks the final cost
-    against a recount. It neither reads nor fills the dataset's memo.
+    raises if a move ever fails to decrease it or would empty a cluster,
+    also examines every row an epoch skips and raises if one has a strictly
+    closer mode, and checks the final cost against a recount. It neither
+    reads nor fills the dataset's memo.
 
     The rows are encoded, and the init's seed pool (see _seed_pool) built,
     once for all restarts; elbow_scan shares both across k. A fit is a pure

@@ -290,6 +290,31 @@ class TestFitValidation:
         with pytest.raises(ValueError):
             FitConfig(k=1, seed=-1)
 
+    @pytest.mark.parametrize("name, value", [
+        ("k", 2.0), ("k", True), ("k", "2"), ("k", None),
+        ("restarts", True), ("restarts", 2.0),
+        ("max_epochs", False), ("max_epochs", 10.0),
+        ("seed", True), ("seed", 5.0), ("seed", "5"),
+    ])
+    def test_config_counts_must_be_plain_ints(self, name, value):
+        # 2.0 == 2 and True == 1, so either would also share a memo key with
+        # the int config and make a fit's result depend on earlier fits.
+        with pytest.raises(ValueError) as excinfo:
+            FitConfig(**{"k": 1, name: value})
+        assert str(excinfo.value) == f"{name} must be an integer, got {value!r}"
+
+    @pytest.mark.parametrize("fields, error, message", [
+        ({"k": 0}, InfeasibleConfigError, "k must be >= 1, got 0"),
+        ({"restarts": 0}, ValueError, "restarts must be >= 1, got 0"),
+        ({"max_epochs": -3}, ValueError, "max_epochs must be >= 1, got -3"),
+        ({"seed": 2**64}, ValueError, f"seed must be an integer in [0, 2**64), got {2**64}"),
+    ])
+    def test_config_range_messages(self, fields, error, message):
+        with pytest.raises(error) as excinfo:
+            FitConfig(**{"k": 1, **fields})
+        assert type(excinfo.value) is error
+        assert str(excinfo.value) == message
+
 
 class TestFit:
     def test_single_cluster_cost_counts_mismatches_to_the_mode(self):
@@ -495,6 +520,45 @@ def test_ocean50_fit_is_bit_identical_to_the_golden_record(ocean50_population, n
 def test_ocean50_debug_fit_descends_to_the_golden_record(ocean50_population):
     model = fit(ocean50_population, FitConfig(k=5, seed=5, restarts=2), debug=True)
     assert _golden_record(model) == OCEAN50_GOLDEN_FITS["simple", "random_rows"]
+
+
+def test_epochs_examine_only_the_rows_a_mode_change_could_move(
+        ocean50_population, monkeypatch):
+    # Each restart's allocation pass asks _nearest once per row. Without the
+    # skip, each of the two epochs would ask again for every row: 6000
+    # calls. The masks stop changing at row 163 of the first pass and row
+    # 39 of the second, so the epochs examine about 200 rows in all.
+    calls = []
+    real = kmodes._nearest
+    monkeypatch.setattr(kmodes, "_nearest",
+                        lambda x, masks: calls.append(1) or real(x, masks))
+    config = FitConfig(k=5, seed=5, restarts=2)
+    fresh = CategoricalDataset.from_values(ocean50_population.rows)  # an empty memo
+    model = fit(fresh, config)
+    assert _golden_record(model) == OCEAN50_GOLDEN_FITS["simple", "random_rows"]
+    allocations = fresh.n * config.restarts
+    assert allocations <= len(calls) < allocations * 1.15
+
+
+def test_debug_examines_the_rows_an_epoch_skips(monkeypatch):
+    # Equal rows in one cluster never change its mask, so every row is
+    # settled when the first epoch starts. A _nearest that lies after the
+    # allocation pass goes unasked without debug; debug asks it and names
+    # the first row it would have moved.
+    ds = CategoricalDataset.from_values([(1, 2)] * 4)
+    calls = []
+    real = kmodes._nearest
+
+    def lying(x, masks):
+        calls.append(1)
+        return real(x, masks) if len(calls) <= ds.n else (0, 3)
+
+    monkeypatch.setattr(kmodes, "_nearest", lying)
+    assert fit(ds, FitConfig(k=1)).converged
+    assert len(calls) == ds.n
+    calls.clear()
+    with pytest.raises(AssertionError, match="^row 0 was skipped as settled in cluster 0"):
+        fit(ds, FitConfig(k=1), debug=True)
 
 
 def test_ocean50_elbow_curve_is_bit_identical_to_the_golden_record(ocean50_population):
