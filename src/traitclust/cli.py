@@ -17,7 +17,9 @@ from pathlib import Path
 
 from . import documents
 from .errors import InfeasibleConfigError
-from .kmodes import ClusterModel, FitConfig, check_selection, elbow_scan, fit, select_k
+from .kmodes import (
+    INIT_STRATEGIES, ClusterModel, FitConfig, check_selection, elbow_scan, fit, select_k,
+)
 from .report import (
     emit_report,
     fuse_profiles,
@@ -73,7 +75,7 @@ _FIT_FLAGS = ("seed", "restarts", "init")
 def _add_fit_flags(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=1)
-    p.add_argument("--init", choices=("random_rows", "density"), default="random_rows")
+    p.add_argument("--init", choices=INIT_STRATEGIES, default="random_rows")
 
 
 def build_parser() -> _Parser:

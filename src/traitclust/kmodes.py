@@ -7,9 +7,10 @@ clusters (updating both affected modes immediately) until an epoch makes no
 moves or the epoch budget is exhausted (Huang, "Extensions to the k-Means
 Algorithm for Clustering Large Data Sets with Categorical Values", DMKD 1998).
 
-fit encodes every row once as a BitEncoder mask, shared by all restarts
-(elbow_scan encodes once for all k). The allocation pass, the
-empty-cluster repair, every epoch and density init count agreements
+fit and elbow_scan run through one driver, _models, which encodes every
+row once as a BitEncoder mask and builds one seed pool, shared by every
+restart and every k it fits. The allocation pass, the empty-cluster
+repair, every epoch and density init count agreements
 ``(row & mode).bit_count()`` on those masks: the nearest mode is the one
 that agrees most. Each cluster keeps its mode, the mode's mask and its
 member counts incrementally from the members' masks (see _Cluster): an add
@@ -20,9 +21,9 @@ summed mismatch counts, not a pass over the rows. An epoch re-examines
 only the rows for which some mode has changed since they were last placed
 or kept; every other row would stay put. None of this changes any result.
 
-A fit is a pure function of the immutable dataset and the config, so fit
-and elbow_scan keep every model they compute in a memo on the dataset
-(CategoricalDataset._fits) and return it for an equal config: the refit at
+A fit is a pure function of the immutable dataset and the config, so
+_models keeps every model it computes in a memo on the dataset
+(CategoricalDataset._fits) and returns it for an equal config: the refit at
 the k an elbow scan selected costs a dictionary lookup. The memo holds one
 model, an assignment tuple of n ints, per config fitted, for the life of
 the dataset. debug=True neither reads nor fills it.
@@ -41,7 +42,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import compress, repeat
-from operator import ge
+from operator import ge, itemgetter
 
 from .dissimilarity import (
     CATEGORICAL,
@@ -144,7 +145,7 @@ class CategoricalDataset:
         return dataset
 
     @classmethod
-    def from_raw(cls, rows, kinds=None, names=None, row_ids=None):
+    def from_raw(cls, rows, names=None, row_ids=None):
         """Ingest raw labels: each attribute's values are recoded to dense
         codes 0..c-1 in first-appearance order.
 
@@ -162,7 +163,7 @@ class CategoricalDataset:
                 raise AlignmentError(f"ragged input row of length {len(r)}, expected {m}")
             encoded.append(tuple(codes.setdefault(v, len(codes))
                                  for codes, v in zip(code_maps, r)))
-        return cls.from_values(encoded, kinds=kinds, names=names, row_ids=row_ids)
+        return cls.from_values(encoded, names=names, row_ids=row_ids)
 
 
 def _columns_valid(values, m, category_sets) -> bool:
@@ -284,16 +285,12 @@ def init_modes(dataset, k: int, strategy: str = "random_rows", seed: int = 0):
     random_rows samples k distinct rows without replacement (seeded);
     density starts from the highest-frequency row and then spreads out.
     """
-    if k < 1:
-        raise InfeasibleConfigError(f"k must be >= 1, got {k}")
+    FitConfig(k=k, init=strategy, seed=seed)
     if k > dataset.n:
         raise InfeasibleConfigError(f"k={k} exceeds the number of rows ({dataset.n})")
-    if strategy not in INIT_STRATEGIES:
-        raise ValueError(f"unknown init strategy {strategy!r}")
     codes = _encode_rows(dataset)[1] if strategy == "density" else None
     pool = _seed_pool(dataset, codes, strategy, k, k)
-    chosen = _draw_seeds(pool, k, strategy, seed)
-    return [Prototype(values=v) for v in chosen]
+    return [Prototype(values=v) for v in _draw_seeds(pool, k, strategy, seed)]
 
 
 def _nearest(x, masks):
@@ -330,8 +327,9 @@ class _Cluster:
     the mask swaps the old code's bit for the new one's. An emptied cluster
     keeps its last mode.
 
-    Bits the encoder assigns after the cluster was built (codes no member
-    had then) get a zero count when first seen.
+    The encoder must already hold every code the cluster will see: the
+    counts have one slot per bit the encoder had assigned when the cluster
+    was built. _models encodes every row before it builds any cluster.
     """
 
     __slots__ = ("size", "mode", "mask", "rest", "_pos", "_counts",
@@ -348,10 +346,6 @@ class _Cluster:
         self._attr_of = encoder.attr_of
         self._code_of = encoder.code_of
         self._positions = encoder.positions
-
-    def _grow(self):
-        # Zero counts for the bits the encoder assigned since the last call.
-        self._counts.extend([0] * (len(self._code_of) - len(self._counts)))
 
     def _promote(self, j, p, n, top):
         # The code at bit p, with n members, replaces the mode code of j,
@@ -372,11 +366,7 @@ class _Cluster:
             p = d.bit_length() - 1
             d ^= 1 << p
             j = attr_of[p]
-            try:
-                n = counts[p] + 1
-            except IndexError:  # a bit assigned after this cluster was built
-                self._grow()
-                n = 1
+            n = counts[p] + 1
             counts[p] = n
             r = rest[j] = rest[j] + 1
             top = size - r
@@ -402,7 +392,6 @@ class _Cluster:
     def _rescan(self, j, top):
         # The mode code of j, with top members, yields to the code with the
         # most members, the lowest code among the maxima.
-        self._grow()
         counts, code_of = self._counts, self._code_of
         best_p = q = self._pos[j]
         best_n = top
@@ -533,60 +522,52 @@ def _fit_once(dataset, encoder, codes, config, seed, debug, pool):
     return protos, tuple(assign), epochs_run, converged, cost
 
 
-def fit(dataset, config: FitConfig, debug: bool = False) -> ClusterModel:
-    """Cluster the dataset; with restarts > 1, run restart r on seed + r and
-    keep the lowest-cost model (earliest restart on ties).
+def _models(dataset, configs, debug=False):
+    """The model of each config, in order, for configs that differ only in
+    k: the memo's (see CategoricalDataset._fits; debug uses a fresh one),
+    else fitted and added to it. The configs the memo lacks share one
+    encoding of the rows, done before any cluster is built, and one seed
+    pool over their k range (see _seed_pool). Restart r runs on seed + r
+    and the lowest cost wins, the earliest restart on ties. density init
+    does not use the seed, so every restart would repeat restart 0 and lose
+    the tie to it: a density fit runs restart 0 alone.
+    """
+    if dataset.n < 1:
+        raise ValueError("cannot fit an empty dataset")
+    k_max = max(c.k for c in configs)
+    if k_max > dataset.n:
+        raise InfeasibleConfigError(f"k={k_max} exceeds the number of rows ({dataset.n})")
+    memo = {} if debug else dataset._fits
+    missing = [c for c in configs if c not in memo]
+    if missing:
+        init = missing[0].init
+        encoder, codes = _encode_rows(dataset)
+        pool = _seed_pool(dataset, codes, init,
+                          min(c.k for c in missing), max(c.k for c in missing))
+        for config in missing:
+            runs = (_fit_once(dataset, encoder, codes, config, config.seed + r, debug, pool)
+                    for r in range(1 if init == "density" else config.restarts))
+            modes, assignments, epochs_run, converged, cost = min(runs, key=itemgetter(4))
+            memo[config] = ClusterModel(modes, assignments, cost, epochs_run, converged, config)
+    return [memo[c] for c in configs]
 
-    density init does not use the seed, so every restart would repeat
-    restart 0 and lose the tie to it: a density fit runs restart 0 alone.
-    The model's config keeps the requested restarts.
+
+def fit(dataset, config: FitConfig, debug: bool = False) -> ClusterModel:
+    """Cluster the dataset through _models, the driver elbow_scan shares:
+    restart r runs on seed + r and the lowest cost wins (earliest restart on
+    ties); a density fit runs restart 0 alone, and its model's config keeps
+    the requested restarts.
 
     debug=True recomputes the full objective around every accepted move,
     raises if a move ever fails to decrease it or would empty a cluster,
     also examines every row an epoch skips and raises if one has a strictly
     closer mode, and checks the final cost against a recount. It neither
-    reads nor fills the dataset's memo.
-
-    The rows are encoded, and the init's seed pool (see _seed_pool) built,
-    once for all restarts; elbow_scan shares both across k. A fit is a pure
-    function of the dataset and the config, so the model is kept in the
-    dataset's memo (see CategoricalDataset._fits), and a later fit or
-    elbow_scan with an equal config returns it, carrying its own config.
+    reads nor fills the dataset's memo. Otherwise the model is kept there,
+    and a later fit or elbow_scan with an equal config returns it, carrying
+    its own config.
     """
-    if dataset.n < 1:
-        raise ValueError("cannot fit an empty dataset")
-    if config.k > dataset.n:
-        raise InfeasibleConfigError(
-            f"k={config.k} exceeds the number of rows ({dataset.n})"
-        )
-    model = None if debug else dataset._fits.get(config)
-    if model is None:
-        encoder, codes = _encode_rows(dataset)
-        pool = _seed_pool(dataset, codes, config.init, config.k, config.k)
-        model = _fit_encoded(dataset, encoder, codes, config, pool, debug=debug)
-        if not debug:
-            dataset._fits[config] = model
+    model = _models(dataset, [config], debug)[0]
     return model if model.config is config else replace(model, config=config)
-
-
-def _fit_encoded(dataset, encoder, codes, config, pool, debug=False):
-    """fit on rows already encoded as codes under encoder, drawing each
-    restart's initial modes from pool. Every mode code is a row code, so the
-    encoder gains no bits and can serve many fits."""
-    best = None
-    for r in range(1 if config.init == "density" else config.restarts):
-        out = _fit_once(dataset, encoder, codes, config, config.seed + r, debug, pool)
-        if best is None or out[4] < best[4]:
-            best = out
-    modes, assignments, epochs_run, converged, cost = best
-    return ClusterModel(
-        modes=modes,
-        assignments=assignments,
-        cost=cost,
-        epochs_run=epochs_run,
-        converged=converged,
-        config=config,
-    )
 
 
 def within_cluster_difference(dataset, modes, assignments, policy=None) -> float:
@@ -613,28 +594,19 @@ def elbow_scan(dataset, k_min, k_max, seed=0, restarts=1, init="random_rows"):
     cost equal to that of ``fit`` at k bit for bit.
 
     All arguments, and under random_rows the number of distinct rows, are
-    checked before any fit. The rows are encoded, and the seed pool built
-    (density seeds are derived once at k_max; see _seed_pool), once for the
-    whole scan. Each k's model is read from, or else added to, the
-    dataset's memo, as ``fit`` does; a scan whose every k is there encodes
-    nothing.
+    checked before any fit. The scan is one call of _models, the driver fit
+    uses: every k the dataset's memo lacks shares one encoding of the rows
+    and one seed pool (density seeds are derived once, at the largest such
+    k; see _seed_pool). A scan whose every k is in the memo encodes nothing.
     """
+    for name, value in (("k_min", k_min), ("k_max", k_max)):
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if not 1 <= k_min <= k_max:
         raise ValueError(f"need 1 <= k_min <= k_max, got {k_min}..{k_max}")
-    if k_max > dataset.n:
-        raise InfeasibleConfigError(
-            f"k_max={k_max} exceeds the number of rows ({dataset.n})"
-        )
     configs = [FitConfig(k=k, seed=seed, restarts=restarts, init=init)
                for k in range(k_min, k_max + 1)]
-    memo = dataset._fits
-    missing = [c for c in configs if c not in memo]
-    if missing:
-        encoder, codes = _encode_rows(dataset)
-        pool = _seed_pool(dataset, codes, init, k_min, k_max)
-        for c in missing:
-            memo[c] = _fit_encoded(dataset, encoder, codes, c, pool)
-    return [(c.k, memo[c].cost) for c in configs]
+    return [(model.config.k, model.cost) for model in _models(dataset, configs)]
 
 
 def check_selection(points: int, epsilon: float) -> None:

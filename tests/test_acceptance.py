@@ -155,6 +155,8 @@ def test_03_mode_update_equals_brute_force_majority():
         top = rng.randint(1, 6)
         values = [rng.randrange(top + 1) for _ in range(length)]
         encoder = BitEncoder(1)
+        for v in range(top + 1):  # every code, before the cluster is built
+            encoder.encode((v,))
         cluster = _Cluster([rng.randrange(top + 1)], encoder)
         for v in values:
             cluster.add(encoder.encode((v,)))
@@ -164,6 +166,8 @@ def test_03_mode_update_equals_brute_force_majority():
         m = rng.randint(1, 4)
         top = rng.randint(1, 5)
         encoder = BitEncoder(m)
+        for v in range(top + 1):
+            encoder.encode((v,) * m)
         cluster = _Cluster([rng.randrange(top + 1) for _ in range(m)], encoder)
         members = []
         for _ in range(rng.randint(1, 40)):

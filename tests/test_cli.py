@@ -202,6 +202,13 @@ class TestFitCommand:
         assert "exceeds" in err
         assert not target.exists()
 
+    def test_an_unknown_init_is_refused_with_one_argparse_line(self, capsys):
+        code, out, err = run(capsys, "fit", "-i", FIXTURE, "--schema", "scenario3",
+                             "--k", "2", "--init", "kmeanspp")
+        assert (code, out) == (1, "")
+        assert err == ("error: argument --init: invalid choice: 'kmeanspp' "
+                       "(choose from 'random_rows', 'density')\n")
+
     @pytest.mark.parametrize("target", ["missing_dir", "directory"])
     def test_unwritable_output_is_one_line_error(self, capsys, tmp_path, target):
         path = tmp_path / "no" / "model.json" if target == "missing_dir" else tmp_path
@@ -625,6 +632,16 @@ class TestMissingHandling:
                            "--missing", "impute")
         assert code == 0
         assert len(out.splitlines()) == 4
+
+    @pytest.mark.parametrize("argv", [
+        ("fit", "--k", "1"), ("elbow", "--k-max", "2"), ("report", "--k", "1"),
+    ], ids=lambda argv: argv[0])
+    def test_an_input_whose_every_row_is_dropped_cannot_be_fitted(
+            self, capsys, tmp_path, monkeypatch, argv):
+        # 0 is the missing code, so --missing drop leaves no row
+        monkeypatch.setattr("sys.stdin", io.StringIO("who,Q1\na,0\nb,0\n"))
+        code, out, err = run(capsys, *argv, "--schema", self._schema_file(tmp_path))
+        assert (code, out, err) == (1, "", "error: cannot fit an empty dataset\n")
 
 
 class TestArgumentHandling:

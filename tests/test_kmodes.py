@@ -87,11 +87,13 @@ class TestDatasetConstruction:
 
 def _mode_of(values):
     """The mode fit's cluster state keeps for a one-attribute multiset,
-    added in order to a cluster seeded with the first value."""
+    added in order to a cluster seeded with the first value. Every value is
+    encoded before the cluster is built, as fit does."""
     encoder = BitEncoder(1)
+    masks = [encoder.encode((v,)) for v in values]
     cluster = _Cluster(values[:1], encoder)
-    for v in values:
-        cluster.add(encoder.encode((v,)))
+    for x in masks:
+        cluster.add(x)
     return cluster.mode[0]
 
 
@@ -115,11 +117,17 @@ class TestIncrementalMode:
     then hold at least half the members (``2 * rest[j] >= size``)."""
 
     @staticmethod
-    def cluster(*members):
+    def cluster(*members, later=()):
+        """A cluster seeded with the first member and holding them all,
+        under an encoder that already holds every code of members and of
+        the rows a test adds later."""
         encoder = BitEncoder(len(members[0]))
+        masks = [encoder.encode(row) for row in members]
+        for row in later:
+            encoder.encode(row)
         c = _Cluster(members[0], encoder)
-        for row in members:
-            c.add(encoder.encode(row))
+        for x in masks:
+            c.add(x)
         assert c.mask == encoder.encode(c.mode)
         return c, encoder
 
@@ -185,7 +193,7 @@ class TestIncrementalMode:
         assert c.mode == [1, 1, 1]
 
     def test_an_emptied_cluster_keeps_its_mode_until_the_next_add(self):
-        c, encoder = self.cluster((3, 4))
+        c, encoder = self.cluster((3, 4), later=[(7, 4)])
         c.remove(encoder.encode((3, 4)))
         assert (c.size, c.mode) == (0, [3, 4])
         c.add(encoder.encode((7, 4)))
@@ -198,6 +206,8 @@ class TestIncrementalMode:
         for case in range(300):
             m = rng.randint(1, 5)
             encoder = BitEncoder(m)
+            for code in codes:  # every code on every attribute, before the cluster
+                encoder.encode((code,) * m)
             c = _Cluster([rng.choice(codes) for _ in range(m)], encoder)
             members = []
             for _ in range(rng.randint(1, 40)):
@@ -266,13 +276,13 @@ class TestFitValidation:
         with pytest.raises(InfeasibleConfigError):
             FitConfig(k=0)
 
-    def test_simple_policy_rejects_numeric_attributes(self):
+    def test_a_dataset_refuses_a_numeric_attribute_before_any_fit(self):
         # the dataset refuses the "numeric" kind before a fit can see it
         with pytest.raises(ValueError):
-            ds = CategoricalDataset.from_raw([(1, "a")], kinds=["numeric", CATEGORICAL])
+            ds = CategoricalDataset.from_values([(1, 0)], kinds=["numeric", CATEGORICAL])
             fit(ds, FitConfig(k=1))
 
-    def test_mixed_auto_needs_a_numeric_attribute(self):
+    def test_fit_refuses_a_policy_mode_other_than_simple(self):
         # "mixed" is not a policy mode, so the fit is refused before it starts
         ds = CategoricalDataset.from_values([(0,), (1,)])
         with pytest.raises(PolicyError):
@@ -668,6 +678,34 @@ class TestFitMemo:
         assert len(calls) == 2
         assert a._fits is not b._fits and b._fits is not c._fits
 
+    @pytest.mark.parametrize("init", ["random_rows", "density"])
+    def test_a_scan_fits_only_the_k_the_memo_lacks(self, monkeypatch, init):
+        text = generate_synthetic(120, load_schema("ocean50"), seed=5, noise=0.2).to_csv()
+        scanned, fresh = (parse_responses(text, load_schema("ocean50")).dataset
+                          for _ in range(2))
+        for k in (3, 6):
+            fit(scanned, FitConfig(k=k, seed=4, restarts=2, init=init))
+        calls = {"_encode_rows": 0, "_seed_pool": 0}
+        for name in calls:
+            real = getattr(kmodes, name)
+
+            def counting(*args, _name=name, _real=real):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(kmodes, name, counting)
+        fitted = []
+        real_fit_once = kmodes._fit_once
+        monkeypatch.setattr(kmodes, "_fit_once",
+                            lambda *args: fitted.append(args[3].k) or real_fit_once(*args))
+        curve = elbow_scan(scanned, 1, 6, seed=4, restarts=2, init=init)
+        assert calls == {"_encode_rows": 1, "_seed_pool": 1}
+        runs = 1 if init == "density" else 2
+        assert fitted == [k for k in (1, 2, 4, 5) for _ in range(runs)]
+        monkeypatch.undo()
+        expected = elbow_scan(fresh, 1, 6, seed=4, restarts=2, init=init)
+        assert [(k, c.hex()) for k, c in curve] == [(k, c.hex()) for k, c in expected]
+
 
 class TestWithinClusterDifference:
     def test_accepts_raw_mode_vectors(self):
@@ -744,6 +782,20 @@ class TestElbow:
             for k in range(1, k_max + 1)
         ]
         assert [(k, c.hex()) for k, c in curve] == [(k, c.hex()) for k, c in expected]
+
+    @pytest.mark.parametrize("value", [1.0, True, "2"])
+    @pytest.mark.parametrize("name", ["k_min", "k_max"])
+    def test_scan_bounds_must_be_plain_ints(self, monkeypatch, name, value):
+        # True == 1 would scan from k=1, and 1.0 would fail inside range().
+        def no_fit(*args):
+            raise AssertionError("the scan ran a fit")
+
+        monkeypatch.setattr(kmodes, "_fit_once", no_fit)
+        ds = CategoricalDataset.from_values([(0,), (1,), (2,)])
+        with pytest.raises(ValueError) as excinfo:
+            elbow_scan(ds, **{"k_min": 1, "k_max": 2, name: value})
+        assert type(excinfo.value) is ValueError
+        assert str(excinfo.value) == f"{name} must be an integer, got {value!r}"
 
     def test_random_rows_scan_past_the_distinct_rows_fails_at_that_k(self, monkeypatch):
         # The distinct rows are counted once, before any fit.
