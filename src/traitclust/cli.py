@@ -174,7 +174,7 @@ def _cmd_fit(args) -> str:
 def _cmd_elbow(args) -> str:
     schema = load_schema(args.schema)
     result = _parse_input(args, schema)
-    if 1 <= args.k_min <= args.k_max:  # otherwise elbow_scan names the bad range
+    if 1 <= args.k_min <= args.k_max:  # otherwise elbow_scan or FitConfig refuses
         check_selection(args.k_max - args.k_min + 1, args.epsilon)
     curve = elbow_scan(result.dataset, args.k_min, args.k_max,
                        seed=args.seed, restarts=args.restarts, init=args.init)

@@ -82,9 +82,6 @@ class CategoricalDataset:
                     f"attribute {spec.name!r} carries index {spec.index}, expected {j}"
                 )
         category_sets = [set(spec.categories) for spec in self.attrs]
-        if _columns_valid(self.rows, m, category_sets):
-            return
-        # Some row is bad: scan row by row to name the first one.
         for rid, row in zip(self.row_ids, self.rows):
             if len(row) != m:
                 raise AlignmentError(f"row {rid!r} has {len(row)} values, expected {m}")
@@ -164,17 +161,6 @@ class CategoricalDataset:
             encoded.append(tuple(codes.setdefault(v, len(codes))
                                  for codes, v in zip(code_maps, r)))
         return cls.from_values(encoded, names=names, row_ids=row_ids)
-
-
-def _columns_valid(values, m, category_sets) -> bool:
-    """Whether every value vector has m entries and every entry is one of
-    its attribute's categories, checked one column at a time."""
-    if not set(map(len, values)) <= {m}:
-        return False
-    try:
-        return all(map(set.issuperset, category_sets, zip(*values)))
-    except TypeError:  # an unhashable value; the row scan reports it
-        return False
 
 
 @dataclass(frozen=True)
@@ -412,9 +398,7 @@ def _total(m, points, masks, assignments):
 def _fit_once(dataset, encoder, codes, config, seed, debug, pool):
     k, m = config.k, len(dataset.attrs)
     clusters = [_Cluster(v, encoder) for v in _draw_seeds(pool, k, config.init, seed)]
-    # Each cluster updates its mode list in place, so these stay current;
     # masks are ints, refreshed whenever an add or remove changes one.
-    modes = [c.mode for c in clusters]
     masks = [c.mask for c in clusters]
     assign = [0] * len(codes)
     # changes counts the updates that altered an entry of masks. seen[i] is
@@ -518,7 +502,7 @@ def _fit_once(dataset, encoder, codes, config, seed, debug, pool):
         recount = _total(m, codes, masks, assign)
         if cost != recount:
             raise AssertionError(f"cluster state cost {cost} != recounted cost {recount}")
-    protos = tuple(Prototype(values=tuple(z)) for z in modes)
+    protos = tuple(Prototype(values=tuple(c.mode)) for c in clusters)
     return protos, tuple(assign), epochs_run, converged, cost
 
 
@@ -594,16 +578,17 @@ def elbow_scan(dataset, k_min, k_max, seed=0, restarts=1, init="random_rows"):
     cost equal to that of ``fit`` at k bit for bit.
 
     All arguments, and under random_rows the number of distinct rows, are
-    checked before any fit. The scan is one call of _models, the driver fit
-    uses: every k the dataset's memo lacks shares one encoding of the rows
-    and one seed pool (density seeds are derived once, at the largest such
-    k; see _seed_pool). A scan whose every k is in the memo encodes nothing.
+    checked before any fit; FitConfig refuses a k below 1, as in fit. The
+    scan is one call of _models, the driver fit uses: every k the dataset's
+    memo lacks shares one encoding of the rows and one seed pool (density
+    seeds are derived once, at the largest such k; see _seed_pool). A scan
+    whose every k is in the memo encodes nothing.
     """
     for name, value in (("k_min", k_min), ("k_max", k_max)):
         if type(value) is not int:
             raise ValueError(f"{name} must be an integer, got {value!r}")
-    if not 1 <= k_min <= k_max:
-        raise ValueError(f"need 1 <= k_min <= k_max, got {k_min}..{k_max}")
+    if k_min > k_max:
+        raise ValueError(f"need k_min <= k_max, got {k_min}..{k_max}")
     configs = [FitConfig(k=k, seed=seed, restarts=restarts, init=init)
                for k in range(k_min, k_max + 1)]
     return [(model.config.k, model.cost) for model in _models(dataset, configs)]

@@ -10,17 +10,18 @@ import csv
 import io
 import math
 import random
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
-from itertools import compress, repeat
+from itertools import accumulate, compress, repeat
 from operator import add, itemgetter, mul, sub, truediv
 from pathlib import Path
 
 from . import documents
 from .errors import AlignmentError, DegenerateProfileError, ParseError, SchemaError
-from .kmodes import CategoricalDataset
+from .kmodes import CategoricalDataset, FitConfig
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -413,12 +414,14 @@ def score_profiles(rows, schema: SurveySchema):
         return {d: [] for d in dims}, {d: [] for d in dims}
     lo, hi = schema.likert_min, schema.likert_max
     columns = list(zip(*rows))
-    # Plain ints in range, checked once per column; anything else scores
-    # row by row, which raises the per-row error or lets an int subclass
-    # through.
+    # Plain ints in range, checked once per column. Otherwise score_profile
+    # checks each row: it raises for the first bad one, or lets through an
+    # int subclass such as True, which the column sums below treat as its
+    # int value, as score_profile does.
     if (set(map(len, rows)) != {len(schema.items)}
             or not all(_plain_answers(col, lo, hi) for col in columns)):
-        return _profile_columns([score_profile(r, schema) for r in rows], dims)
+        for r in rows:
+            score_profile(r, schema)
     raw = {}
     for d, (pos, neg, reversal) in zip(dims, schema._score_plan):
         acc = [reversal] * n
@@ -439,12 +442,6 @@ def score_profiles(rows, schema: SurveySchema):
     percent = {d: list(map(truediv, map(mul, repeat(100.0), col), totals))
                for d, col in raw.items()}
     return raw, percent
-
-
-def _profile_columns(profiles, dims):
-    """The ``(raw, percent)`` columns of a list of TraitProfiles."""
-    return ({d: [p.raw[d] for p in profiles] for d in dims},
-            {d: [p.percent[d] for p in profiles] for d in dims})
 
 
 def _plain_answers(values, lo, hi) -> bool:
@@ -472,12 +469,14 @@ def generate_synthetic(n: int, schema: SurveySchema, weights=None, seed: int = 0
     the mixture, answering that dimension's positive items at likert_max and
     its negative items at likert_min (and the converse on every other
     dimension). With noise > 0, each answer is replaced by a uniform Likert
-    draw with that probability. Deterministic for a given seed.
+    draw with that probability. Deterministic for a given seed, which must
+    be a plain int in [0, 2**64), as FitConfig requires.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0.0 <= noise <= 1.0:
         raise ValueError(f"noise must lie in [0, 1], got {noise}")
+    FitConfig(k=1, seed=seed)  # refuses a bad seed in FitConfig's words
     dims = schema.dimensions
     if weights is None:
         ws = [1.0 / len(dims)] * len(dims)
@@ -497,36 +496,26 @@ def generate_synthetic(n: int, schema: SurveySchema, weights=None, seed: int = 0
     if abs(math.fsum(ws) - 1.0) > 1e-9:
         raise ValueError(f"mixture weights must sum to 1, got {math.fsum(ws)}")
 
-    cumulative = []
-    acc = 0.0
-    for w in ws:
-        acc += w
-        cumulative.append(acc)
-
-    rng = random.Random(seed)
+    # A respondent answers the dominant dimension's items in their keyed
+    # direction and every other item against it, so the noise-free answers
+    # depend only on the dominant dimension: one tuple per dimension.
     lo, hi = schema.likert_min, schema.likert_max
-    ids, rows = [], []
-    for i in range(n):
-        u = rng.random()
-        dominant = dims[-1]
-        for d, edge in zip(dims, cumulative):
-            if u < edge:
-                dominant = d
-                break
-        row = []
-        for item in schema.items:
-            on_dominant = item.dimension == dominant
-            if item.keying == POSITIVE:
-                v = hi if on_dominant else lo
-            else:
-                v = lo if on_dominant else hi
-            if noise > 0.0 and rng.random() < noise:
-                v = rng.randint(lo, hi)
-            row.append(v)
-        ids.append(str(i))
-        rows.append(tuple(row))
+    answers = [tuple(hi if (item.dimension == d) == (item.keying == POSITIVE) else lo
+                     for item in schema.items)
+               for d in dims]
+    # The dominant dimension is the first whose cumulative weight exceeds
+    # the draw, else the last.
+    cumulative = list(accumulate(ws))
+    last = len(dims) - 1
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(n):
+        row = answers[min(bisect_right(cumulative, rng.random()), last)]
+        if noise > 0.0:  # from a list, so the tuple is allocated at its size
+            row = tuple([rng.randint(lo, hi) if rng.random() < noise else v for v in row])
+        rows.append(row)
     return ResponseTable(
-        ids=tuple(ids),
+        ids=tuple(map(str, range(n))),
         columns=schema.columns,
         rows=tuple(rows),
         id_name="respondent_id",

@@ -644,6 +644,39 @@ class TestMissingHandling:
         assert (code, out, err) == (1, "", "error: cannot fit an empty dataset\n")
 
 
+_PARSED = ("-i", FIXTURE, "--schema", "scenario3")
+
+
+# One row per refusal: the command, the bad value, the exit code and the one
+# error line. Exit 2 is a k the input cannot hold (below 1, or above its 9
+# rows or 6 distinct rows); every other refusal exits 1.
+@pytest.mark.parametrize("argv, code, message", [
+    pytest.param(("fit", *_PARSED, "--k", "0"), 2, "k must be >= 1, got 0", id="fit k=0"),
+    pytest.param(("report", *_PARSED, "--k", "0"), 2, "k must be >= 1, got 0",
+                 id="report k=0"),
+    pytest.param(("elbow", *_PARSED, "--k-min", "0", "--k-max", "3"), 2,
+                 "k must be >= 1, got 0", id="elbow k_min=0"),
+    pytest.param(("elbow", *_PARSED, "--k-min", "0", "--k-max", "0"), 2,
+                 "k must be >= 1, got 0", id="elbow k_max=0"),
+    pytest.param(("fit", *_PARSED, "--k", "2", "--seed", "-1"), 1,
+                 "seed must be an integer in [0, 2**64), got -1", id="fit seed=-1"),
+    pytest.param(("gen", "--schema", "scenario3", "--n", "5", "--seed", "-1"), 1,
+                 "seed must be an integer in [0, 2**64), got -1", id="gen seed=-1"),
+    pytest.param(("fit", *_PARSED, "--k", "10"), 2, "k=10 exceeds the number of rows (9)",
+                 id="fit k>n"),
+    pytest.param(("elbow", *_PARSED, "--k-max", "9"), 2,
+                 "k=7 exceeds the number of distinct rows (6)", id="elbow k>distinct"),
+    pytest.param(("elbow", *_PARSED, "--k-min", "3", "--k-max", "2"), 1,
+                 "need k_min <= k_max, got 3..2", id="elbow k_min>k_max"),
+    pytest.param(("report", *_PARSED, "--k", "2", "--model", "model.json"), 1,
+                 "--k does not apply to --model, whose fit fixes k", id="report k+model"),
+    pytest.param(("elbow", *_PARSED, "--k-max", "4", "--epsilon", "0"), 1,
+                 "epsilon must lie in (0, 1), got 0.0", id="elbow epsilon=0"),
+])
+def test_every_refusal_prints_one_error_line_and_no_output(capsys, argv, code, message):
+    assert run(capsys, *argv) == (code, "", f"error: {message}\n")
+
+
 class TestArgumentHandling:
     def test_no_subcommand(self, capsys):
         code, out, err = run(capsys)

@@ -84,6 +84,26 @@ class TestDatasetConstruction:
         with pytest.raises(ValueError):
             CategoricalDataset(attrs=attrs, rows=())
 
+    _ATTRS = (AttributeSpec(0, CATEGORICAL, name="a", categories=(0, 1)),
+              AttributeSpec(1, CATEGORICAL, categories=(5,)))
+
+    @pytest.mark.parametrize("attrs, rows, error, message", [
+        # the first bad row in row order, its length checked before its values
+        (_ATTRS, [(0, 5), (1,), (2, 5)], AlignmentError, "row 'y' has 1 values, expected 2"),
+        (_ATTRS, [(0, 5), (2, 5), (1,)], ValueError,
+         "row 'y': value 2 is not a category of attribute a"),
+        (_ATTRS, [(0, 5), (9,)], AlignmentError, "row 'y' has 1 values, expected 2"),
+        (_ATTRS, [(1, 4), (2, 5)], ValueError,
+         "row 'x': value 4 is not a category of attribute 1"),
+        (_ATTRS, [(0, 5), (0, [5])], TypeError, "unhashable type: 'list'"),
+        ((_ATTRS[1],), [(5,)], ValueError, "attribute '' carries index 1, expected 0"),
+    ])
+    def test_direct_construction_names_the_first_bad_row(self, attrs, rows, error,
+                                                         message):
+        with pytest.raises(error) as exc:
+            CategoricalDataset(attrs=attrs, rows=rows, row_ids="xyz"[:len(rows)])
+        assert (type(exc.value), str(exc.value)) == (error, message)
+
 
 def _mode_of(values):
     """The mode fit's cluster state keeps for a one-attribute multiset,
@@ -750,10 +770,17 @@ class TestElbow:
 
     def test_scan_validates_the_range(self):
         ds = CategoricalDataset.from_values([(0,), (1,)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             elbow_scan(ds, 2, 1)
+        assert (type(info.value), str(info.value)) == (
+            ValueError, "need k_min <= k_max, got 2..1")
         with pytest.raises(InfeasibleConfigError):
             elbow_scan(ds, 1, 3)
+        # FitConfig refuses a k below 1, as in fit
+        for k_min, k_max in [(0, 2), (0, 0), (-1, 1)]:
+            with pytest.raises(InfeasibleConfigError) as info:
+                elbow_scan(ds, k_min, k_max)
+            assert str(info.value) == f"k must be >= 1, got {k_min}"
 
     @staticmethod
     def _duplicated_dataset(seed, n=30, m=3, pool=5):

@@ -14,6 +14,7 @@ from traitclust import (
     PRESETS,
     AlignmentError,
     DegenerateProfileError,
+    FitConfig,
     ParseError,
     ResponseTable,
     SchemaError,
@@ -429,6 +430,16 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError):
             generate_synthetic(5, schema, noise=1.5)
 
+    @pytest.mark.parametrize("seed", [-5, 2**64, 1.0, True, "3", None])
+    def test_refuses_the_seeds_fit_refuses_with_its_message(self, seed):
+        # random.Random would take each: -5 as 5, the rest by hash
+        with pytest.raises(ValueError) as expected:
+            FitConfig(k=1, seed=seed)
+        with pytest.raises(ValueError) as info:
+            generate_synthetic(5, load_schema("scenario"), seed=seed)
+        assert (type(info.value), str(info.value)) == (ValueError, str(expected.value))
+        assert generate_synthetic(5, load_schema("scenario"), seed=2**64 - 1).n == 5
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite_mixture_weights(self, bad):
         # NaN compares false with every bound, so a range check alone
@@ -438,6 +449,33 @@ class TestGenerateSynthetic:
             generate_synthetic(5, schema, weights=[1.0, bad, 0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="finite"):
             generate_synthetic(5, schema, weights={"Openness": 1.0, "Extraversion": bad})
+
+
+def _synthesis_weights(dims):
+    """No weights, a list that zeroes every other dimension (the last one
+    too when the count is odd), and a dict naming two dimensions."""
+    alternate = [i % 2 for i in range(len(dims))]
+    return (None, [w / sum(alternate) for w in alternate],
+            {dims[-1]: 0.9, dims[0]: 0.1})
+
+
+def _synthesis_digest():
+    tables = []
+    for preset in ("ocean50", "scenario", "iwp"):
+        schema = load_schema(preset)
+        for weights in _synthesis_weights(schema.dimensions):
+            for noise in (0.0, 0.15, 1.0):
+                for seed in (0, 2**63 + 7):
+                    table = generate_synthetic(40, schema, weights, seed=seed, noise=noise)
+                    tables.append((table.id_name, table.columns, table.ids, table.rows))
+    return hashlib.sha256(repr(tables).encode()).hexdigest()
+
+
+def test_synthesis_is_bit_identical_to_the_golden_record():
+    # SHA-256 of 54 generated tables: three presets, the three kinds of
+    # mixture weights, noise 0, 0.15 and 1, and two seeds.
+    assert _synthesis_digest() == (
+        "7b5da961f37a62d4c11bf7a189a2a93709284258607644f80d201a8b2f580636")
 
 
 class TestResponseTable:
