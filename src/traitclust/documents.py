@@ -102,10 +102,10 @@ def load_model(text, row_ids, m, schema_name=None) -> ClusterModel:
     at = "malformed model config"
     policy = field(cfg_doc, "policy", dict, ValueError, at)
     try:
+        k = field(cfg_doc, "k", int, ValueError, at)
+        DissimilarityPolicy(mode=field(policy, "mode", str, ValueError, f"{at}.policy"))
         config = FitConfig(
-            k=field(cfg_doc, "k", int, ValueError, at),
-            policy=DissimilarityPolicy(mode=field(policy, "mode", str, ValueError,
-                                                  f"{at}.policy")),
+            k=k,
             init=field(cfg_doc, "init", str, ValueError, at),
             seed=field(cfg_doc, "seed", int, ValueError, at),
             max_epochs=field(cfg_doc, "max_epochs", int, ValueError, at),

@@ -7,19 +7,19 @@ clusters (updating both affected modes immediately) until an epoch makes no
 moves or the epoch budget is exhausted (Huang, "Extensions to the k-Means
 Algorithm for Clustering Large Data Sets with Categorical Values", DMKD 1998).
 
-fit and elbow_scan run through one driver, _models, which encodes every
-row once as a BitEncoder mask and builds one seed pool, shared by every
-restart and every k it fits. The allocation pass, the empty-cluster
-repair, every epoch and density init count agreements
-``(row & mode).bit_count()`` on those masks: the nearest mode is the one
-that agrees most. Each cluster keeps its mode, the mode's mask and its
-member counts incrementally from the members' masks (see _Cluster): an add
-or remove touches only the attributes where the member differs from the
-mode, and a remove rescans an attribute's counts only where the other
-codes hold at least half the members. The final cost is the clusters'
-summed mismatch counts, not a pass over the rows. An epoch re-examines
-only the rows for which some mode has changed since they were last placed
-or kept; every other row would stay put. None of this changes any result.
+fit and elbow_scan run through one driver, _models, which encodes every row
+once as a BitEncoder mask and builds one seed draw, shared by every restart
+and every k it fits. The allocation pass, every epoch and density init
+count agreements ``(row & mode).bit_count()`` on those masks: the nearest
+mode is the one that agrees most. Each cluster keeps its mode, the mode's
+mask and its member counts incrementally from the members' masks (see
+_Cluster): an add or remove touches only the attributes where the member
+differs from the mode, and a remove rescans an attribute's counts only
+where the other codes hold at least half the members. The final cost is the
+clusters' summed mismatch counts, not a pass over the rows. An epoch
+re-examines only the rows for which some mode has changed since they were
+last placed or kept; every other row would stay put. None of this changes
+any result.
 
 A fit is a pure function of the immutable dataset and the config, so
 _models keeps every model it computes in a memo on the dataset
@@ -30,7 +30,7 @@ the dataset. debug=True neither reads nor fills it.
 
 Everything is deterministic for a given dataset and config: rows are visited
 in dataset order, distance ties go to the lowest cluster index, mode ties to
-the lowest category code, and restart r uses seed + r.
+the lowest category code, and restart r draws its seeds with seed + r.
 
 Convergence (an epoch with zero moves) is guaranteed: every accepted move
 strictly decreases the objective, which takes finitely many values. The
@@ -39,10 +39,11 @@ model's ``converged`` flag is false only when max_epochs cuts a run short.
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import compress, repeat
 from operator import ge, itemgetter
+from typing import ClassVar
 
 from .dissimilarity import (
     CATEGORICAL,
@@ -53,7 +54,7 @@ from .dissimilarity import (
     _vector,
     check_inputs,
 )
-from .errors import AlignmentError, InfeasibleConfigError, PolicyError
+from .errors import AlignmentError, InfeasibleConfigError
 
 INIT_STRATEGIES = ("random_rows", "density")
 
@@ -165,10 +166,11 @@ class CategoricalDataset:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Everything that determines a clustering run."""
+    """Everything that determines a clustering run. ``policy`` is no
+    setting: simple matching is the only measure."""
 
+    policy: ClassVar[DissimilarityPolicy] = DissimilarityPolicy()
     k: int
-    policy: DissimilarityPolicy = field(default_factory=DissimilarityPolicy)
     init: str = "random_rows"
     seed: int = 0
     max_epochs: int = 100
@@ -183,8 +185,6 @@ class FitConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.k < 1:
             raise InfeasibleConfigError(f"k must be >= 1, got {self.k}")
-        if not isinstance(self.policy, DissimilarityPolicy):
-            raise PolicyError(f"policy must be a DissimilarityPolicy, got {self.policy!r}")
         if self.init not in INIT_STRATEGIES:
             raise ValueError(f"unknown init strategy {self.init!r}")
         if self.max_epochs < 1:
@@ -243,26 +243,22 @@ def _density_seeds(dataset, k, codes):
 
 
 def _seed_pool(dataset, codes, init, k_min, k_max):
-    """What a fit at any k in [k_min, k_max] draws its k initial modes from:
-    the distinct rows for random_rows, and the k_max density seeds, whose
-    first k are the seeds at k by their prefix property. An init without
-    that property would need a pool per k. Raises InfeasibleConfigError,
-    naming the first infeasible k, if random_rows cannot draw k_max."""
+    """The draw ``(k, seed) -> k initial modes`` (a tuple of rows) of a fit
+    at any k in [k_min, k_max]: a seeded sample of k distinct rows under
+    random_rows; under density the first k of the k_max density seeds,
+    which are the seeds at k by their prefix property. Raises
+    InfeasibleConfigError, naming the first infeasible k, if random_rows
+    cannot draw k_max."""
     if init == "density":
-        return _density_seeds(dataset, k_max, codes)
+        seeds = tuple(_density_seeds(dataset, k_max, codes))
+        return lambda k, seed: seeds[:k]
     distinct = list(dict.fromkeys(dataset.rows))
     if k_max > len(distinct):
         raise InfeasibleConfigError(
             f"k={max(k_min, len(distinct) + 1)} exceeds the number of distinct "
             f"rows ({len(distinct)})"
         )
-    return distinct
-
-
-def _draw_seeds(pool, k, init, seed):
-    if init == "density":
-        return pool[:k]
-    return random.Random(seed).sample(pool, k)
+    return lambda k, seed: tuple(random.Random(seed).sample(distinct, k))
 
 
 def init_modes(dataset, k: int, strategy: str = "random_rows", seed: int = 0):
@@ -275,8 +271,7 @@ def init_modes(dataset, k: int, strategy: str = "random_rows", seed: int = 0):
     if k > dataset.n:
         raise InfeasibleConfigError(f"k={k} exceeds the number of rows ({dataset.n})")
     codes = _encode_rows(dataset)[1] if strategy == "density" else None
-    pool = _seed_pool(dataset, codes, strategy, k, k)
-    return [Prototype(values=v) for v in _draw_seeds(pool, k, strategy, seed)]
+    return [Prototype(values=v) for v in _seed_pool(dataset, codes, strategy, k, k)(k, seed)]
 
 
 def _nearest(x, masks):
@@ -395,9 +390,11 @@ def _total(m, points, masks, assignments):
     return float(sum(m - (x & masks[l]).bit_count() for x, l in zip(points, assignments)))
 
 
-def _fit_once(dataset, encoder, codes, config, seed, debug, pool):
-    k, m = config.k, len(dataset.attrs)
-    clusters = [_Cluster(v, encoder) for v in _draw_seeds(pool, k, config.init, seed)]
+def _fit_once(encoder, codes, seeds, max_epochs, debug):
+    """One online k-modes run over the rows' masks from the initial modes
+    ``seeds``: (modes, assignments, epochs_run, converged, cost)."""
+    k, m = len(seeds), len(seeds[0])
+    clusters = [_Cluster(v, encoder) for v in seeds]
     # masks are ints, refreshed whenever an add or remove changes one.
     masks = [c.mask for c in clusters]
     assign = [0] * len(codes)
@@ -431,25 +428,18 @@ def _fit_once(dataset, encoder, codes, config, seed, debug, pool):
             masks[l] = c.mask
             changes += 1
 
-    # A mode can drift onto another seed's territory during the pass and
-    # leave that seed's cluster empty; repair deterministically by moving
-    # the row farthest from its own mode, the one agreeing least (lowest
-    # index on ties), out of a cluster that can spare one. k <= n
-    # guarantees a donor exists. The moved row was not placed at its
-    # nearest mode, so it gets no stamp.
+    # With distinct seeds no cluster ends the pass empty: the row that would
+    # complete a mode's drift onto an empty cluster's seed agrees more with
+    # that seed than with the mode, so it does not join it. Seeds repeat
+    # only under density with k above the distinct rows, which the seeds
+    # then all hold: every row sits at a mode equal to itself, and the first
+    # row of a cluster that can spare one moves, unstamped (_nearest did not
+    # place it). k <= n guarantees a donor.
     for l in range(k):
-        if clusters[l].size:
-            continue
-        best_i, best_a = None, m + 1
-        for i, x in enumerate(codes):
-            s = assign[i]
-            if clusters[s].size < 2:
-                continue
-            a = (x & masks[s]).bit_count()
-            if a < best_a:
-                best_i, best_a = i, a
-        move(best_i, l)
-        seen[best_i] = -1
+        if not clusters[l].size:
+            i = next(i for i, s in enumerate(assign) if clusters[s].size > 1)
+            move(i, l)
+            seen[i] = -1
 
     # Reallocation epochs. A row moves only when some mode is strictly
     # closer (agrees on more attributes) than its current one (equidistant
@@ -461,7 +451,7 @@ def _fit_once(dataset, encoder, codes, config, seed, debug, pool):
     # at the skipped rows too and raises if one has a strictly closer mode.
     epochs_run = 0
     converged = False
-    for epoch in range(1, config.max_epochs + 1):
+    for epoch in range(1, max_epochs + 1):
         epochs_run = epoch
         moves = 0
         for i, x in enumerate(codes):
@@ -506,41 +496,42 @@ def _fit_once(dataset, encoder, codes, config, seed, debug, pool):
     return protos, tuple(assign), epochs_run, converged, cost
 
 
-def _models(dataset, configs, debug=False):
-    """The model of each config, in order, for configs that differ only in
-    k: the memo's (see CategoricalDataset._fits; debug uses a fresh one),
-    else fitted and added to it. The configs the memo lacks share one
-    encoding of the rows, done before any cluster is built, and one seed
-    pool over their k range (see _seed_pool). Restart r runs on seed + r
-    and the lowest cost wins, the earliest restart on ties. density init
-    does not use the seed, so every restart would repeat restart 0 and lose
-    the tie to it: a density fit runs restart 0 alone.
-    """
+def _models(dataset, config, k_min, k_max, debug=False):
+    """The model of config at each k in [k_min, k_max], in order: the
+    memo's (see CategoricalDataset._fits; debug uses a fresh one), else
+    fitted and added to it. The rows are checked against k_max before any
+    per-k config is built. The k the memo lacks share one encoding of the
+    rows and one seed draw (see _seed_pool). Restart r fits the seeds drawn
+    with seed + r and the lowest cost wins, the earliest on ties. A restart
+    that draws an earlier one's seeds would repeat that fit and lose the
+    tie, so it is skipped: a density fit, whose draw ignores the seed, runs
+    once."""
     if dataset.n < 1:
         raise ValueError("cannot fit an empty dataset")
-    k_max = max(c.k for c in configs)
     if k_max > dataset.n:
         raise InfeasibleConfigError(f"k={k_max} exceeds the number of rows ({dataset.n})")
+    configs = [replace(config, k=k) for k in range(k_min, k_max + 1)]
     memo = {} if debug else dataset._fits
     missing = [c for c in configs if c not in memo]
     if missing:
-        init = missing[0].init
         encoder, codes = _encode_rows(dataset)
-        pool = _seed_pool(dataset, codes, init,
-                          min(c.k for c in missing), max(c.k for c in missing))
-        for config in missing:
-            runs = (_fit_once(dataset, encoder, codes, config, config.seed + r, debug, pool)
-                    for r in range(1 if init == "density" else config.restarts))
+        draw = _seed_pool(dataset, codes, config.init, missing[0].k, missing[-1].k)
+        for c in missing:
+            drawn = set()  # grows with the fits run, not with c.restarts
+            runs = (_fit_once(encoder, codes, seeds, c.max_epochs, debug)
+                    for seeds in map(draw, repeat(c.k), range(c.seed, c.seed + c.restarts))
+                    if seeds not in drawn and not drawn.add(seeds))
             modes, assignments, epochs_run, converged, cost = min(runs, key=itemgetter(4))
-            memo[config] = ClusterModel(modes, assignments, cost, epochs_run, converged, config)
+            memo[c] = ClusterModel(modes, assignments, cost, epochs_run, converged, c)
     return [memo[c] for c in configs]
 
 
 def fit(dataset, config: FitConfig, debug: bool = False) -> ClusterModel:
     """Cluster the dataset through _models, the driver elbow_scan shares:
-    restart r runs on seed + r and the lowest cost wins (earliest restart on
-    ties); a density fit runs restart 0 alone, and its model's config keeps
-    the requested restarts.
+    restart r fits the seeds drawn with seed + r and the lowest cost wins
+    (earliest restart on ties); a restart that repeats an earlier draw is
+    skipped, so a density fit runs once, and its model's config keeps the
+    requested restarts.
 
     debug=True recomputes the full objective around every accepted move,
     raises if a move ever fails to decrease it or would empty a cluster,
@@ -550,7 +541,7 @@ def fit(dataset, config: FitConfig, debug: bool = False) -> ClusterModel:
     and a later fit or elbow_scan with an equal config returns it, carrying
     its own config.
     """
-    model = _models(dataset, [config], debug)[0]
+    model = _models(dataset, config, config.k, config.k, debug)[0]
     return model if model.config is config else replace(model, config=config)
 
 
@@ -580,7 +571,7 @@ def elbow_scan(dataset, k_min, k_max, seed=0, restarts=1, init="random_rows"):
     All arguments, and under random_rows the number of distinct rows, are
     checked before any fit; FitConfig refuses a k below 1, as in fit. The
     scan is one call of _models, the driver fit uses: every k the dataset's
-    memo lacks shares one encoding of the rows and one seed pool (density
+    memo lacks shares one encoding of the rows and one seed draw (density
     seeds are derived once, at the largest such k; see _seed_pool). A scan
     whose every k is in the memo encodes nothing.
     """
@@ -589,9 +580,8 @@ def elbow_scan(dataset, k_min, k_max, seed=0, restarts=1, init="random_rows"):
             raise ValueError(f"{name} must be an integer, got {value!r}")
     if k_min > k_max:
         raise ValueError(f"need k_min <= k_max, got {k_min}..{k_max}")
-    configs = [FitConfig(k=k, seed=seed, restarts=restarts, init=init)
-               for k in range(k_min, k_max + 1)]
-    return [(model.config.k, model.cost) for model in _models(dataset, configs)]
+    config = FitConfig(k=k_min, seed=seed, restarts=restarts, init=init)
+    return [(model.config.k, model.cost) for model in _models(dataset, config, k_min, k_max)]
 
 
 def check_selection(points: int, epsilon: float) -> None:

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from traitclust import CategoricalDataset
+from traitclust import CategoricalDataset, FitConfig
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 APPLICANT_CSV = DATA_DIR / "scenario_applicants.csv"
@@ -41,3 +41,19 @@ def applicant_csv_text():
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
+
+
+@pytest.fixture
+def ten_configs(monkeypatch):
+    """Let at most ten FitConfigs be built: a caller that builds one per k
+    of a huge range then fails at once instead of running out of memory."""
+    real = FitConfig.__post_init__
+    built = []
+
+    def counting(self):
+        built.append(self.k)
+        if len(built) > 10:
+            raise AssertionError(f"more than ten FitConfigs built: k={built}")
+        real(self)
+
+    monkeypatch.setattr(FitConfig, "__post_init__", counting)

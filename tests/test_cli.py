@@ -532,6 +532,12 @@ class TestElbowCommand:
         assert code == 2
         assert out == ""
 
+    def test_a_huge_k_max_exits_2_before_a_config_per_k(self, capsys, ten_configs):
+        # The rows are counted before the scan builds one config per k.
+        assert run(capsys, "elbow", "-i", FIXTURE, "--schema", "scenario3",
+                   "--k-max", "1000000000") == (
+            2, "", "error: k=1000000000 exceeds the number of rows (9)\n")
+
 
 class TestFuseCommand:
     def _write_report(self, path, north, provenance="questionnaire"):

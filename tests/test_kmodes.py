@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -309,7 +310,8 @@ class TestFitValidation:
             fit(ds, FitConfig(k=1, policy=DissimilarityPolicy(mode="mixed")))
 
     def test_config_rejects_bad_settings(self):
-        with pytest.raises(PolicyError):
+        # simple matching is the only measure, so policy is no setting
+        with pytest.raises(TypeError):
             FitConfig(k=1, policy="weighted")
         with pytest.raises(ValueError):
             FitConfig(k=1, init="kmeanspp")
@@ -384,30 +386,33 @@ class TestFit:
         model = fit(ds, FitConfig(k=3, seed=2))
         assert model.cost == within_cluster_difference(ds, model.modes, model.assignments)
 
-    @pytest.mark.parametrize("policy", ["simple"])
-    def test_density_fits_once_whatever_the_restarts(self, monkeypatch, policy):
-        # density init ignores the seed, so restart 0 already is the model
+    def test_density_fits_once_whatever_the_restarts(self, monkeypatch):
+        # density init ignores the seed, so every restart draws restart 0's
+        # seeds and restart 0 already is the model
         ds = random_dataset(random.Random(23), 40, 4, 3)
         calls = []
         real = kmodes._fit_once
 
         def counting(*args):
-            calls.append(args[4])
+            calls.append(args[2])
             return real(*args)
 
+        def drawn(init, seed):
+            return tuple(p.values for p in init_modes(ds, 3, init, seed))
+
         monkeypatch.setattr(kmodes, "_fit_once", counting)
-        pol = DissimilarityPolicy(policy)
-        cfg = FitConfig(k=3, policy=pol, init="density", seed=4, restarts=3)
+        cfg = FitConfig(k=3, init="density", seed=4, restarts=3)
         model = fit(ds, cfg)
-        assert calls == [4]
+        assert calls == [drawn("density", 4)]
         assert model.config.restarts == 3
-        single = fit(ds, FitConfig(k=3, policy=pol, init="density", seed=4, restarts=1))
+        single = fit(ds, FitConfig(k=3, init="density", seed=4, restarts=1))
         assert (model.modes, model.assignments, model.cost, model.epochs_run,
                 model.converged) == (single.modes, single.assignments, single.cost,
                                      single.epochs_run, single.converged)
         calls.clear()
-        fit(ds, FitConfig(k=3, policy=pol, init="random_rows", seed=4, restarts=3))
-        assert calls == [4, 5, 6]
+        fit(ds, FitConfig(k=3, init="random_rows", seed=4, restarts=3))
+        assert calls == [drawn("random_rows", seed) for seed in (4, 5, 6)]
+        assert len(set(calls)) == 3
 
     def test_cost_from_the_cluster_state_equals_both_recounts(self):
         # fit sums the clusters' rest counts; _total (debug's check) and
@@ -436,6 +441,48 @@ class TestFit:
             k = rng.randint(1, min(4, distinct))
             model = fit(CategoricalDataset.from_values(rows), FitConfig(k=k, seed=case))
             assert set(model.assignments) == set(range(k))
+
+    def test_a_restart_that_repeats_an_earlier_draw_is_skipped(self, monkeypatch):
+        # With 2 distinct rows and k=1 six restarts draw only 2 seeds.
+        ds = CategoricalDataset.from_values([(0, 1), (1, 1), (0, 1), (0, 1), (1, 1)])
+        draws = [tuple(p.values for p in init_modes(ds, 1, seed=seed)) for seed in range(6)]
+        assert len(set(draws)) == 2 < len(draws)
+        singles = [fit(ds, FitConfig(k=1, seed=seed)) for seed in range(6)]
+        best = min(singles, key=lambda model: model.cost)  # the earliest on ties
+        calls = []
+        real = kmodes._fit_once
+        monkeypatch.setattr(kmodes, "_fit_once",
+                            lambda *args: calls.append(args[2]) or real(*args))
+        model = fit(ds, FitConfig(k=1, restarts=6))
+        assert calls == list(dict.fromkeys(draws))
+        assert (model.modes, model.assignments, model.cost, model.epochs_run,
+                model.converged) == (best.modes, best.assignments, best.cost,
+                                     best.epochs_run, best.converged)
+
+    def test_distinct_seeds_leave_no_cluster_empty(self, monkeypatch):
+        # Every dataset of n <= 4 rows over m=2 attributes of 3 codes, and
+        # every ordered choice of k <= 3 distinct rows as seeds: after the
+        # allocation pass (max_epochs=0) no cluster needs the repair, whose
+        # move is the only remove. Two exact symmetries shrink the search:
+        # the fit uses only the order of codes, so each column takes the
+        # codes 0..c-1 without gaps, and it treats the attributes alike, so
+        # the first column is at most the second.
+        def refuse(self, x):
+            raise AssertionError("a cluster ended the allocation pass empty")
+
+        monkeypatch.setattr(_Cluster, "remove", refuse)
+        for n in range(1, 5):
+            columns = [c for c in product(range(3), repeat=n)
+                       if set(c) == set(range(max(c) + 1))]
+            for a, b in product(columns, repeat=2):
+                if a > b:
+                    continue
+                rows = list(zip(a, b))
+                encoder, codes = kmodes._encode_rows(CategoricalDataset.from_values(rows))
+                distinct = list(dict.fromkeys(rows))
+                for k in range(1, min(3, len(distinct)) + 1):
+                    for seeds in permutations(distinct, k):
+                        kmodes._fit_once(encoder, codes, seeds, 0, False)
 
     def test_empty_cluster_repair_moves_the_first_farthest_row(self):
         # 3 distinct rows: the density seeds of clusters 3 and 4 repeat
@@ -479,10 +526,6 @@ def _golden_dataset():
         [tuple(rng.randrange(3) for _ in range(5)) for _ in range(40)])
 
 
-GOLDEN_POLICIES = {
-    "simple": DissimilarityPolicy(),
-}
-
 # (cost.hex(), epochs_run, converged, sha256 of repr((modes, assignments))).
 # A change to the measure, the mode update or the epoch loop that alters any
 # bit of a fit shows here.
@@ -498,9 +541,7 @@ GOLDEN_FITS = {
 
 @pytest.mark.parametrize("name, init", sorted(GOLDEN_FITS))
 def test_fit_is_bit_identical_to_the_golden_record(name, init):
-    policy = GOLDEN_POLICIES[name]
-    model = fit(_golden_dataset(),
-                FitConfig(k=3, policy=policy, init=init, seed=5, restarts=3))
+    model = fit(_golden_dataset(), FitConfig(k=3, init=init, seed=5, restarts=3))
     digest = hashlib.sha256(
         repr((tuple(p.values for p in model.modes), model.assignments)).encode()
     ).hexdigest()
@@ -543,7 +584,7 @@ OCEAN50_GOLDEN_ELBOW = [
 
 @pytest.mark.parametrize("name, init", sorted(OCEAN50_GOLDEN_FITS))
 def test_ocean50_fit_is_bit_identical_to_the_golden_record(ocean50_population, name, init):
-    config = FitConfig(k=5, policy=GOLDEN_POLICIES[name], init=init, seed=5, restarts=2)
+    config = FitConfig(k=5, init=init, seed=5, restarts=2)
     assert _golden_record(fit(ocean50_population, config)) == OCEAN50_GOLDEN_FITS[name, init]
 
 
@@ -671,12 +712,13 @@ class TestFitMemo:
         real = kmodes._fit_once
 
         def counting(*args):
-            calls.append(args[4])
+            calls.append(args[2])
             return real(*args)
 
         monkeypatch.setattr(kmodes, "_fit_once", counting)
         assert fit(ds, config, debug=True) == model
-        assert calls == [1, 2]
+        assert calls == [tuple(p.values for p in init_modes(ds, 3, seed=seed))
+                         for seed in (1, 2)]
         # A recount that never falls makes every accepted move look bad.
         monkeypatch.setattr(kmodes, "_total", lambda *args: 0.0)
         with pytest.raises(AssertionError, match="failed to decrease cost"):
@@ -717,7 +759,7 @@ class TestFitMemo:
         fitted = []
         real_fit_once = kmodes._fit_once
         monkeypatch.setattr(kmodes, "_fit_once",
-                            lambda *args: fitted.append(args[3].k) or real_fit_once(*args))
+                            lambda *args: fitted.append(len(args[2])) or real_fit_once(*args))
         curve = elbow_scan(scanned, 1, 6, seed=4, restarts=2, init=init)
         assert calls == {"_encode_rows": 1, "_seed_pool": 1}
         runs = 1 if init == "density" else 2
@@ -782,6 +824,12 @@ class TestElbow:
                 elbow_scan(ds, k_min, k_max)
             assert str(info.value) == f"k must be >= 1, got {k_min}"
 
+    def test_a_k_max_above_the_rows_is_refused_before_a_config_per_k(self, ten_configs):
+        ds = CategoricalDataset.from_values([(0,), (1,)])
+        with pytest.raises(InfeasibleConfigError) as info:
+            elbow_scan(ds, 1, 10**9)
+        assert str(info.value) == "k=1000000000 exceeds the number of rows (2)"
+
     @staticmethod
     def _duplicated_dataset(seed, n=30, m=3, pool=5):
         # n rows drawn from `pool` distinct rows: density scores and
@@ -828,7 +876,7 @@ class TestElbow:
         # The distinct rows are counted once, before any fit.
         ds = CategoricalDataset.from_values([(0, 1), (1, 1), (0, 1), (2, 0), (1, 1)])
         fitted = []
-        monkeypatch.setattr(kmodes, "_fit_once", lambda *args: fitted.append(args[3].k))
+        monkeypatch.setattr(kmodes, "_fit_once", lambda *args: fitted.append(len(args[2])))
         for k_min, first_infeasible in [(2, 4), (5, 5)]:
             message = rf"^k={first_infeasible} exceeds the number of distinct rows \(3\)$"
             with pytest.raises(InfeasibleConfigError, match=message):
