@@ -2,9 +2,7 @@
 
 from .dissimilarity import (
     CATEGORICAL,
-    SIMPLE,
     AttributeSpec,
-    DissimilarityPolicy,
     Prototype,
     simple_matching,
 )
@@ -13,7 +11,6 @@ from .errors import (
     DegenerateProfileError,
     InfeasibleConfigError,
     ParseError,
-    PolicyError,
     ReportError,
     SchemaError,
 )

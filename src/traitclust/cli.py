@@ -50,9 +50,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _delimiter(text: str) -> str:
-    # csv takes exactly one character and raises TypeError on anything else.
-    if len(text) != 1:
-        raise argparse.ArgumentTypeError(f"must be a single character, got {text!r}")
+    # csv takes exactly one character; a line break would split every record.
+    if len(text) != 1 or text in "\r\n":
+        raise argparse.ArgumentTypeError(f"must be one character, not a line break, got {text!r}")
     return text
 
 

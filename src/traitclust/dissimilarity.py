@@ -7,11 +7,9 @@ under bijective recoding of category codes, and deterministic.
 
 from dataclasses import dataclass
 
-from .errors import AlignmentError, PolicyError
+from .errors import AlignmentError
 
 CATEGORICAL = "categorical"
-
-SIMPLE = "simple"
 
 
 @dataclass(frozen=True)
@@ -52,18 +50,6 @@ class Prototype:
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(self.values))
-
-
-@dataclass(frozen=True)
-class DissimilarityPolicy:
-    """The measure a fit uses. ``simple`` is the only mode; fits and model
-    documents record it."""
-
-    mode: str = SIMPLE
-
-    def __post_init__(self):
-        if self.mode != SIMPLE:
-            raise PolicyError(f"unknown policy mode {self.mode!r}")
 
 
 def _vector(x):

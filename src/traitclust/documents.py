@@ -5,8 +5,8 @@ cluster model document. Schemas are read in ``survey`` and reports in
 
 import json
 
-from .dissimilarity import DissimilarityPolicy, Prototype
-from .errors import InfeasibleConfigError, PolicyError
+from .dissimilarity import Prototype
+from .errors import InfeasibleConfigError
 from .kmodes import ClusterModel, FitConfig
 
 _NAMES = {str: "a string", int: "an integer", float: "a number", bool: "true or false",
@@ -69,7 +69,7 @@ def model_to_dict(model: ClusterModel, dataset, schema_name: str) -> dict:
         "converged": model.converged,
         "config": {
             "k": cfg.k,
-            "policy": {"mode": cfg.policy.mode},
+            "policy": {"mode": cfg.policy},
             "init": cfg.init,
             "seed": cfg.seed,
             "max_epochs": cfg.max_epochs,
@@ -101,9 +101,11 @@ def load_model(text, row_ids, m, schema_name=None) -> ClusterModel:
     cfg_doc = field(doc, "config", dict, ValueError, where)
     at = "malformed model config"
     policy = field(cfg_doc, "policy", dict, ValueError, at)
+    k = field(cfg_doc, "k", int, ValueError, at)
+    mode = field(policy, "mode", str, ValueError, f"{at}.policy")
+    if mode != FitConfig.policy:
+        raise ValueError(f"{where}: unknown policy mode {mode!r}")
     try:
-        k = field(cfg_doc, "k", int, ValueError, at)
-        DissimilarityPolicy(mode=field(policy, "mode", str, ValueError, f"{at}.policy"))
         config = FitConfig(
             k=k,
             init=field(cfg_doc, "init", str, ValueError, at),
@@ -111,7 +113,7 @@ def load_model(text, row_ids, m, schema_name=None) -> ClusterModel:
             max_epochs=field(cfg_doc, "max_epochs", int, ValueError, at),
             restarts=field(cfg_doc, "restarts", int, ValueError, at),
         )
-    except (InfeasibleConfigError, PolicyError) as exc:
+    except InfeasibleConfigError as exc:
         raise ValueError(f"{where}: {exc}") from exc
     modes = []
     for i, vals in enumerate(field(doc, "modes", list, ValueError, where)):

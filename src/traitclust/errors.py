@@ -9,11 +9,6 @@ class AlignmentError(ValueError):
     """Vector lengths do not match the attribute list."""
 
 
-class PolicyError(ValueError):
-    """A dissimilarity policy names a mode other than ``simple``, or a fit
-    configuration holds something other than a DissimilarityPolicy."""
-
-
 class InfeasibleConfigError(ValueError):
     """The clustering configuration cannot be satisfied by the dataset,
     e.g. k exceeds the number of rows or of distinct rows."""

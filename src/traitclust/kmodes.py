@@ -8,7 +8,7 @@ moves or the epoch budget is exhausted (Huang, "Extensions to the k-Means
 Algorithm for Clustering Large Data Sets with Categorical Values", DMKD 1998).
 
 fit and elbow_scan run through one driver, _models, which encodes every row
-once as a BitEncoder mask and builds one seed draw, shared by every restart
+once as a BitEncoder mask and builds one seed pool, shared by every restart
 and every k it fits. The allocation pass, every epoch and density init
 count agreements ``(row & mode).bit_count()`` on those masks: the nearest
 mode is the one that agrees most. Each cluster keeps its mode, the mode's
@@ -49,7 +49,6 @@ from .dissimilarity import (
     CATEGORICAL,
     AttributeSpec,
     BitEncoder,
-    DissimilarityPolicy,
     Prototype,
     _vector,
     check_inputs,
@@ -164,12 +163,19 @@ class CategoricalDataset:
         return cls.from_values(encoded, names=names, row_ids=row_ids)
 
 
+def check_int(name, value):
+    """Raise ValueError unless ``value`` is a plain int. bool is an int
+    subclass, and an equal float would share a memoised model's key."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FitConfig:
-    """Everything that determines a clustering run. ``policy`` is no
-    setting: simple matching is the only measure."""
+    """Everything that determines a clustering run. ``policy`` names the
+    measure, simple matching, which is the only one: a constant, no setting."""
 
-    policy: ClassVar[DissimilarityPolicy] = DissimilarityPolicy()
+    policy: ClassVar[str] = "simple"
     k: int
     init: str = "random_rows"
     seed: int = 0
@@ -177,12 +183,8 @@ class FitConfig:
     restarts: int = 1
 
     def __post_init__(self):
-        # bool is an int subclass, and an equal float would share a
-        # memoised model's key, so each count must be a plain int.
         for name in ("k", "restarts", "max_epochs", "seed"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            check_int(name, getattr(self, name))
         if self.k < 1:
             raise InfeasibleConfigError(f"k must be >= 1, got {self.k}")
         if self.init not in INIT_STRATEGIES:
@@ -243,22 +245,24 @@ def _density_seeds(dataset, k, codes):
 
 
 def _seed_pool(dataset, codes, init, k_min, k_max):
-    """The draw ``(k, seed) -> k initial modes`` (a tuple of rows) of a fit
-    at any k in [k_min, k_max]: a seeded sample of k distinct rows under
-    random_rows; under density the first k of the k_max density seeds,
-    which are the seeds at k by their prefix property. Raises
-    InfeasibleConfigError, naming the first infeasible k, if random_rows
-    cannot draw k_max."""
+    """The draws ``(k, seed, restarts) -> [initial modes]`` at any k in
+    [k_min, k_max]: the distinct modes (tuples of k rows) that restarts
+    seed..seed+restarts-1 draw, in restart order. Under random_rows restart
+    r samples k distinct rows seeded with r; under density all draw the
+    first k of the k_max density seeds (the seeds at k, by their prefix
+    property), one draw. Raises InfeasibleConfigError, naming the first
+    infeasible k, if random_rows cannot draw k_max."""
     if init == "density":
         seeds = tuple(_density_seeds(dataset, k_max, codes))
-        return lambda k, seed: seeds[:k]
+        return lambda k, seed, restarts: [seeds[:k]]
     distinct = list(dict.fromkeys(dataset.rows))
     if k_max > len(distinct):
         raise InfeasibleConfigError(
             f"k={max(k_min, len(distinct) + 1)} exceeds the number of distinct "
             f"rows ({len(distinct)})"
         )
-    return lambda k, seed: tuple(random.Random(seed).sample(distinct, k))
+    return lambda k, seed, restarts: list(dict.fromkeys(
+        tuple(random.Random(r).sample(distinct, k)) for r in range(seed, seed + restarts)))
 
 
 def init_modes(dataset, k: int, strategy: str = "random_rows", seed: int = 0):
@@ -271,7 +275,8 @@ def init_modes(dataset, k: int, strategy: str = "random_rows", seed: int = 0):
     if k > dataset.n:
         raise InfeasibleConfigError(f"k={k} exceeds the number of rows ({dataset.n})")
     codes = _encode_rows(dataset)[1] if strategy == "density" else None
-    return [Prototype(values=v) for v in _seed_pool(dataset, codes, strategy, k, k)(k, seed)]
+    (seeds,) = _seed_pool(dataset, codes, strategy, k, k)(k, seed, 1)
+    return list(map(Prototype, seeds))
 
 
 def _nearest(x, masks):
@@ -501,11 +506,11 @@ def _models(dataset, config, k_min, k_max, debug=False):
     memo's (see CategoricalDataset._fits; debug uses a fresh one), else
     fitted and added to it. The rows are checked against k_max before any
     per-k config is built. The k the memo lacks share one encoding of the
-    rows and one seed draw (see _seed_pool). Restart r fits the seeds drawn
+    rows and one seed pool (see _seed_pool). Restart r fits the seeds drawn
     with seed + r and the lowest cost wins, the earliest on ties. A restart
     that draws an earlier one's seeds would repeat that fit and lose the
-    tie, so it is skipped: a density fit, whose draw ignores the seed, runs
-    once."""
+    tie, so the pool yields it once: a density fit, whose draw ignores the
+    seed, runs once."""
     if dataset.n < 1:
         raise ValueError("cannot fit an empty dataset")
     if k_max > dataset.n:
@@ -515,12 +520,10 @@ def _models(dataset, config, k_min, k_max, debug=False):
     missing = [c for c in configs if c not in memo]
     if missing:
         encoder, codes = _encode_rows(dataset)
-        draw = _seed_pool(dataset, codes, config.init, missing[0].k, missing[-1].k)
+        draws = _seed_pool(dataset, codes, config.init, missing[0].k, missing[-1].k)
         for c in missing:
-            drawn = set()  # grows with the fits run, not with c.restarts
             runs = (_fit_once(encoder, codes, seeds, c.max_epochs, debug)
-                    for seeds in map(draw, repeat(c.k), range(c.seed, c.seed + c.restarts))
-                    if seeds not in drawn and not drawn.add(seeds))
+                    for seeds in draws(c.k, c.seed, c.restarts))
             modes, assignments, epochs_run, converged, cost = min(runs, key=itemgetter(4))
             memo[c] = ClusterModel(modes, assignments, cost, epochs_run, converged, c)
     return [memo[c] for c in configs]
@@ -571,13 +574,12 @@ def elbow_scan(dataset, k_min, k_max, seed=0, restarts=1, init="random_rows"):
     All arguments, and under random_rows the number of distinct rows, are
     checked before any fit; FitConfig refuses a k below 1, as in fit. The
     scan is one call of _models, the driver fit uses: every k the dataset's
-    memo lacks shares one encoding of the rows and one seed draw (density
+    memo lacks shares one encoding of the rows and one seed pool (density
     seeds are derived once, at the largest such k; see _seed_pool). A scan
     whose every k is in the memo encodes nothing.
     """
-    for name, value in (("k_min", k_min), ("k_max", k_max)):
-        if type(value) is not int:
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+    check_int("k_min", k_min)
+    check_int("k_max", k_max)
     if k_min > k_max:
         raise ValueError(f"need k_min <= k_max, got {k_min}..{k_max}")
     config = FitConfig(k=k_min, seed=seed, restarts=restarts, init=init)

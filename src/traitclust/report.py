@@ -108,7 +108,7 @@ def label_clusters(model, profiles, schema) -> ClusterLabeling:
         )
     meta = {
         "k": k,
-        "policy": model.config.policy.mode,
+        "policy": model.config.policy,
         "schema": schema.name,
         "seed": model.config.seed,
     }

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import documents
 from .errors import AlignmentError, DegenerateProfileError, ParseError, SchemaError
-from .kmodes import CategoricalDataset, FitConfig
+from .kmodes import CategoricalDataset, FitConfig, check_int
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -469,9 +469,10 @@ def generate_synthetic(n: int, schema: SurveySchema, weights=None, seed: int = 0
     the mixture, answering that dimension's positive items at likert_max and
     its negative items at likert_min (and the converse on every other
     dimension). With noise > 0, each answer is replaced by a uniform Likert
-    draw with that probability. Deterministic for a given seed, which must
-    be a plain int in [0, 2**64), as FitConfig requires.
+    draw with that probability. Deterministic for a given seed. n and seed
+    must be plain ints, seed in [0, 2**64), as FitConfig requires.
     """
+    check_int("n", n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0.0 <= noise <= 1.0:

@@ -399,6 +399,8 @@ class TestReportCommand:
                              "scenario3", "--model", str(model_path))
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+        if field == "policy_mode":
+            assert err == f"error: malformed model document: unknown policy mode {value!r}\n"
 
     def test_model_with_gamma_settings_still_loads(self, capsys, tmp_path):
         # Older model documents also carry gamma settings under
@@ -655,7 +657,8 @@ _PARSED = ("-i", FIXTURE, "--schema", "scenario3")
 
 # One row per refusal: the command, the bad value, the exit code and the one
 # error line. Exit 2 is a k the input cannot hold (below 1, or above its 9
-# rows or 6 distinct rows); every other refusal exits 1.
+# rows or 6 distinct rows); every other refusal exits 1. list.json, in the
+# working directory, holds a JSON list where a document needs an object.
 @pytest.mark.parametrize("argv, code, message", [
     pytest.param(("fit", *_PARSED, "--k", "0"), 2, "k must be >= 1, got 0", id="fit k=0"),
     pytest.param(("report", *_PARSED, "--k", "0"), 2, "k must be >= 1, got 0",
@@ -678,8 +681,18 @@ _PARSED = ("-i", FIXTURE, "--schema", "scenario3")
                  "--k does not apply to --model, whose fit fixes k", id="report k+model"),
     pytest.param(("elbow", *_PARSED, "--k-max", "4", "--epsilon", "0"), 1,
                  "epsilon must lie in (0, 1), got 0.0", id="elbow epsilon=0"),
+    pytest.param(("score", "-i", FIXTURE, "--schema", "list.json"), 1,
+                 "schema 'list.json' document must be a JSON object, got list",
+                 id="schema list"),
+    pytest.param(("fuse", "list.json", "list.json"), 1,
+                 "report document must be a JSON object, got list", id="fuse list"),
+    pytest.param(("report", *_PARSED, "--model", "list.json"), 1,
+                 "model document must be a JSON object, got list", id="model list"),
 ])
-def test_every_refusal_prints_one_error_line_and_no_output(capsys, argv, code, message):
+def test_every_refusal_prints_one_error_line_and_no_output(
+        capsys, tmp_path, monkeypatch, argv, code, message):
+    (tmp_path / "list.json").write_text("[]\n")
+    monkeypatch.chdir(tmp_path)
     assert run(capsys, *argv) == (code, "", f"error: {message}\n")
 
 
@@ -698,7 +711,7 @@ class TestArgumentHandling:
         assert code == 1
         assert "--k" in err
 
-    @pytest.mark.parametrize("delimiter", ["", ";;"])
+    @pytest.mark.parametrize("delimiter", ["", ";;", "\n", "\r"])
     @pytest.mark.parametrize("argv", [
         ("score", "-i", FIXTURE, "--schema", "scenario3"),
         ("fit", "-i", FIXTURE, "--schema", "scenario3", "--k", "2"),

@@ -10,8 +10,6 @@ from traitclust import (
     AlignmentError,
     AttributeSpec,
     CategoricalDataset,
-    DissimilarityPolicy,
-    PolicyError,
     Prototype,
     simple_matching,
     within_cluster_difference,
@@ -61,11 +59,6 @@ class TestSimpleMatching:
 
 
 class TestValidation:
-    def test_policy_rejects_unknown_mode(self):
-        for mode in ("fancy", "mixed", "weighted"):
-            with pytest.raises(PolicyError):
-                DissimilarityPolicy(mode=mode)
-
     def test_attribute_rejects_unknown_kind(self):
         for kind in ("ordinal", "numeric"):
             with pytest.raises(ValueError):

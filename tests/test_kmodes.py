@@ -12,10 +12,8 @@ from traitclust import (
     AlignmentError,
     AttributeSpec,
     CategoricalDataset,
-    DissimilarityPolicy,
     FitConfig,
     InfeasibleConfigError,
-    PolicyError,
     elbow_scan,
     fit,
     init_modes,
@@ -49,6 +47,12 @@ class TestDatasetConstruction:
             CategoricalDataset(attrs=ds.attrs, rows=ds.rows, row_ids="xyz")
         with pytest.raises(AlignmentError):
             CategoricalDataset.from_values(ds.rows, row_ids="x")
+
+    def test_from_values_refuses_names_of_another_length(self):
+        for names in (["a"], ["a", "b", "c"]):
+            with pytest.raises(AlignmentError,
+                               match="^kinds/names do not match the attribute count$"):
+                CategoricalDataset.from_values([(1, 2)], names=names)
 
     def test_an_empty_table_takes_its_attributes_from_the_names(self):
         ds = CategoricalDataset.from_values([], names=["a", "b"])
@@ -303,12 +307,6 @@ class TestFitValidation:
             ds = CategoricalDataset.from_values([(1, 0)], kinds=["numeric", CATEGORICAL])
             fit(ds, FitConfig(k=1))
 
-    def test_fit_refuses_a_policy_mode_other_than_simple(self):
-        # "mixed" is not a policy mode, so the fit is refused before it starts
-        ds = CategoricalDataset.from_values([(0,), (1,)])
-        with pytest.raises(PolicyError):
-            fit(ds, FitConfig(k=1, policy=DissimilarityPolicy(mode="mixed")))
-
     def test_config_rejects_bad_settings(self):
         # simple matching is the only measure, so policy is no setting
         with pytest.raises(TypeError):
@@ -413,6 +411,13 @@ class TestFit:
         fit(ds, FitConfig(k=3, init="random_rows", seed=4, restarts=3))
         assert calls == [drawn("random_rows", seed) for seed in (4, 5, 6)]
         assert len(set(calls)) == 3
+
+    def test_density_draws_once_however_many_restarts(self):
+        # one draw whatever the restarts, so 10**9 of them cost no loop
+        ds = random_dataset(random.Random(23), 40, 4, 3)
+        codes = kmodes._encode_rows(ds)[1]
+        draws = kmodes._seed_pool(ds, codes, "density", 1, 3)
+        assert draws(3, 7, 10**9) == [tuple(kmodes._density_seeds(ds, 3, codes))]
 
     def test_cost_from_the_cluster_state_equals_both_recounts(self):
         # fit sums the clusters' rest counts; _total (debug's check) and
@@ -778,6 +783,11 @@ class TestWithinClusterDifference:
         ds = CategoricalDataset.from_values([(1,), (2,)])
         with pytest.raises(AlignmentError):
             within_cluster_difference(ds, [(1,), (1, 2)], (0, 0))
+
+    def test_rejects_an_assignment_count_other_than_the_rows(self):
+        ds = CategoricalDataset.from_values([(1,), (2,), (1,)])
+        with pytest.raises(AlignmentError, match="^2 assignments for 3 rows$"):
+            within_cluster_difference(ds, [(1,), (2,)], (0, 1))
 
     def test_rejects_out_of_range_assignments(self):
         ds = CategoricalDataset.from_values([(1,), (2,)])

@@ -430,6 +430,14 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError):
             generate_synthetic(5, schema, noise=1.5)
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3", True, None])
+    def test_n_must_be_a_plain_int(self, n):
+        # True would make one row, and 2.5 or "3" would raise a bare TypeError
+        with pytest.raises(ValueError) as info:
+            generate_synthetic(n, load_schema("scenario"))
+        assert (type(info.value), str(info.value)) == (ValueError,
+                                                       f"n must be an integer, got {n!r}")
+
     @pytest.mark.parametrize("seed", [-5, 2**64, 1.0, True, "3", None])
     def test_refuses_the_seeds_fit_refuses_with_its_message(self, seed):
         # random.Random would take each: -5 as 5, the rest by hash
