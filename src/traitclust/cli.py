@@ -30,6 +30,7 @@ from .report import (
 )
 from .survey import (
     PRESETS,
+    check_delimiter,
     dump_schema,
     generate_synthetic,
     load_schema,
@@ -50,10 +51,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _delimiter(text: str) -> str:
-    # csv takes exactly one character; a line break would split every record.
-    if len(text) != 1 or text in "\r\n":
-        raise argparse.ArgumentTypeError(f"must be one character, not a line break, got {text!r}")
-    return text
+    try:
+        return check_delimiter(text)
+    except ValueError as exc:  # argparse names the flag itself
+        raise argparse.ArgumentTypeError(str(exc).removeprefix("delimiter ")) from None
 
 
 def _add_io(p):

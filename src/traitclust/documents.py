@@ -6,7 +6,6 @@ cluster model document. Schemas are read in ``survey`` and reports in
 import json
 
 from .dissimilarity import Prototype
-from .errors import InfeasibleConfigError
 from .kmodes import ClusterModel, FitConfig
 
 _NAMES = {str: "a string", int: "an integer", float: "a number", bool: "true or false",
@@ -105,15 +104,12 @@ def load_model(text, row_ids, m, schema_name=None) -> ClusterModel:
     mode = field(policy, "mode", str, ValueError, f"{at}.policy")
     if mode != FitConfig.policy:
         raise ValueError(f"{where}: unknown policy mode {mode!r}")
+    settings = {key: field(cfg_doc, key, kind, ValueError, at)
+                for key, kind in (("init", str), ("seed", int), ("max_epochs", int),
+                                  ("restarts", int))}
     try:
-        config = FitConfig(
-            k=k,
-            init=field(cfg_doc, "init", str, ValueError, at),
-            seed=field(cfg_doc, "seed", int, ValueError, at),
-            max_epochs=field(cfg_doc, "max_epochs", int, ValueError, at),
-            restarts=field(cfg_doc, "restarts", int, ValueError, at),
-        )
-    except InfeasibleConfigError as exc:
+        config = FitConfig(k=k, **settings)
+    except ValueError as exc:  # an InfeasibleConfigError too: the document is at fault
         raise ValueError(f"{where}: {exc}") from exc
     modes = []
     for i, vals in enumerate(field(doc, "modes", list, ValueError, where)):

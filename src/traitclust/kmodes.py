@@ -18,8 +18,20 @@ differs from the mode, and a remove rescans an attribute's counts only
 where the other codes hold at least half the members. The final cost is the
 clusters' summed mismatch counts, not a pass over the rows. An epoch
 re-examines only the rows for which some mode has changed since they were
-last placed or kept; every other row would stay put. None of this changes
-any result.
+last placed or kept; every other row would stay put.
+
+When every category code is an int in [0, 8), as Likert answers and the
+missing code 0 are, the masks use BitEncoder's byte layout: one byte per
+attribute, one-hot. The allocation pass then counts most of its adds in
+batches. A code replaces a mode code only once the other codes of its
+attribute hold half the members (``2 * rest[j] >= size``), so after an add
+that leaves a cluster of S members with at most R differing from the mode
+on any attribute, the next p adds cannot change the mode while
+``p < S - 2R``: each add grows the size by one and any rest by at most
+one. Rows that join inside that window are placed against the same masks
+as before; their counts wait, and one C-level ``bytes.count`` per code and
+attribute adds them before the cluster's next counted add (see
+_Cluster.room and absorb). None of this changes any result.
 
 A fit is a pure function of the immutable dataset and the config, so
 _models keeps every model it computes in a memo on the dataset
@@ -215,8 +227,8 @@ class ClusterModel:
 
 def _encode_rows(dataset):
     """A BitEncoder for the dataset and the mask of every row under it."""
-    encoder = BitEncoder(len(dataset.attrs))
-    return encoder, list(map(encoder.encode, dataset.rows))
+    encoder = BitEncoder(len(dataset.attrs), [spec.categories for spec in dataset.attrs])
+    return encoder, encoder.encode_rows(dataset.rows)
 
 
 def _density_seeds(dataset, k, codes):
@@ -313,6 +325,11 @@ class _Cluster:
     the mask swaps the old code's bit for the new one's. An emptied cluster
     keeps its last mode.
 
+    Under a bytewise encoder the allocation pass may skip add for the next
+    room() members and hand them to absorb in one batch: no add among them
+    could have changed the mode, so counting them together leaves the
+    state an add per member would.
+
     The encoder must already hold every code the cluster will see: the
     counts have one slot per bit the encoder had assigned when the cluster
     was built. _models encodes every row before it builds any cluster.
@@ -375,6 +392,44 @@ class _Cluster:
             if x >> pos[j] & 1:
                 self._rescan(j, size - rest[j])
 
+    def room(self):
+        """How many more adds cannot change the mode: after p more adds
+        the size is ``size + p`` and ``rest[j] <= max(rest) + p``, and a
+        code can replace the mode code of j only once ``2 * rest[j] >=
+        size``, so every add is safe while ``p < size - 2 * max(rest)``."""
+        return self.size - 2 * max(self.rest, default=0) - 1
+
+    def absorb(self, xs):
+        """Count the members xs, masks under a bytewise encoder that room
+        showed cannot change the mode. Byte j of such a mask is the one-hot
+        byte of the member's code on j, so column j of the joined masks
+        counts each code at C level."""
+        m = len(self.rest)
+        chunk = b"".join([x.to_bytes(m, "little") for x in xs])
+        self.size += len(xs)
+        counts, rest, pos = self._counts, self.rest, self._pos
+        for j, ps in enumerate(self._positions):
+            col = chunk[j::m]
+            q = pos[j]
+            for p in ps:
+                if p != q:
+                    n = col.count(1 << (p & 7))
+                    counts[p] += n
+                    rest[j] += n
+
+    def check_modes(self):
+        """Raise AssertionError unless every mode code holds the most
+        members, the lowest code among the maxima."""
+        counts, code_of, mode = self._counts, self._code_of, self.mode
+        for j, q in enumerate(self._pos):
+            top = self.size - self.rest[j]
+            for p in self._positions[j]:
+                n = counts[p]
+                if p != q and (n > top or (n == top and code_of[p] < mode[j])):
+                    raise AssertionError(
+                        f"attribute {j}: code {code_of[p]!r} has {n} members, the mode "
+                        f"code {mode[j]!r} {top}; a batch hid a change of mode")
+
     def _rescan(self, j, top):
         # The mode code of j, with top members, yields to the code with the
         # most members, the lowest code among the maxima.
@@ -422,16 +477,41 @@ def _fit_once(encoder, codes, seeds, max_epochs, debug):
             changes += 1
         assign[i] = t
 
-    # Initial allocation pass.
+    # Initial allocation pass. Under a bytewise encoder each counted add
+    # opens a window of c.room() adds, which cannot change the mode: a row
+    # that joins inside it is placed and stamped as usual and its mask is
+    # queued, for absorb to count before the cluster's next counted add or
+    # at the end of the pass.
+    windows = encoder.bytewise
+    queues = [[] for _ in range(k)]
+    room = [0] * k
+
+    def flush(l):
+        clusters[l].absorb(queues[l])
+        queues[l] = []
+        if debug:
+            clusters[l].check_modes()
+
     for i, x in enumerate(codes):
         l, _ = _nearest(x, masks)
         assign[i] = l
         seen[i] = changes
+        if room[l] > 0:
+            room[l] -= 1
+            queues[l].append(x)
+            continue
+        if queues[l]:
+            flush(l)
         c = clusters[l]
         c.add(x)
         if c.mask != masks[l]:
             masks[l] = c.mask
             changes += 1
+        if windows:
+            room[l] = c.room()
+    for l in range(k):
+        if queues[l]:
+            flush(l)
 
     # With distinct seeds no cluster ends the pass empty: the row that would
     # complete a mode's drift onto an empty cluster's seed agrees more with
@@ -539,10 +619,11 @@ def fit(dataset, config: FitConfig, debug: bool = False) -> ClusterModel:
     debug=True recomputes the full objective around every accepted move,
     raises if a move ever fails to decrease it or would empty a cluster,
     also examines every row an epoch skips and raises if one has a strictly
-    closer mode, and checks the final cost against a recount. It neither
-    reads nor fills the dataset's memo. Otherwise the model is kept there,
-    and a later fit or elbow_scan with an equal config returns it, carrying
-    its own config.
+    closer mode, checks after each batch of the allocation pass that every
+    mode code still holds the majority, and checks the final cost against a
+    recount. It neither reads nor fills the dataset's memo. Otherwise the
+    model is kept there, and a later fit or elbow_scan with an equal config
+    returns it, carrying its own config.
     """
     model = _models(dataset, config, config.k, config.k, debug)[0]
     return model if model.config is config else replace(model, config=config)

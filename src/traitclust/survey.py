@@ -31,6 +31,16 @@ PRESETS = ("ocean50", "scenario", "scenario3", "iwp")
 MISSING_POLICIES = ("drop_row", "impute_mode")
 
 
+def check_delimiter(delimiter) -> str:
+    """``delimiter`` if it is one character other than a line break: csv
+    takes exactly one character, and a line break would split every
+    record. Else raise ValueError."""
+    if not isinstance(delimiter, str) or len(delimiter) != 1 or delimiter in "\r\n":
+        raise ValueError(
+            f"delimiter must be one character, not a line break, got {delimiter!r}")
+    return delimiter
+
+
 def _picker(indices):
     """An itemgetter for the indices that returns a sequence even for zero
     or one index (a slice of the argument then)."""
@@ -139,7 +149,7 @@ class ResponseTable:
 
     def to_csv(self, delimiter: str = ",") -> str:
         buf = io.StringIO()
-        writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
+        writer = csv.writer(buf, delimiter=check_delimiter(delimiter), lineterminator="\n")
         writer.writerow([self.id_name, *self.columns])
         for rid, row in zip(self.ids, self.rows):
             writer.writerow([rid, *row])
@@ -255,10 +265,11 @@ def parse_responses(stream, schema: SurveySchema, delimiter: str = ",",
     ordinal does). Missing answers (== schema.missing_code) are either
     dropped with their row or imputed with the column's most frequent
     observed value, per missing_policy. Likert answers are kept verbatim as
-    the dataset's category codes.
+    the dataset's category codes. The delimiter must pass check_delimiter.
     """
     if missing_policy not in MISSING_POLICIES:
         raise ValueError(f"missing_policy must be one of {MISSING_POLICIES}, got {missing_policy!r}")
+    check_delimiter(delimiter)
     text = stream if isinstance(stream, str) else stream.read()
     reader = csv.reader(io.StringIO(text), delimiter=delimiter)
     try:

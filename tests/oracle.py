@@ -175,3 +175,25 @@ def reference_cluster_means(percents, assignments, k, dims):
             sums[label][d] += percent[d]
     return [(sizes[l], {d: sums[l][d] / sizes[l] for d in dims}) if sizes[l] else None
             for l in range(k)]
+
+
+def allocation_pass(rows, seeds):
+    """Huang's allocation pass, one row at a time: each row joins the mode
+    it differs from on the fewest attributes (the lowest cluster on ties),
+    and that mode becomes its members' majority per attribute (the lowest
+    code on ties) before the next row is placed. A cluster without members
+    keeps its seed. Returns (modes, assignments, cost)."""
+    modes = [list(seed) for seed in seeds]
+    counts = [[{} for _ in seed] for seed in seeds]
+    assignments = []
+    for row in rows:
+        distances = [hamming(row, mode) for mode in modes]
+        label = distances.index(min(distances))
+        assignments.append(label)
+        for j, v in enumerate(row):
+            column = counts[label][j]
+            column[v] = column.get(v, 0) + 1
+            top = max(column.values())
+            modes[label][j] = min(code for code, c in column.items() if c == top)
+    cost = sum(hamming(row, modes[label]) for row, label in zip(rows, assignments))
+    return [tuple(mode) for mode in modes], assignments, cost

@@ -8,7 +8,9 @@ import json
 import pytest
 
 from traitclust import (
-    cli, dump_schema, kmodes, load_schema, parse_responses, score_profile, survey,
+    FitConfig, cli, dump_schema, elbow_scan, emit_report, fit, generate_synthetic, kmodes,
+    label_clusters, load_schema, parse_responses, personality_percentages, score_profile,
+    score_profiles, survey,
 )
 from traitclust.cli import main
 
@@ -652,6 +654,50 @@ class TestMissingHandling:
         assert (code, out, err) == (1, "", "error: cannot fit an empty dataset\n")
 
 
+def test_answers_of_eight_and_above_run_through_the_cli_as_through_the_library(
+        capsys, tmp_path):
+    # Likert 1..10 puts codes past the byte layout, so the rows take the
+    # BitEncoder's first-appearance layout. fit, report --model and elbow
+    # give what the library gives in process.
+    dims = ["A", "B", "C"]
+    (tmp_path / "likert10.json").write_text(json.dumps({
+        "name": "likert10", "dimensions": dims, "likert_min": 1, "likert_max": 10,
+        "missing_code": 0,
+        "items": [{"column": f"Q{i}", "dimension": dims[i % 3],
+                   "keying": "negative" if i % 4 == 3 else "positive"} for i in range(9)]}))
+    schema = load_schema(str(tmp_path / "likert10.json"))
+    rows = csv.reader(io.StringIO(generate_synthetic(150, schema, seed=4, noise=0.3).to_csv()))
+    # every 17th answer goes missing and is imputed
+    text = "".join(",".join("0" if r and c and (r * 9 + c) % 17 == 5 else v
+                            for c, v in enumerate(row)) + "\n"
+                   for r, row in enumerate(rows))
+    assert "0" in (v for line in text.splitlines()[1:] for v in line.split(",")[1:])
+    (tmp_path / "in.csv").write_text(text)
+    parsed = parse_responses(text, schema, missing_policy="impute_mode")
+    assert not kmodes._encode_rows(parsed.dataset)[0].bytewise
+    assert max(max(row) for row in parsed.table.rows) == 10
+    config = FitConfig(k=3, seed=2, restarts=2)
+    model = fit(parsed.dataset, config)
+    _, percent = score_profiles(parsed.table.rows, schema)
+    expected = emit_report(personality_percentages(label_clusters(model, percent, schema)), "json")
+
+    parse = ("-i", str(tmp_path / "in.csv"), "--schema", str(tmp_path / "likert10.json"),
+             "--missing", "impute")
+    model_path = str(tmp_path / "model.json")
+    assert run(capsys, "fit", *parse, "--k", "3", "--seed", "2", "--restarts", "2",
+               "-o", model_path) == (0, "", "")
+    assert json.loads((tmp_path / "model.json").read_text())["cost"] == model.cost
+    assert run(capsys, "report", *parse, "--model", model_path) == (0, expected, "")
+    assert run(capsys, "report", *parse, "--k", "3", "--seed", "2", "--restarts", "2") == (
+        0, expected, "")
+    code, out, err = run(capsys, "elbow", *parse, "--k-max", "4", "--seed", "2",
+                         "--restarts", "2", "--format", "json")
+    assert (code, err) == (0, "")
+    curve = elbow_scan(parsed.dataset, 1, 4, seed=2, restarts=2)
+    assert json.loads(out)["curve"] == [[k, cost] for k, cost in curve]
+    assert dict(curve)[3] == model.cost
+
+
 _PARSED = ("-i", FIXTURE, "--schema", "scenario3")
 
 
@@ -688,11 +734,24 @@ _PARSED = ("-i", FIXTURE, "--schema", "scenario3")
                  "report document must be a JSON object, got list", id="fuse list"),
     pytest.param(("report", *_PARSED, "--model", "list.json"), 1,
                  "model document must be a JSON object, got list", id="model list"),
+    *(pytest.param(("report", *_PARSED, "--model", f"{key}.json"), 1,
+                   f"malformed model document: {message}", id=f"model {key}")
+      for key, message in [
+          ("init", "unknown init strategy 'kmeanspp'"),
+          ("max_epochs", "max_epochs must be >= 1, got 0"),
+          ("restarts", "restarts must be >= 1, got 0"),
+          ("seed", "seed must be an integer in [0, 2**64), got -1")]),
 ])
 def test_every_refusal_prints_one_error_line_and_no_output(
         capsys, tmp_path, monkeypatch, argv, code, message):
+    # <key>.json is a model of the input whose config holds a bad <key>.
     (tmp_path / "list.json").write_text("[]\n")
     monkeypatch.chdir(tmp_path)
+    assert run(capsys, "fit", *_PARSED, "--k", "2", "-o", "model.json")[0] == 0
+    doc = json.loads((tmp_path / "model.json").read_text())
+    for key, value in (("init", "kmeanspp"), ("max_epochs", 0), ("restarts", 0), ("seed", -1)):
+        bad = {**doc, "config": {**doc["config"], key: value}}
+        (tmp_path / f"{key}.json").write_text(json.dumps(bad))
     assert run(capsys, *argv) == (code, "", f"error: {message}\n")
 
 

@@ -142,3 +142,43 @@ class TestSimpleKernelAgainstOracle:
             assignments = tuple(rng.randrange(k) for _ in range(n))
             expected = sum(oracle.hamming(r, modes[l]) for r, l in zip(rows, assignments))
             assert within_cluster_difference(ds, modes, assignments) == float(expected)
+
+
+class TestByteLayout:
+    """When every category code is an int in [0, 8), BitEncoder gives code c
+    of attribute j bit 8j + c; any other code takes a fresh bit, as under
+    the first-appearance layout. Distances are the same under both."""
+
+    def test_code_c_of_attribute_j_is_bit_8j_plus_c(self):
+        encoder = BitEncoder(3, [(1, 2, 5), (0, 7), (3,)])
+        assert encoder.bytewise
+        assert encoder.encode((5, 0, 3)) == 1 << 5 | 1 << 8 | 1 << 19
+        assert encoder.encode_rows([(1, 7, 3), (True, 0, 3)]) == [
+            1 << 1 | 1 << 15 | 1 << 19, 1 << 1 | 1 << 8 | 1 << 19]
+        assert encoder.positions == [[1, 2, 5], [8, 15], [19]]
+        assert (encoder.attr_of[15], encoder.code_of[15]) == (1, 7)
+
+    def test_other_codes_keep_the_first_appearance_layout(self):
+        for categories in ([(0, 8)], [(0, 1.0)], [(0, True)]):
+            assert not BitEncoder(1, categories).bytewise
+        assert not BitEncoder(1).bytewise
+        assert BitEncoder(0, []).bytewise
+
+    def test_a_code_outside_the_categories_takes_a_fresh_bit(self):
+        encoder = BitEncoder(2, [(1, 2), (1, 2)])
+        assert encoder.encode((4, 2)) == 1 << 16 | 1 << 10
+        assert encoder.encode((1, 40)) == 1 << 1 | 1 << 17
+        assert encoder.code_of[16:] == [4, 40]
+
+    def test_both_layouts_give_the_same_distances(self):
+        rng = random.Random(24)
+        codes = (0, 1, 2, 3, 4, 5, 6, 7)
+        for _ in range(300):
+            m = rng.randint(1, 6)
+            rows = [tuple(rng.choice(codes) for _ in range(m)) for _ in range(8)]
+            agreements = [m - oracle.hamming(x, z) for x, z in zip(rows, rows[1:])]
+            bytewise = BitEncoder(m, [tuple(set(col)) for col in zip(*rows)])
+            assert bytewise.bytewise
+            for encoder in (bytewise, BitEncoder(m)):
+                masks = encoder.encode_rows(rows)
+                assert [(x & z).bit_count() for x, z in zip(masks, masks[1:])] == agreements

@@ -14,6 +14,7 @@ from traitclust import (
     CategoricalDataset,
     FitConfig,
     InfeasibleConfigError,
+    Prototype,
     elbow_scan,
     fit,
     init_modes,
@@ -22,7 +23,7 @@ from traitclust import (
 )
 from traitclust import kmodes
 from traitclust.dissimilarity import BitEncoder
-from traitclust.kmodes import _Cluster, _nearest
+from traitclust.kmodes import INIT_STRATEGIES, _Cluster, _nearest
 from traitclust.survey import generate_synthetic, load_schema, parse_responses
 
 import oracle
@@ -635,6 +636,100 @@ def test_debug_examines_the_rows_an_epoch_skips(monkeypatch):
     calls.clear()
     with pytest.raises(AssertionError, match="^row 0 was skipped as settled in cluster 0"):
         fit(ds, FitConfig(k=1), debug=True)
+
+
+def test_the_batched_allocation_pass_equals_a_row_by_row_one(ocean50_population, monkeypatch):
+    # Under the byte layout most adds of the allocation pass are batched
+    # (see _Cluster.room); under the first-appearance layout none is. Both
+    # end where Huang's pass, one row and one mode update at a time, ends.
+    # The small random tables keep their modes contested, so a window
+    # that opens one add too wide shows there.
+    batched = []
+    real = _Cluster.absorb
+    monkeypatch.setattr(_Cluster, "absorb",
+                        lambda self, xs: batched.append(len(xs)) or real(self, xs))
+    rng = random.Random(73)
+    tables = [ocean50_population]
+    for _ in range(30):
+        m, c, noise = rng.randint(1, 4), rng.randint(2, 8), rng.random()
+        planted = random_rows(rng, 3, m, c)
+        tables.append(CategoricalDataset.from_values([
+            tuple(rng.randrange(c) if rng.random() < noise else v for v in rng.choice(planted))
+            for _ in range(300)]))
+    for ds in tables:
+        first_appearance = BitEncoder(len(ds.attrs))
+        layouts = [kmodes._encode_rows(ds),
+                   (first_appearance, first_appearance.encode_rows(ds.rows))]
+        assert [encoder.bytewise for encoder, _ in layouts] == [True, False]
+        distinct = sorted(set(ds.rows))
+        for _ in range(3):
+            seeds = rng.sample(distinct, rng.randint(1, min(6, len(distinct))))
+            expected = oracle.allocation_pass(ds.rows, seeds)
+            for encoder, codes in layouts:
+                before = len(batched)
+                modes, assignments, _, _, cost = kmodes._fit_once(encoder, codes, seeds, 0, False)
+                assert ([p.values for p in modes], list(assignments), cost) == expected
+                assert encoder.bytewise or len(batched) == before
+        if ds is ocean50_population:
+            assert sum(batched) > 0.7 * 3 * ds.n  # most rows join inside a window
+    assert sum(batched) > 0.5 * 3 * sum(ds.n for ds in tables)
+
+
+def test_debug_raises_on_a_batch_that_hides_a_change_of_mode(monkeypatch):
+    # A window one add wider than room allows: the batch counts a code
+    # that should have become the mode, and debug's check after the flush
+    # names it.
+    ds = CategoricalDataset.from_values([(1,)] * 3 + [(0,)] * 3)
+    monkeypatch.setattr(_Cluster, "room", lambda self: self.size - 2 * max(self.rest))
+    with pytest.raises(AssertionError, match="^attribute 0: code 0 has 3 members, "
+                                             "the mode code 1 3; a batch hid a change"):
+        kmodes._fit_once(*kmodes._encode_rows(ds), [(1,)], 0, True)
+    assert fit(ds, FitConfig(k=1)).modes[0].values == (1,)  # wrong, and unnoticed
+
+
+@pytest.mark.parametrize("cell", [1.0, True])
+def test_cells_equal_to_their_codes_fit_as_the_codes_do(cell):
+    # A directly built dataset accepts a cell equal to a category code but
+    # of another type. bytes() refuses 1.0, so its rows take the encoder's
+    # dict; it reads True as 1. Either way the model equals that of the int
+    # codes, windows of the allocation pass included.
+    ints = CategoricalDataset.from_values(
+        [(1, 2, 1)] * 20 + random_rows(random.Random(79), 40, 3, 3))
+    ds = CategoricalDataset(ints.attrs, [tuple(cell if v == 1 else v for v in row)
+                                         for row in ints.rows])
+    assert {type(v) for row in ds.rows for v in row} == {int, type(cell)}
+    assert kmodes._encode_rows(ds)[1] == kmodes._encode_rows(ints)[1]
+    for init in INIT_STRATEGIES:
+        config = FitConfig(k=3, init=init, restarts=2)
+        assert fit(ds, config) == fit(ints, config) == fit(ds, config, debug=True)
+
+
+def test_a_dataset_without_attributes_fits_at_cost_zero():
+    ds = CategoricalDataset.from_values([()] * 6)
+    for init in INIT_STRATEGIES:
+        model = fit(ds, FitConfig(k=1, init=init), debug=True)
+        assert (model.modes, model.assignments, model.cost) == ((Prototype(()),), (0,) * 6, 0.0)
+
+
+def test_an_order_preserving_recoding_past_the_byte_layout_changes_no_fit():
+    # Codes {0, 1, 2, 3, 40} take the first-appearance layout; recoded
+    # 40 -> 4 they take the byte layout, whose allocation pass batches.
+    # A fit compares codes only by order, so both fit alike.
+    rng = random.Random(83)
+    planted = [(0, 1, 40, 3, 2), (40, 40, 0, 1, 3), (2, 3, 1, 40, 0)]
+    wide = [tuple(rng.choice((0, 1, 2, 3, 40)) if rng.random() < 0.3 else v
+                  for v in rng.choice(planted)) for _ in range(400)]
+    recode = {40: 4}
+    narrow = [tuple(recode.get(v, v) for v in row) for row in wide]
+    wide_ds, narrow_ds = map(CategoricalDataset.from_values, (wide, narrow))
+    assert [kmodes._encode_rows(ds)[0].bytewise for ds in (wide_ds, narrow_ds)] == [False, True]
+    for case in range(6):
+        config = FitConfig(k=case % 4 + 2, init=INIT_STRATEGIES[case % 2], seed=case,
+                           restarts=2)
+        a, b = fit(wide_ds, config), fit(narrow_ds, config)
+        assert (a.assignments, a.cost, a.epochs_run) == (b.assignments, b.cost, b.epochs_run)
+        assert [tuple(recode.get(v, v) for v in p.values) for p in a.modes] == [
+            p.values for p in b.modes]
 
 
 def test_ocean50_elbow_curve_is_bit_identical_to_the_golden_record(ocean50_population):

@@ -5,6 +5,7 @@ import hashlib
 import io
 import math
 import random
+import re
 from importlib import resources
 
 import pytest
@@ -500,6 +501,19 @@ class TestResponseTable:
         table = generate_synthetic(10, schema, seed=5)
         reparsed = parse_responses(table.to_csv(";"), schema, delimiter=";")
         assert reparsed.table.rows == table.rows
+
+    @pytest.mark.parametrize("delimiter", ["", ";;", "\n", "\r", 0])
+    def test_parse_and_to_csv_refuse_what_csv_cannot_read_back(self, delimiter):
+        # One character, not a line break; ParseError would blame the input.
+        schema = load_schema("scenario3")
+        table = generate_synthetic(3, schema, seed=5)
+        message = (f"^delimiter must be one character, not a line break, "
+                   f"got {re.escape(repr(delimiter))}$")
+        for call in (lambda: table.to_csv(delimiter),
+                     lambda: parse_responses(table.to_csv(), schema, delimiter=delimiter)):
+            with pytest.raises(ValueError, match=message) as exc:
+                call()
+            assert type(exc.value) is ValueError
 
     def test_rejects_misaligned_construction(self):
         with pytest.raises(AlignmentError):
