@@ -148,8 +148,10 @@ def _read_input(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _parse_input(args, schema):
-    return parse_responses(
+def _parse_input(args):
+    """The schema of ``--schema`` and the parse of the input under it."""
+    schema = load_schema(args.schema)
+    return schema, parse_responses(
         _read_input(args.input),
         schema,
         delimiter=args.delimiter,
@@ -165,16 +167,14 @@ def _load_model(path: str, dataset, schema_name=None) -> ClusterModel:
 
 
 def _cmd_fit(args) -> str:
-    schema = load_schema(args.schema)
-    result = _parse_input(args, schema)
+    schema, result = _parse_input(args)
     config = FitConfig(k=args.k, init=args.init, seed=args.seed, restarts=args.restarts)
     model = fit(result.dataset, config)
     return documents.dumps(documents.model_to_dict(model, result.dataset, schema.name))
 
 
 def _cmd_elbow(args) -> str:
-    schema = load_schema(args.schema)
-    result = _parse_input(args, schema)
+    _, result = _parse_input(args)
     if 1 <= args.k_min <= args.k_max:  # otherwise elbow_scan or FitConfig refuses
         check_selection(args.k_max - args.k_min + 1, args.epsilon)
     curve = elbow_scan(result.dataset, args.k_min, args.k_max,
@@ -194,8 +194,7 @@ def _cmd_elbow(args) -> str:
 
 
 def _cmd_score(args) -> str:
-    schema = load_schema(args.schema)
-    result = _parse_input(args, schema)
+    schema, result = _parse_input(args)
     raw, percent = score_profiles(result.table.rows, schema)
     dims = schema.dimensions
     raw_rows = zip(*(raw[d] for d in dims))
@@ -229,8 +228,7 @@ def _cmd_report(args) -> str:
         flags = ", ".join(f"--{name}" for name in given)
         where = "--aggregate mean" if args.aggregate == "mean" else "--model"
         raise ValueError(f"{flags} {'does' if len(given) == 1 else 'do'} not apply to {where}")
-    schema = load_schema(args.schema)
-    result = _parse_input(args, schema)
+    schema, result = _parse_input(args)
     _, percent = score_profiles(result.table.rows, schema)
     if args.aggregate == "mean":
         rep = mean_percentages(percent, schema, meta={"n": result.table.n})

@@ -14,24 +14,19 @@ CATEGORICAL = "categorical"
 
 @dataclass(frozen=True)
 class AttributeSpec:
-    """Column metadata: position, kind, and the category code list.
+    """Column metadata: position, name, and the category code list. Every
+    attribute is categorical, so no field records a kind.
 
-    ``kind`` must be ``"categorical"``, the only kind there is. ``categories``
-    holds the attribute's category codes in first-appearance order; codes are
-    small non-negative integers, distinct within the list.
+    ``categories`` holds the attribute's category codes in first-appearance
+    order; codes are small non-negative integers, distinct within the list.
     """
 
     index: int
-    kind: str
     name: str = ""
     categories: tuple[int, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "categories", tuple(self.categories))
-        if self.kind != CATEGORICAL:
-            raise ValueError(
-                f"unknown attribute kind {self.kind!r}; only {CATEGORICAL!r} is supported"
-            )
         if len(set(self.categories)) != len(self.categories):
             raise ValueError(f"attribute {self.name or self.index}: duplicate category codes")
         for code in self.categories:

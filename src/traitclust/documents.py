@@ -19,9 +19,10 @@ def dumps(doc) -> str:
 
 def loads(text, error, what, kind=None) -> dict:
     """Decode ``text`` into a JSON object whose ``"kind"`` is ``kind`` when
-    one is given; otherwise raise ``error``, naming the document ``what``."""
+    one is given; otherwise raise ``error``, naming the document ``what``.
+    One leading UTF-8 byte-order mark, which json refuses, is dropped."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text.removeprefix("\ufeff"))
     except json.JSONDecodeError as exc:
         raise error(f"invalid {what} JSON: {exc}") from exc
     if not isinstance(doc, dict):

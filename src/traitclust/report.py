@@ -99,10 +99,7 @@ def label_clusters(model, profiles, schema) -> ClusterLabeling:
         if size == 0:
             raise ReportError(f"cluster {l} has no members; cannot label")
         mean = {d: sums[d][l] / size for d in dims}
-        dominant = dims[0]
-        for d in dims:
-            if mean[d] > mean[dominant]:
-                dominant = d
+        dominant = max(dims, key=mean.__getitem__)
         summaries.append(
             ClusterSummary(index=l, size=size, dominant=dominant, mean_percent=mean)
         )

@@ -266,11 +266,14 @@ def parse_responses(stream, schema: SurveySchema, delimiter: str = ",",
     dropped with their row or imputed with the column's most frequent
     observed value, per missing_policy. Likert answers are kept verbatim as
     the dataset's category codes. The delimiter must pass check_delimiter.
+    One leading UTF-8 byte-order mark, which spreadsheet exports often
+    write, is dropped.
     """
     if missing_policy not in MISSING_POLICIES:
         raise ValueError(f"missing_policy must be one of {MISSING_POLICIES}, got {missing_policy!r}")
     check_delimiter(delimiter)
-    text = stream if isinstance(stream, str) else stream.read()
+    # removeprefix returns the text itself, uncopied, when it has no mark.
+    text = (stream if isinstance(stream, str) else stream.read()).removeprefix("\ufeff")
     reader = csv.reader(io.StringIO(text), delimiter=delimiter)
     try:
         header = next(reader)

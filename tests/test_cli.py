@@ -654,6 +654,27 @@ class TestMissingHandling:
         assert (code, out, err) == (1, "", "error: cannot fit an empty dataset\n")
 
 
+@pytest.mark.parametrize("marked", ["input", "schema", "model"])
+def test_a_utf8_byte_order_mark_changes_no_output(capsys, tmp_path, marked):
+    # Spreadsheet exports often open a file with the bytes EF BB BF. The
+    # input's first column is a schema column, which a kept mark would hide.
+    paths = {name: tmp_path / f"{name}.txt" for name in ("input", "schema", "model")}
+    paths["input"].write_text("Q1,who,Q2\n5,a,1\n2,b,4\n4,c,2\n1,d,5\n", encoding="utf-8")
+    paths["schema"].write_text(json.dumps({
+        "name": "pair", "dimensions": ["A", "B"],
+        "items": [{"column": "Q1", "dimension": "A"}, {"column": "Q2", "dimension": "B"}],
+    }), encoding="utf-8")
+    argv = ("-i", str(paths["input"]), "--schema", str(paths["schema"]))
+    assert run(capsys, "fit", *argv, "--k", "2", "-o", str(paths["model"]))[0] == 0
+    report = ("report", *argv, "--model", str(paths["model"]), "--format", "text")
+    code, plain, _ = run(capsys, *report)
+    assert code == 0
+    paths[marked].write_text("\ufeff" + paths[marked].read_text(encoding="utf-8"),
+                             encoding="utf-8")
+    assert paths[marked].read_bytes().startswith(b"\xef\xbb\xbf")
+    assert run(capsys, *report) == (0, plain, "")
+
+
 def test_answers_of_eight_and_above_run_through_the_cli_as_through_the_library(
         capsys, tmp_path):
     # Likert 1..10 puts codes past the byte layout, so the rows take the

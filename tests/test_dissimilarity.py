@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from traitclust import (
-    CATEGORICAL,
     AlignmentError,
     AttributeSpec,
     CategoricalDataset,
@@ -21,7 +20,7 @@ import oracle
 
 
 def _cat_attrs(m):
-    return tuple(AttributeSpec(index=j, kind=CATEGORICAL, categories=(0, 1, 2, 3, 4, 5)) for j in range(m))
+    return tuple(AttributeSpec(index=j, categories=(0, 1, 2, 3, 4, 5)) for j in range(m))
 
 
 class TestSimpleMatching:
@@ -34,12 +33,6 @@ class TestSimpleMatching:
     def test_accepts_rows_and_prototypes(self):
         attrs = _cat_attrs(2)
         assert simple_matching((1, 2), Prototype(values=(1, 3)), attrs) == 1
-
-    def test_rejects_numeric_attributes(self):
-        # "numeric" is not an attribute kind, so such a column never
-        # reaches the measure
-        with pytest.raises(ValueError):
-            simple_matching((1.0,), (2.0,), (AttributeSpec(index=0, kind="numeric"),))
 
     def test_rejects_misaligned_vectors(self):
         with pytest.raises(AlignmentError):
@@ -59,18 +52,13 @@ class TestSimpleMatching:
 
 
 class TestValidation:
-    def test_attribute_rejects_unknown_kind(self):
-        for kind in ("ordinal", "numeric"):
-            with pytest.raises(ValueError):
-                AttributeSpec(index=0, kind=kind)
-
     def test_attribute_rejects_duplicate_codes(self):
         with pytest.raises(ValueError):
-            AttributeSpec(index=0, kind=CATEGORICAL, categories=(1, 1))
+            AttributeSpec(index=0, categories=(1, 1))
 
     def test_attribute_rejects_negative_codes(self):
         with pytest.raises(ValueError):
-            AttributeSpec(index=0, kind=CATEGORICAL, categories=(-1,))
+            AttributeSpec(index=0, categories=(-1,))
 
 
 def test_simple_matching_agrees_with_reference_hamming():
@@ -90,7 +78,7 @@ OUTSIDE = (0, 41, 1000)
 
 
 def _sparse_attrs(m):
-    return tuple(AttributeSpec(index=j, kind=CATEGORICAL, categories=SPARSE_CODES)
+    return tuple(AttributeSpec(index=j, categories=SPARSE_CODES)
                  for j in range(m))
 
 

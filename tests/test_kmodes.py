@@ -81,17 +81,17 @@ class TestDatasetConstruction:
             CategoricalDataset.from_raw([("a",), ("a", "b")])
 
     def test_rejects_values_outside_the_category_list(self):
-        attrs = (AttributeSpec(0, CATEGORICAL, categories=(0, 1)),)
+        attrs = (AttributeSpec(0, categories=(0, 1)),)
         with pytest.raises(ValueError):
             CategoricalDataset(attrs=attrs, rows=((2,),))
 
     def test_rejects_misnumbered_attributes(self):
-        attrs = (AttributeSpec(1, CATEGORICAL, categories=(0,)),)
+        attrs = (AttributeSpec(1, categories=(0,)),)
         with pytest.raises(ValueError):
             CategoricalDataset(attrs=attrs, rows=())
 
-    _ATTRS = (AttributeSpec(0, CATEGORICAL, name="a", categories=(0, 1)),
-              AttributeSpec(1, CATEGORICAL, categories=(5,)))
+    _ATTRS = (AttributeSpec(0, name="a", categories=(0, 1)),
+              AttributeSpec(1, categories=(5,)))
 
     @pytest.mark.parametrize("attrs, rows, error, message", [
         # the first bad row in row order, its length checked before its values
@@ -304,9 +304,12 @@ class TestFitValidation:
 
     def test_a_dataset_refuses_a_numeric_attribute_before_any_fit(self):
         # the dataset refuses the "numeric" kind before a fit can see it
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             ds = CategoricalDataset.from_values([(1, 0)], kinds=["numeric", CATEGORICAL])
             fit(ds, FitConfig(k=1))
+        assert type(info.value) is ValueError
+        assert str(info.value) == ("unknown attribute kind 'numeric'; "
+                                   "only 'categorical' is supported")
 
     def test_config_rejects_bad_settings(self):
         # simple matching is the only measure, so policy is no setting
@@ -685,6 +688,13 @@ def test_debug_raises_on_a_batch_that_hides_a_change_of_mode(monkeypatch):
                                              "the mode code 1 3; a batch hid a change"):
         kmodes._fit_once(*kmodes._encode_rows(ds), [(1,)], 0, True)
     assert fit(ds, FitConfig(k=1)).modes[0].values == (1,)  # wrong, and unnoticed
+    # Two codes overtake the mode in one batch: the message names the one
+    # with the most members, not the first that beats the mode.
+    ds = CategoricalDataset.from_values([(1,)] + [(0,)] * 2 + [(2,)] * 3)
+    monkeypatch.setattr(_Cluster, "room", lambda self: ds.n)
+    with pytest.raises(AssertionError, match="^attribute 0: code 2 has 3 members, "
+                                             "the mode code 1 1; a batch hid a change"):
+        kmodes._fit_once(*kmodes._encode_rows(ds), [(1,)], 0, True)
 
 
 @pytest.mark.parametrize("cell", [1.0, True])

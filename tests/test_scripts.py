@@ -15,6 +15,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
     pytest.param(["applicant_pipeline.py", "--k", "3"], id="applicant_pipeline.py-k3"),
     ["synthetic_elbow.py", "--n", "60", "--noise", "0", "0.15", "--k-max", "6",
      "--restarts", "2"],
+    ["src_lines.py"],
 ], ids=lambda argv: argv[0])
 def test_script_exits_zero(argv):
     env = dict(os.environ)
