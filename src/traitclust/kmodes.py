@@ -38,7 +38,7 @@ _models keeps every model it computes in a memo on the dataset
 (CategoricalDataset._fits) and returns it for an equal config: the refit at
 the k an elbow scan selected costs a dictionary lookup. The memo holds one
 model, an assignment tuple of n ints, per config fitted, for the life of
-the dataset. debug=True neither reads nor fills it.
+the dataset.
 
 Everything is deterministic for a given dataset and config: rows are visited
 in dataset order, distance ties go to the lowest cluster index, mode ties to
@@ -47,8 +47,12 @@ the lowest category code, and restart r draws its seeds with seed + r.
 Convergence (an epoch with zero moves) is guaranteed: every accepted move
 strictly decreases the objective, which takes finitely many values. The
 model's ``converged`` flag is false only when max_epochs cuts a run short.
+The tests check both properties on the reference fit in tests/oracle.py,
+which recounts the objective around every move, visits every row in every
+epoch and batches nothing; _fit_once must equal it bit for bit.
 """
 
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -417,17 +421,6 @@ class _Cluster:
                     counts[p] += n
                     rest[j] += n
 
-    def check_modes(self):
-        """Raise AssertionError unless every mode code holds the most
-        members, the lowest code among the maxima."""
-        for j, q in enumerate(self._pos):
-            top = self.size - self.rest[j]
-            p, n = self._majority(j, top)
-            if p != q:
-                raise AssertionError(
-                    f"attribute {j}: code {self._code_of[p]!r} has {n} members, the mode "
-                    f"code {self.mode[j]!r} {top}; a batch hid a change of mode")
-
     def _majority(self, j, top):
         # The bit position of the code of j with the most members, the
         # lowest code among the maxima, and its count. The mode code has top
@@ -454,10 +447,10 @@ def _total(m, points, masks, assignments):
     return float(sum(m - (x & masks[l]).bit_count() for x, l in zip(points, assignments)))
 
 
-def _fit_once(encoder, codes, seeds, max_epochs, debug):
+def _fit_once(encoder, codes, seeds, max_epochs):
     """One online k-modes run over the rows' masks from the initial modes
     ``seeds``: (modes, assignments, epochs_run, converged, cost)."""
-    k, m = len(seeds), len(seeds[0])
+    k = len(seeds)
     clusters = [_Cluster(v, encoder) for v in seeds]
     # masks are ints, refreshed whenever an add or remove changes one.
     masks = [c.mask for c in clusters]
@@ -493,8 +486,6 @@ def _fit_once(encoder, codes, seeds, max_epochs, debug):
     def flush(l):
         clusters[l].absorb(queues[l])
         queues[l] = []
-        if debug:
-            clusters[l].check_modes()
 
     for i, x in enumerate(codes):
         l, _ = _nearest(x, masks)
@@ -536,40 +527,22 @@ def _fit_once(encoder, codes, seeds, max_epochs, debug):
     # decrease the live cost). No move empties a cluster: a cluster of one
     # row has that row as its mode, which agrees on all m attributes, so no
     # mode is strictly closer. A row whose stamp is current is skipped: no
-    # mask has changed since it was placed or last stayed. debug=True looks
-    # at the skipped rows too and raises if one has a strictly closer mode.
+    # mask has changed since it was placed or last stayed.
     epochs_run = 0
     converged = False
     for epoch in range(1, max_epochs + 1):
         epochs_run = epoch
         moves = 0
         for i, x in enumerate(codes):
-            settled = seen[i] == changes
-            if settled and not debug:
+            if seen[i] == changes:
                 continue
             s = assign[i]
             t, at = _nearest(x, masks)
             seen[i] = changes
             if at <= (x & masks[s]).bit_count():
                 continue
-            if debug:
-                if settled:
-                    raise AssertionError(
-                        f"row {i} was skipped as settled in cluster {s}, but cluster "
-                        f"{t} agrees with it on more attributes"
-                    )
-                if clusters[s].size < 2:
-                    raise AssertionError(f"moving row {i} would empty cluster {s}")
-                before = _total(m, codes, masks, assign)
             move(i, t)
             moves += 1
-            if debug:
-                after = _total(m, codes, masks, assign)
-                if not after < before:
-                    raise AssertionError(
-                        f"accepted move of row {i} failed to decrease cost "
-                        f"({before} -> {after})"
-                    )
         if moves == 0:
             converged = True
             break
@@ -577,59 +550,51 @@ def _fit_once(encoder, codes, seeds, max_epochs, debug):
     # rest[j] counts the members that differ from their mode on j, so the
     # rests sum to the objective: O(k * m) instead of _total's O(n * k).
     cost = float(sum(sum(c.rest) for c in clusters))
-    if debug:
-        recount = _total(m, codes, masks, assign)
-        if cost != recount:
-            raise AssertionError(f"cluster state cost {cost} != recounted cost {recount}")
     protos = tuple(Prototype(values=tuple(c.mode)) for c in clusters)
     return protos, tuple(assign), epochs_run, converged, cost
 
 
-def _models(dataset, config, k_min, k_max, debug=False):
+def _models(dataset, config, k_min, k_max):
     """The model of config at each k in [k_min, k_max], in order: the
-    memo's (see CategoricalDataset._fits; debug uses a fresh one), else
-    fitted and added to it. The rows are checked against k_max before any
-    per-k config is built. The k the memo lacks share one encoding of the
-    rows and one seed pool (see _seed_pool). Restart r fits the seeds drawn
-    with seed + r and the lowest cost wins, the earliest on ties. A restart
-    that draws an earlier one's seeds would repeat that fit and lose the
-    tie, so the pool yields it once: a density fit, whose draw ignores the
-    seed, runs once."""
+    memo's (see CategoricalDataset._fits), else fitted and added to it. The
+    rows are checked against k_max before any per-k config is built. The k
+    the memo lacks share one encoding of the rows and one seed pool (see
+    _seed_pool). Restart r fits the seeds drawn with seed + r and the lowest
+    cost wins, the earliest on ties. A restart that draws an earlier one's
+    seeds would repeat that fit and lose the tie, so the pool yields it
+    once: a density fit, whose draw ignores the seed, runs once. The tests
+    hold every _fit_once run equal to tests/oracle.py's reference_fit."""
     if dataset.n < 1:
         raise ValueError("cannot fit an empty dataset")
     if k_max > dataset.n:
         raise InfeasibleConfigError(f"k={k_max} exceeds the number of rows ({dataset.n})")
     configs = [replace(config, k=k) for k in range(k_min, k_max + 1)]
-    memo = {} if debug else dataset._fits
+    memo = dataset._fits
     missing = [c for c in configs if c not in memo]
     if missing:
         encoder, codes = _encode_rows(dataset)
         draws = _seed_pool(dataset, codes, config.init, missing[0].k, missing[-1].k)
         for c in missing:
-            runs = (_fit_once(encoder, codes, seeds, c.max_epochs, debug)
+            runs = (_fit_once(encoder, codes, seeds, c.max_epochs)
                     for seeds in draws(c.k, c.seed, c.restarts))
             modes, assignments, epochs_run, converged, cost = min(runs, key=itemgetter(4))
             memo[c] = ClusterModel(modes, assignments, cost, epochs_run, converged, c)
     return [memo[c] for c in configs]
 
 
-def fit(dataset, config: FitConfig, debug: bool = False) -> ClusterModel:
+def fit(dataset, config: FitConfig) -> ClusterModel:
     """Cluster the dataset through _models, the driver elbow_scan shares:
     restart r fits the seeds drawn with seed + r and the lowest cost wins
     (earliest restart on ties); a restart that repeats an earlier draw is
     skipped, so a density fit runs once, and its model's config keeps the
     requested restarts.
 
-    debug=True recomputes the full objective around every accepted move,
-    raises if a move ever fails to decrease it or would empty a cluster,
-    also examines every row an epoch skips and raises if one has a strictly
-    closer mode, checks after each batch of the allocation pass that every
-    mode code still holds the majority, and checks the final cost against a
-    recount. It neither reads nor fills the dataset's memo. Otherwise the
-    model is kept there, and a later fit or elbow_scan with an equal config
-    returns it, carrying its own config.
+    The model is kept in the dataset's memo, and a later fit or elbow_scan
+    with an equal config returns it, carrying its own config. That each
+    accepted move strictly lowers the objective is checked by the tests,
+    through the row-by-row reference fit in tests/oracle.py.
     """
-    model = _models(dataset, config, config.k, config.k, debug)[0]
+    model = _models(dataset, config, config.k, config.k)[0]
     return model if model.config is config else replace(model, config=config)
 
 
@@ -644,6 +609,7 @@ def within_cluster_difference(dataset, modes, assignments, policy=None) -> float
             f"{len(assignments)} assignments for {dataset.n} rows"
         )
     for l in assignments:
+        check_int("assignment", l)
         if not 0 <= l < k:
             raise ValueError(f"assignment {l} out of range for k={k}")
     check_inputs(dataset.attrs, modes)
@@ -683,12 +649,15 @@ def check_selection(points: int, epsilon: float) -> None:
 def select_k(curve, epsilon: float = 0.05) -> int:
     """Smallest k whose step to k+1 improves the cost by less than epsilon
     (relative); k_max if every step keeps paying off. A zero-cost point is
-    returned as soon as it is seen."""
+    returned as soon as it is seen. Every cost must be finite and >= 0."""
     curve = list(curve)
     check_selection(len(curve), epsilon)
     ks = [k for k, _ in curve]
     if any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError("elbow curve k values must be strictly ascending")
+    for k, wcd in curve:
+        if not 0 <= wcd < math.inf:
+            raise ValueError(f"elbow curve cost at k={k} must be finite and >= 0, got {wcd!r}")
     tiny = 1e-12
     for i, (k, wcd) in enumerate(curve):
         if wcd <= tiny:

@@ -1,9 +1,15 @@
-"""Brute-force references for the clustering, parsing and labeling tests.
+"""Brute-force and row-by-row references for the clustering, parsing and
+labeling tests.
 
 Deliberately independent of the package under test: plain lists, plain
 loops. Partitions are enumerated as restricted-growth strings, which walks
 every set partition of n rows into exactly k non-empty blocks once (cluster
 labels do not matter because the cost function is label-invariant).
+allocation_pass and reference_fit run Huang's online k-modes one row at a
+time, with plain Hamming distances and majority modes recounted from the
+members: no masks, no skipped rows, no batches. The fit's incremental
+cluster state, its epoch skip and its batched allocation pass must end
+where they do, bit for bit.
 """
 
 import csv
@@ -197,3 +203,49 @@ def allocation_pass(rows, seeds):
             modes[label][j] = min(code for code, c in column.items() if c == top)
     cost = sum(hamming(row, modes[label]) for row, label in zip(rows, assignments))
     return [tuple(mode) for mode in modes], assignments, cost
+
+
+def reference_fit(rows, seeds, max_epochs):
+    """Huang's online k-modes from the initial modes ``seeds``, one row at a
+    time: allocation_pass, then the empty-cluster repair (each cluster left
+    without members, in order, takes the first row whose cluster has
+    another), then up to max_epochs reallocation epochs. An epoch visits
+    every row and moves it to the nearest mode (the lowest cluster on ties)
+    only when that mode is strictly closer than its own; both modes then
+    become their members' majority. A run converges at an epoch without a
+    move. Asserts that every accepted move strictly lowers the objective and
+    leaves no cluster empty. Returns (modes, assignments, epochs_run,
+    converged, cost) as tuples and a float cost."""
+    modes, assignments, _ = allocation_pass(rows, seeds)
+
+    def cost():
+        return sum(hamming(row, modes[l]) for row, l in zip(rows, assignments))
+
+    def move(i, t):
+        s = assignments[i]
+        assignments[i] = t
+        for l in (s, t):
+            members = [row for row, a in zip(rows, assignments) if a == l]
+            modes[l] = tuple(majority_value(column) for column in zip(*members))
+
+    for l in range(len(seeds)):
+        if l not in assignments:
+            move(next(i for i, s in enumerate(assignments) if assignments.count(s) > 1), l)
+    epochs_run, converged = 0, False
+    for epoch in range(1, max_epochs + 1):
+        epochs_run, moves = epoch, 0
+        for i, row in enumerate(rows):
+            distances = [hamming(row, mode) for mode in modes]
+            t, s = distances.index(min(distances)), assignments[i]
+            if distances[t] >= distances[s]:
+                continue
+            assert assignments.count(s) > 1, f"moving row {i} would empty cluster {s}"
+            before = cost()
+            move(i, t)
+            moves += 1
+            after = cost()
+            assert after < before, f"moving row {i} took the cost from {before} to {after}"
+        if not moves:
+            converged = True
+            break
+    return tuple(modes), tuple(assignments), epochs_run, converged, float(cost())

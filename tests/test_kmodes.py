@@ -424,8 +424,8 @@ class TestFit:
         assert draws(3, 7, 10**9) == [tuple(kmodes._density_seeds(ds, 3, codes))]
 
     def test_cost_from_the_cluster_state_equals_both_recounts(self):
-        # fit sums the clusters' rest counts; _total (debug's check) and
-        # within_cluster_difference count every row against its mode.
+        # fit sums the clusters' rest counts; _total, which
+        # within_cluster_difference runs, counts every row against its mode.
         rng = random.Random(19)
         for case in range(150):
             n, m = rng.randint(3, 40), rng.randint(1, 5)
@@ -439,7 +439,7 @@ class TestFit:
             masks = [encoder.encode(p.values) for p in model.modes]
             assert model.cost == kmodes._total(m, codes, masks, model.assignments), case
             assert model.cost == within_cluster_difference(ds, model.modes, model.assignments)
-            assert fit(CategoricalDataset.from_values(ds.rows), config, debug=True) == model
+            assert fit(CategoricalDataset.from_values(ds.rows), config) == model
 
     def test_no_cluster_is_ever_left_empty(self):
         rng = random.Random(17)
@@ -491,7 +491,7 @@ class TestFit:
                 distinct = list(dict.fromkeys(rows))
                 for k in range(1, min(3, len(distinct)) + 1):
                     for seeds in permutations(distinct, k):
-                        kmodes._fit_once(encoder, codes, seeds, 0, False)
+                        kmodes._fit_once(encoder, codes, seeds, 0)
 
     def test_empty_cluster_repair_moves_the_first_farthest_row(self):
         # 3 distinct rows: the density seeds of clusters 3 and 4 repeat
@@ -521,7 +521,7 @@ class TestFit:
         k = data.draw(st.integers(1, min(3, distinct)))
         seed = data.draw(st.integers(0, 1000))
         ds = CategoricalDataset.from_values(rows)
-        model = fit(ds, FitConfig(k=k, seed=seed), debug=True)
+        model = fit(ds, FitConfig(k=k, seed=seed))
         assert len(model.assignments) == n
         assert set(model.assignments) == set(range(k))
         assert model.cost == within_cluster_difference(ds, model.modes, model.assignments)
@@ -597,9 +597,44 @@ def test_ocean50_fit_is_bit_identical_to_the_golden_record(ocean50_population, n
     assert _golden_record(fit(ocean50_population, config)) == OCEAN50_GOLDEN_FITS[name, init]
 
 
-def test_ocean50_debug_fit_descends_to_the_golden_record(ocean50_population):
-    model = fit(ocean50_population, FitConfig(k=5, seed=5, restarts=2), debug=True)
-    assert _golden_record(model) == OCEAN50_GOLDEN_FITS["simple", "random_rows"]
+@pytest.fixture
+def reference_checked(monkeypatch):
+    """Check every _fit_once run against oracle.reference_fit, under the
+    layout the fit encoded its rows in and under the first-appearance
+    layout. Returns a list that gains, per run, whether the fit's layout
+    was bytewise."""
+    real_encode, real_fit_once = kmodes._encode_rows, kmodes._fit_once
+    encoded, checked = [], []
+
+    def encode(dataset):
+        encoder, codes = real_encode(dataset)
+        encoded[:] = [codes, dataset.rows]
+        return encoder, codes
+
+    def fit_once(encoder, codes, seeds, max_epochs):
+        assert codes is encoded[0]  # _models fits the rows it last encoded
+        rows = encoded[1]
+        expected = oracle.reference_fit(rows, seeds, max_epochs)
+        first_appearance = BitEncoder(len(seeds[0]))
+        run = real_fit_once(encoder, codes, seeds, max_epochs)
+        for modes, *rest in (run, real_fit_once(
+                first_appearance, first_appearance.encode_rows(rows), seeds, max_epochs)):
+            assert (tuple(p.values for p in modes), *rest) == expected
+        checked.append(encoder.bytewise)
+        return run
+
+    monkeypatch.setattr(kmodes, "_encode_rows", encode)
+    monkeypatch.setattr(kmodes, "_fit_once", fit_once)
+    return checked
+
+
+@pytest.mark.parametrize("name, init", sorted(OCEAN50_GOLDEN_FITS))
+def test_ocean50_fit_equals_the_reference_fit(ocean50_population, reference_checked,
+                                              name, init):
+    fresh = CategoricalDataset.from_values(ocean50_population.rows)  # an empty memo
+    model = fit(fresh, FitConfig(k=5, init=init, seed=5, restarts=2))
+    assert _golden_record(model) == OCEAN50_GOLDEN_FITS[name, init]
+    assert reference_checked == [True] * (1 if init == "density" else 2)
 
 
 def test_epochs_examine_only_the_rows_a_mode_change_could_move(
@@ -620,25 +655,17 @@ def test_epochs_examine_only_the_rows_a_mode_change_could_move(
     assert allocations <= len(calls) < allocations * 1.15
 
 
-def test_debug_examines_the_rows_an_epoch_skips(monkeypatch):
-    # Equal rows in one cluster never change its mask, so every row is
-    # settled when the first epoch starts. A _nearest that lies after the
-    # allocation pass goes unasked without debug; debug asks it and names
-    # the first row it would have moved.
-    ds = CategoricalDataset.from_values([(1, 2)] * 4)
-    calls = []
-    real = kmodes._nearest
-
-    def lying(x, masks):
-        calls.append(1)
-        return real(x, masks) if len(calls) <= ds.n else (0, 3)
-
-    monkeypatch.setattr(kmodes, "_nearest", lying)
-    assert fit(ds, FitConfig(k=1)).converged
-    assert len(calls) == ds.n
-    calls.clear()
-    with pytest.raises(AssertionError, match="^row 0 was skipped as settled in cluster 0"):
-        fit(ds, FitConfig(k=1), debug=True)
+def _planted_tables(rng):
+    """30 tables of 300 rows: 3 planted rows of 1..4 codes in [0, 8), each
+    copied with its own share of noise."""
+    tables = []
+    for _ in range(30):
+        m, c, noise = rng.randint(1, 4), rng.randint(2, 8), rng.random()
+        planted = random_rows(rng, 3, m, c)
+        tables.append(CategoricalDataset.from_values([
+            tuple(rng.randrange(c) if rng.random() < noise else v for v in rng.choice(planted))
+            for _ in range(300)]))
+    return tables
 
 
 def test_the_batched_allocation_pass_equals_a_row_by_row_one(ocean50_population, monkeypatch):
@@ -652,13 +679,7 @@ def test_the_batched_allocation_pass_equals_a_row_by_row_one(ocean50_population,
     monkeypatch.setattr(_Cluster, "absorb",
                         lambda self, xs: batched.append(len(xs)) or real(self, xs))
     rng = random.Random(73)
-    tables = [ocean50_population]
-    for _ in range(30):
-        m, c, noise = rng.randint(1, 4), rng.randint(2, 8), rng.random()
-        planted = random_rows(rng, 3, m, c)
-        tables.append(CategoricalDataset.from_values([
-            tuple(rng.randrange(c) if rng.random() < noise else v for v in rng.choice(planted))
-            for _ in range(300)]))
+    tables = [ocean50_population] + _planted_tables(rng)
     for ds in tables:
         first_appearance = BitEncoder(len(ds.attrs))
         layouts = [kmodes._encode_rows(ds),
@@ -670,7 +691,7 @@ def test_the_batched_allocation_pass_equals_a_row_by_row_one(ocean50_population,
             expected = oracle.allocation_pass(ds.rows, seeds)
             for encoder, codes in layouts:
                 before = len(batched)
-                modes, assignments, _, _, cost = kmodes._fit_once(encoder, codes, seeds, 0, False)
+                modes, assignments, _, _, cost = kmodes._fit_once(encoder, codes, seeds, 0)
                 assert ([p.values for p in modes], list(assignments), cost) == expected
                 assert encoder.bytewise or len(batched) == before
         if ds is ocean50_population:
@@ -678,23 +699,24 @@ def test_the_batched_allocation_pass_equals_a_row_by_row_one(ocean50_population,
     assert sum(batched) > 0.5 * 3 * sum(ds.n for ds in tables)
 
 
-def test_debug_raises_on_a_batch_that_hides_a_change_of_mode(monkeypatch):
-    # A window one add wider than room allows: the batch counts a code
-    # that should have become the mode, and debug's check after the flush
-    # names it.
-    ds = CategoricalDataset.from_values([(1,)] * 3 + [(0,)] * 3)
-    monkeypatch.setattr(_Cluster, "room", lambda self: self.size - 2 * max(self.rest))
-    with pytest.raises(AssertionError, match="^attribute 0: code 0 has 3 members, "
-                                             "the mode code 1 3; a batch hid a change"):
-        kmodes._fit_once(*kmodes._encode_rows(ds), [(1,)], 0, True)
-    assert fit(ds, FitConfig(k=1)).modes[0].values == (1,)  # wrong, and unnoticed
-    # Two codes overtake the mode in one batch: the message names the one
-    # with the most members, not the first that beats the mode.
-    ds = CategoricalDataset.from_values([(1,)] + [(0,)] * 2 + [(2,)] * 3)
-    monkeypatch.setattr(_Cluster, "room", lambda self: ds.n)
-    with pytest.raises(AssertionError, match="^attribute 0: code 2 has 3 members, "
-                                             "the mode code 1 1; a batch hid a change"):
-        kmodes._fit_once(*kmodes._encode_rows(ds), [(1,)], 0, True)
+@pytest.mark.parametrize("rows, room, mode", [
+    # A window one add wider than room allows: the batch counts a code that
+    # should have become the mode, 0 on the tie, and the mode stays 1.
+    ([(1,)] * 3 + [(0,)] * 3, lambda self: self.size - 2 * max(self.rest), (0,)),
+    # Two codes overtake the mode in one batch: the reference's mode is the
+    # one with the most members, not the first that beats the mode.
+    ([(1,)] + [(0,)] * 2 + [(2,)] * 3, lambda self: 6, (2,)),
+], ids=["a_window_one_add_too_wide", "two_codes_overtake_the_mode"])
+def test_a_batch_that_hides_a_change_of_mode_differs_from_the_reference(
+        monkeypatch, rows, room, mode):
+    ds = CategoricalDataset.from_values(rows)
+    expected = oracle.allocation_pass(ds.rows, [(1,)])
+    assert expected == ([mode], [0] * ds.n, 3.0)
+    assert kmodes._fit_once(*kmodes._encode_rows(ds), [(1,)], 0)[0][0].values == mode
+    monkeypatch.setattr(_Cluster, "room", room)
+    modes, assignments, _, _, cost = kmodes._fit_once(*kmodes._encode_rows(ds), [(1,)], 0)
+    assert [p.values for p in modes] == [(1,)]  # the batch kept the stale mode
+    assert ([p.values for p in modes], list(assignments), cost) != expected
 
 
 @pytest.mark.parametrize("cell", [1.0, True])
@@ -711,13 +733,13 @@ def test_cells_equal_to_their_codes_fit_as_the_codes_do(cell):
     assert kmodes._encode_rows(ds)[1] == kmodes._encode_rows(ints)[1]
     for init in INIT_STRATEGIES:
         config = FitConfig(k=3, init=init, restarts=2)
-        assert fit(ds, config) == fit(ints, config) == fit(ds, config, debug=True)
+        assert fit(ds, config) == fit(ints, config)
 
 
 def test_a_dataset_without_attributes_fits_at_cost_zero():
     ds = CategoricalDataset.from_values([()] * 6)
     for init in INIT_STRATEGIES:
-        model = fit(ds, FitConfig(k=1, init=init), debug=True)
+        model = fit(ds, FitConfig(k=1, init=init))
         assert (model.modes, model.assignments, model.cost) == ((Prototype(()),), (0,) * 6, 0.0)
 
 
@@ -779,6 +801,25 @@ def test_random_fits_are_bit_identical_to_the_pinned_digest():
     assert h.hexdigest() == RANDOM_FITS_DIGEST
 
 
+def test_every_restart_of_the_random_corpus_equals_the_reference_fit(reference_checked):
+    # The corpus mixes both inits, byte-layout and first-appearance tables,
+    # and fits cut short by max_epochs; an epoch skip that leaves a row
+    # with a strictly closer mode unexamined shows here.
+    test_random_fits_are_bit_identical_to_the_pinned_digest()
+    assert len(reference_checked) == 2311
+    assert reference_checked.count(True) == 956
+
+
+def test_planted_tables_fit_as_the_reference_does(reference_checked):
+    rng = random.Random(73)
+    for ds in _planted_tables(rng):
+        distinct = len(set(ds.rows))
+        for init in INIT_STRATEGIES:
+            k = rng.randint(1, min(6, distinct))
+            fit(ds, FitConfig(k=k, init=init, seed=rng.randrange(100), restarts=3))
+    assert len(reference_checked) == 115 and all(reference_checked)  # all byte layout
+
+
 class TestFitMemo:
     """fit and elbow_scan keep each model in a memo on the dataset, keyed
     by config, and serve an equal config from it."""
@@ -812,27 +853,6 @@ class TestFitMemo:
         assert fit(ds, first).config is first
         second = FitConfig(k=2, seed=2)
         assert fit(ds, second).config is second
-
-    def test_debug_never_reads_the_memo_and_still_checks_every_move(self, monkeypatch):
-        ds = random_dataset(random.Random(9), 40, 4, 3)
-        config = FitConfig(k=3, seed=1, restarts=2)
-        model = fit(ds, config)
-        assert model.epochs_run > 1  # some row moved in the first epoch
-        calls = []
-        real = kmodes._fit_once
-
-        def counting(*args):
-            calls.append(args[2])
-            return real(*args)
-
-        monkeypatch.setattr(kmodes, "_fit_once", counting)
-        assert fit(ds, config, debug=True) == model
-        assert calls == [tuple(p.values for p in init_modes(ds, 3, seed=seed))
-                         for seed in (1, 2)]
-        # A recount that never falls makes every accepted move look bad.
-        monkeypatch.setattr(kmodes, "_total", lambda *args: 0.0)
-        with pytest.raises(AssertionError, match="failed to decrease cost"):
-            fit(ds, config, debug=True)
 
     def test_datasets_never_share_entries(self, monkeypatch):
         rows = random_rows(random.Random(4), 25, 3, 3)
@@ -894,10 +914,22 @@ class TestWithinClusterDifference:
         with pytest.raises(AlignmentError, match="^2 assignments for 3 rows$"):
             within_cluster_difference(ds, [(1,), (2,)], (0, 1))
 
-    def test_rejects_out_of_range_assignments(self):
+    @pytest.mark.parametrize("label, message", [
+        (1, "assignment 1 out of range for k=1"),
+        (-1, "assignment -1 out of range for k=1"),
+        # bool, float, str and None are refused as in FitConfig: True would
+        # count as cluster 1 at k=2, the rest would fail inside the count.
+        (True, "assignment must be an integer, got True"),
+        (1.0, "assignment must be an integer, got 1.0"),
+        ("1", "assignment must be an integer, got '1'"),
+        (None, "assignment must be an integer, got None"),
+    ])
+    def test_rejects_out_of_range_assignments(self, label, message):
         ds = CategoricalDataset.from_values([(1,), (2,)])
-        with pytest.raises(ValueError):
-            within_cluster_difference(ds, [(1,)], (0, 1))
+        modes = [(1,)] if type(label) is int else [(1,), (2,)]
+        with pytest.raises(ValueError) as info:
+            within_cluster_difference(ds, modes, (0, label))
+        assert (type(info.value), str(info.value)) == (ValueError, message)
 
     def test_never_below_the_exhaustive_optimum(self):
         rng = random.Random(41)
@@ -1043,3 +1075,12 @@ class TestElbow:
             select_k([(1, 10.0), (2, 5.0)], epsilon=0.0)
         with pytest.raises(ValueError):
             select_k([(2, 10.0), (1, 5.0)])
+        nan, inf = float("nan"), float("inf")
+        for curve, k, cost in [([(1, 10.0), (2, nan), (3, 1.0)], 2, nan),
+                               ([(1, -5.0), (2, 1.0)], 1, -5.0),
+                               ([(1, inf), (2, 1.0)], 1, inf),
+                               ([(1, 10.0), (2, 0.0), (3, -inf)], 3, -inf)]:
+            with pytest.raises(ValueError) as info:
+                select_k(curve)
+            assert str(info.value) == (
+                f"elbow curve cost at k={k} must be finite and >= 0, got {cost!r}")
