@@ -228,6 +228,8 @@ def _cmd_report(args) -> str:
         flags = ", ".join(f"--{name}" for name in given)
         where = "--aggregate mean" if args.aggregate == "mean" else "--model"
         raise ValueError(f"{flags} {'does' if len(given) == 1 else 'do'} not apply to {where}")
+    if args.input == args.model == "-":
+        raise ValueError("--input and --model cannot both read stdin")
     schema, result = _parse_input(args)
     _, percent = score_profiles(result.table.rows, schema)
     if args.aggregate == "mean":
@@ -246,6 +248,8 @@ def _cmd_report(args) -> str:
 
 
 def _cmd_fuse(args) -> str:
+    if args.a == args.b == "-":
+        raise ValueError("reports a and b cannot both read stdin")
     a = parse_report(_read_input(args.a))
     b = parse_report(_read_input(args.b))
     return emit_report(fuse_profiles(a, b, w=args.w), args.format)

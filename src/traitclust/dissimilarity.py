@@ -14,25 +14,25 @@ CATEGORICAL = "categorical"
 
 @dataclass(frozen=True)
 class AttributeSpec:
-    """Column metadata: position, name, and the category code list. Every
-    attribute is categorical, so no field records a kind.
+    """Column metadata: a name and the category code list. An attribute's
+    position in its dataset is its index, and every attribute is
+    categorical, so no field records either.
 
     ``categories`` holds the attribute's category codes in first-appearance
     order; codes are small non-negative integers, distinct within the list.
     """
 
-    index: int
     name: str = ""
     categories: tuple[int, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "categories", tuple(self.categories))
         if len(set(self.categories)) != len(self.categories):
-            raise ValueError(f"attribute {self.name or self.index}: duplicate category codes")
+            raise ValueError(f"attribute {self.name!r}: duplicate category codes")
         for code in self.categories:
             if not isinstance(code, int) or isinstance(code, bool) or code < 0:
                 raise ValueError(
-                    f"attribute {self.name or self.index}: category codes must be "
+                    f"attribute {self.name!r}: category codes must be "
                     f"non-negative integers, got {code!r}"
                 )
 

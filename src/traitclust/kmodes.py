@@ -55,7 +55,7 @@ epoch and batches nothing; _fit_once must equal it bit for bit.
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import compress, repeat
 from operator import ge, itemgetter
@@ -77,36 +77,39 @@ INIT_STRATEGIES = ("random_rows", "density")
 @dataclass(frozen=True)
 class CategoricalDataset:
     """An immutable table of value tuples, one opaque id per row beside
-    them, plus per-attribute metadata. ``row_ids`` defaults to the row
-    ordinals. Every value must be one of its attribute's category codes."""
+    them (``row_ids``, by default the ordinals), one name per column
+    (``names``, by default ``attr{j}``; without rows they give the width),
+    and one AttributeSpec per column, derived from the rows: its name and
+    its categories, the codes the column holds in first-appearance order.
+    A cell equal to an earlier code of its column (``1.0`` or ``True``
+    after ``1``) reads as that code; a column's first occurrence of each
+    code must be a non-negative int."""
 
-    attrs: tuple[AttributeSpec, ...]
     rows: tuple[tuple, ...]
+    names: tuple[str, ...] = None
     row_ids: tuple = None
+    attrs: tuple[AttributeSpec, ...] = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "attrs", tuple(self.attrs))
-        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
-        ids = range(len(self.rows)) if self.row_ids is None else self.row_ids
-        object.__setattr__(self, "row_ids", tuple(ids))
-        if len(self.row_ids) != len(self.rows):
-            raise AlignmentError(f"{len(self.row_ids)} row ids for {len(self.rows)} rows")
-        m = len(self.attrs)
-        for j, spec in enumerate(self.attrs):
-            if spec.index != j:
-                raise ValueError(
-                    f"attribute {spec.name!r} carries index {spec.index}, expected {j}"
-                )
-        category_sets = [set(spec.categories) for spec in self.attrs]
-        for rid, row in zip(self.row_ids, self.rows):
-            if len(row) != m:
-                raise AlignmentError(f"row {rid!r} has {len(row)} values, expected {m}")
-            for v, cats, spec in zip(row, category_sets, self.attrs):
-                if v not in cats:
-                    raise ValueError(
-                        f"row {rid!r}: value {v!r} is not a category of "
-                        f"attribute {spec.name or spec.index}"
-                    )
+        rows, names = tuple(map(tuple, self.rows)), self.names
+        m = len(rows[0]) if rows else len(names or ())
+        if not set(map(len, rows)) <= {m}:
+            r = next(r for r in rows if len(r) != m)
+            raise AlignmentError(f"ragged input row of length {len(r)}, expected {m}")
+        names = tuple(f"attr{j}" for j in range(m)) if names is None else tuple(names)
+        if len(names) != m:
+            raise AlignmentError("kinds/names do not match the attribute count")
+        row_ids = tuple(range(len(rows)) if self.row_ids is None else self.row_ids)
+        if len(row_ids) != len(rows):
+            raise AlignmentError(f"{len(row_ids)} row ids for {len(rows)} rows")
+        # One transposition; dict.fromkeys keeps first-appearance order.
+        columns = zip(*rows) if rows else [()] * m
+        attrs = tuple(AttributeSpec(name, tuple(dict.fromkeys(col)))
+                      for name, col in zip(names, columns))
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "row_ids", row_ids)
+        object.__setattr__(self, "attrs", attrs)
 
     @property
     def n(self) -> int:
@@ -123,63 +126,34 @@ class CategoricalDataset:
 
     @classmethod
     def from_values(cls, rows, kinds=None, names=None, row_ids=None):
-        """Build a dataset whose cells are used directly as category codes.
-
-        Cells must already be small non-negative integers (such as Likert
-        answers); each attribute's category list records first-appearance
-        order. ``kinds``, if given, must name ``"categorical"`` for every
-        attribute. Without rows, the attribute count comes from ``names``,
-        else from ``kinds``.
-        """
-        rows = tuple(map(tuple, rows))
-        m = len(rows[0]) if rows else len(names if names is not None else kinds or ())
-        if not set(map(len, rows)) <= {m}:
-            r = next(r for r in rows if len(r) != m)
-            raise AlignmentError(f"ragged input row of length {len(r)}, expected {m}")
-        kinds = list(kinds) if kinds is not None else [CATEGORICAL] * m
-        names = list(names) if names is not None else [f"attr{j}" for j in range(m)]
-        if len(kinds) != m or len(names) != m:
-            raise AlignmentError("kinds/names do not match the attribute count")
-        for kind in kinds:
-            if kind != CATEGORICAL:
-                raise ValueError(
-                    f"unknown attribute kind {kind!r}; only {CATEGORICAL!r} is supported")
-        row_ids = tuple(range(len(rows)) if row_ids is None else row_ids)
-        if len(row_ids) != len(rows):
-            raise AlignmentError("row_ids do not match the row count")
-        # One transposition; dict.fromkeys keeps first-appearance order.
-        categories = [tuple(dict.fromkeys(col)) for col in zip(*rows)] if rows else [()] * m
-        attrs = [
-            AttributeSpec(index=j, name=names[j], categories=categories[j]) for j in range(m)
-        ]
-        # The categories come from these rows, so __post_init__'s scan
-        # could not fail: set the fields without it.
-        dataset = cls.__new__(cls)
-        object.__setattr__(dataset, "attrs", tuple(attrs))
-        object.__setattr__(dataset, "rows", rows)
-        object.__setattr__(dataset, "row_ids", row_ids)
-        return dataset
+        """``CategoricalDataset(rows, names, row_ids)``, after checking that
+        ``kinds``, if given, holds one ``"categorical"`` per attribute.
+        Without names, the names default to ``attr{j}`` for each kind."""
+        if kinds is not None:
+            kinds = list(kinds)
+            for kind in kinds:
+                if kind != CATEGORICAL:
+                    raise ValueError(
+                        f"unknown attribute kind {kind!r}; only {CATEGORICAL!r} is supported")
+            names = [f"attr{j}" for j in range(len(kinds))] if names is None else list(names)
+            if len(names) != len(kinds):
+                raise AlignmentError("kinds/names do not match the attribute count")
+        return cls(rows, names, row_ids)
 
     @classmethod
     def from_raw(cls, rows, names=None, row_ids=None):
         """Ingest raw labels: each attribute's values are recoded to dense
-        codes 0..c-1 in first-appearance order.
-
-        Because the dense coding depends only on the order in which distinct
-        labels first appear, any per-attribute bijective relabeling of the
-        input produces the identical dataset, making every downstream result
-        invariant under recoding.
-        """
+        codes 0..c-1 in first-appearance order. The coding depends only on
+        that order, so any per-attribute bijective relabeling of the input
+        gives the identical dataset, and every downstream result is
+        invariant under recoding."""
         rows = [tuple(r) for r in rows]
-        m = len(rows[0]) if rows else 0
-        code_maps = [dict() for _ in range(m)]
-        encoded = []
-        for r in rows:
-            if len(r) != m:
-                raise AlignmentError(f"ragged input row of length {len(r)}, expected {m}")
-            encoded.append(tuple(codes.setdefault(v, len(codes))
-                                 for codes, v in zip(code_maps, r)))
-        return cls.from_values(encoded, names=names, row_ids=row_ids)
+        # One code map per position, so that a ragged row keeps its length
+        # for the constructor to refuse.
+        code_maps = [{} for _ in range(max(map(len, rows), default=0))]
+        encoded = [tuple(codes.setdefault(v, len(codes)) for codes, v in zip(code_maps, r))
+                   for r in rows]
+        return cls(encoded, names, row_ids)
 
 
 def check_int(name, value):
@@ -649,15 +623,17 @@ def check_selection(points: int, epsilon: float) -> None:
 def select_k(curve, epsilon: float = 0.05) -> int:
     """Smallest k whose step to k+1 improves the cost by less than epsilon
     (relative); k_max if every step keeps paying off. A zero-cost point is
-    returned as soon as it is seen. Every cost must be finite and >= 0."""
+    returned as soon as it is seen. Every k must be a plain int, and every
+    cost an int or float (not a bool), finite and >= 0."""
     curve = list(curve)
     check_selection(len(curve), epsilon)
+    for k, wcd in curve:
+        check_int("k", k)
+        if isinstance(wcd, bool) or not isinstance(wcd, (int, float)) or not 0 <= wcd < math.inf:
+            raise ValueError(f"elbow curve cost at k={k} must be finite and >= 0, got {wcd!r}")
     ks = [k for k, _ in curve]
     if any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError("elbow curve k values must be strictly ascending")
-    for k, wcd in curve:
-        if not 0 <= wcd < math.inf:
-            raise ValueError(f"elbow curve cost at k={k} must be finite and >= 0, got {wcd!r}")
     tiny = 1e-12
     for i, (k, wcd) in enumerate(curve):
         if wcd <= tiny:

@@ -181,8 +181,7 @@ class ParseResult:
         """The table as a categorical dataset, built on first access (only a
         fit needs it). It shares the table's row tuples and ids."""
         table = self.table
-        return CategoricalDataset.from_values(table.rows, names=table.columns,
-                                              row_ids=table.ids)
+        return CategoricalDataset(table.rows, table.columns, table.ids)
 
 
 def _schema_from_dict(doc) -> SurveySchema:

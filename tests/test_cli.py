@@ -8,9 +8,9 @@ import json
 import pytest
 
 from traitclust import (
-    FitConfig, cli, dump_schema, elbow_scan, emit_report, fit, generate_synthetic, kmodes,
-    label_clusters, load_schema, parse_responses, personality_percentages, score_profile,
-    score_profiles, survey,
+    DegenerateProfileError, FitConfig, cli, dump_schema, elbow_scan, emit_report, fit,
+    generate_synthetic, kmodes, label_clusters, load_schema, parse_responses,
+    personality_percentages, score_profile, score_profiles, survey,
 )
 from traitclust.cli import main
 
@@ -493,8 +493,7 @@ def test_report_and_score_run_without_datasets_or_profiles(capsys, monkeypatch, 
     def refuse(*args, **kwargs):
         raise AssertionError("the report path built a per-row object")
 
-    # Every dataset is built by from_values or checked in __post_init__.
-    monkeypatch.setattr(kmodes.CategoricalDataset, "from_values", refuse)
+    # Every dataset, from_values' and from_raw's too, runs __post_init__.
     monkeypatch.setattr(kmodes.CategoricalDataset, "__post_init__", refuse)
     monkeypatch.setattr(survey.TraitProfile, "__init__", refuse)
     for argv, before in zip(commands, expected):
@@ -654,6 +653,28 @@ class TestMissingHandling:
         assert (code, out, err) == (1, "", "error: cannot fit an empty dataset\n")
 
 
+def test_an_all_zero_row_is_refused_by_the_library_and_the_cli_alike(capsys, tmp_path):
+    # With likert_min 0 a row of zeros scores 0 on every dimension, so its
+    # percentages are undefined.
+    doc = {"name": "zero-floor", "dimensions": ["A", "B"], "likert_min": 0,
+           "likert_max": 2, "missing_code": -1,
+           "items": [{"column": "Q1", "dimension": "A"}, {"column": "Q2", "dimension": "B"}]}
+    schema = load_schema(doc)
+    rows = [(1, 2), (0, 0), (2, 0)]
+    message = "all raw scores are zero; percentages are undefined"
+    with pytest.raises(DegenerateProfileError) as one:
+        score_profile(rows[1], schema)
+    with pytest.raises(DegenerateProfileError) as many:
+        score_profiles(rows, schema)
+    assert str(one.value) == str(many.value) == message
+    (tmp_path / "zero.json").write_text(json.dumps(doc))
+    (tmp_path / "in.csv").write_text(
+        "who,Q1,Q2\n" + "".join(f"r{i},{a},{b}\n" for i, (a, b) in enumerate(rows)))
+    parse = ("-i", str(tmp_path / "in.csv"), "--schema", str(tmp_path / "zero.json"))
+    for argv in (("score",), ("score", "--format", "json"), ("report", "--aggregate", "mean")):
+        assert run(capsys, *argv, *parse) == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("marked", ["input", "schema", "model"])
 def test_a_utf8_byte_order_mark_changes_no_output(capsys, tmp_path, marked):
     # Spreadsheet exports often open a file with the bytes EF BB BF. The
@@ -722,6 +743,13 @@ def test_answers_of_eight_and_above_run_through_the_cli_as_through_the_library(
 _PARSED = ("-i", FIXTURE, "--schema", "scenario3")
 
 
+class _UnreadStdin(io.StringIO):
+    """A stdin that no refusal may read."""
+
+    def read(self, *args):
+        raise AssertionError("the refusal read stdin")
+
+
 # One row per refusal: the command, the bad value, the exit code and the one
 # error line. Exit 2 is a k the input cannot hold (below 1, or above its 9
 # rows or 6 distinct rows); every other refusal exits 1. list.json, in the
@@ -755,6 +783,12 @@ _PARSED = ("-i", FIXTURE, "--schema", "scenario3")
                  "report document must be a JSON object, got list", id="fuse list"),
     pytest.param(("report", *_PARSED, "--model", "list.json"), 1,
                  "model document must be a JSON object, got list", id="model list"),
+    # stdin holds one input, so a second read would see it empty: refused
+    # before either is read.
+    pytest.param(("report", "-i", "-", "--schema", "scenario3", "--model", "-"), 1,
+                 "--input and --model cannot both read stdin", id="report stdin twice"),
+    pytest.param(("fuse", "-", "-"), 1, "reports a and b cannot both read stdin",
+                 id="fuse stdin twice"),
     *(pytest.param(("report", *_PARSED, "--model", f"{key}.json"), 1,
                    f"malformed model document: {message}", id=f"model {key}")
       for key, message in [
@@ -768,6 +802,7 @@ def test_every_refusal_prints_one_error_line_and_no_output(
     # <key>.json is a model of the input whose config holds a bad <key>.
     (tmp_path / "list.json").write_text("[]\n")
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("sys.stdin", _UnreadStdin())
     assert run(capsys, "fit", *_PARSED, "--k", "2", "-o", "model.json")[0] == 0
     doc = json.loads((tmp_path / "model.json").read_text())
     for key, value in (("init", "kmeanspp"), ("max_epochs", 0), ("restarts", 0), ("seed", -1)):

@@ -20,7 +20,7 @@ import oracle
 
 
 def _cat_attrs(m):
-    return tuple(AttributeSpec(index=j, categories=(0, 1, 2, 3, 4, 5)) for j in range(m))
+    return tuple(AttributeSpec(f"attr{j}", (0, 1, 2, 3, 4, 5)) for j in range(m))
 
 
 class TestSimpleMatching:
@@ -53,12 +53,13 @@ class TestSimpleMatching:
 
 class TestValidation:
     def test_attribute_rejects_duplicate_codes(self):
-        with pytest.raises(ValueError):
-            AttributeSpec(index=0, categories=(1, 1))
+        with pytest.raises(ValueError, match="^attribute 'Q1': duplicate category codes$"):
+            AttributeSpec("Q1", categories=(1, 1))
 
     def test_attribute_rejects_negative_codes(self):
-        with pytest.raises(ValueError):
-            AttributeSpec(index=0, categories=(-1,))
+        with pytest.raises(ValueError, match="^attribute '': category codes must be "
+                                             "non-negative integers, got -1$"):
+            AttributeSpec(categories=(-1,))
 
 
 def test_simple_matching_agrees_with_reference_hamming():
@@ -78,8 +79,7 @@ OUTSIDE = (0, 41, 1000)
 
 
 def _sparse_attrs(m):
-    return tuple(AttributeSpec(index=j, categories=SPARSE_CODES)
-                 for j in range(m))
+    return tuple(AttributeSpec(f"attr{j}", SPARSE_CODES) for j in range(m))
 
 
 def _vector(rng, m, codes=SPARSE_CODES + OUTSIDE):
@@ -123,9 +123,8 @@ class TestSimpleKernelAgainstOracle:
         rng = random.Random(23)
         for _ in range(200):
             m, k, n = rng.randint(1, 6), rng.randint(1, 4), rng.randint(1, 12)
-            attrs = _sparse_attrs(m)
             rows = [_vector(rng, m, SPARSE_CODES) for _ in range(n)]
-            ds = CategoricalDataset(attrs=attrs, rows=rows)
+            ds = CategoricalDataset(rows)
             modes = [_vector(rng, m) for _ in range(k)]
             assignments = tuple(rng.randrange(k) for _ in range(n))
             expected = sum(oracle.hamming(r, modes[l]) for r, l in zip(rows, assignments))

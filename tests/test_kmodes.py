@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from traitclust import (
     CATEGORICAL,
     AlignmentError,
-    AttributeSpec,
     CategoricalDataset,
     FitConfig,
     InfeasibleConfigError,
@@ -40,12 +39,12 @@ class TestDatasetConstruction:
     def test_from_values_defaults_row_ids_to_ordinals(self):
         ds = CategoricalDataset.from_values([(1,), (2,)])
         assert ds.row_ids == (0, 1)
-        assert CategoricalDataset(attrs=ds.attrs, rows=ds.rows).row_ids == (0, 1)
+        assert CategoricalDataset(ds.rows).row_ids == (0, 1)
 
     def test_rejects_row_ids_of_another_length(self):
         ds = CategoricalDataset.from_values([(1,), (2,)])
         with pytest.raises(AlignmentError, match="^3 row ids for 2 rows$"):
-            CategoricalDataset(attrs=ds.attrs, rows=ds.rows, row_ids="xyz")
+            CategoricalDataset(ds.rows, row_ids="xyz")
         with pytest.raises(AlignmentError):
             CategoricalDataset.from_values(ds.rows, row_ids="x")
 
@@ -59,16 +58,6 @@ class TestDatasetConstruction:
         ds = CategoricalDataset.from_values([], names=["a", "b"])
         assert (ds.n, [a.name for a in ds.attrs]) == (0, ["a", "b"])
 
-    def test_from_values_skips_the_scan_and_equals_the_checked_construction(
-            self, monkeypatch):
-        def refuse(self):
-            raise AssertionError("from_values re-checked its own categories")
-
-        monkeypatch.setattr(CategoricalDataset, "__post_init__", refuse)
-        ds = CategoricalDataset.from_values([(2, 5), (2, 1), (3, 5)], row_ids="xyz")
-        monkeypatch.undo()
-        assert CategoricalDataset(attrs=ds.attrs, rows=ds.rows, row_ids=ds.row_ids) == ds
-
     def test_from_raw_densifies_by_first_appearance(self):
         ds = CategoricalDataset.from_raw([("b", 10), ("a", 20), ("b", 10)])
         assert ds.rows == ((0, 0), (1, 1), (0, 0))
@@ -80,35 +69,43 @@ class TestDatasetConstruction:
         with pytest.raises(AlignmentError):
             CategoricalDataset.from_raw([("a",), ("a", "b")])
 
-    def test_rejects_values_outside_the_category_list(self):
-        attrs = (AttributeSpec(0, categories=(0, 1)),)
-        with pytest.raises(ValueError):
-            CategoricalDataset(attrs=attrs, rows=((2,),))
-
-    def test_rejects_misnumbered_attributes(self):
-        attrs = (AttributeSpec(1, categories=(0,)),)
-        with pytest.raises(ValueError):
-            CategoricalDataset(attrs=attrs, rows=())
-
-    _ATTRS = (AttributeSpec(0, name="a", categories=(0, 1)),
-              AttributeSpec(1, categories=(5,)))
-
-    @pytest.mark.parametrize("attrs, rows, error, message", [
-        # the first bad row in row order, its length checked before its values
-        (_ATTRS, [(0, 5), (1,), (2, 5)], AlignmentError, "row 'y' has 1 values, expected 2"),
-        (_ATTRS, [(0, 5), (2, 5), (1,)], ValueError,
-         "row 'y': value 2 is not a category of attribute a"),
-        (_ATTRS, [(0, 5), (9,)], AlignmentError, "row 'y' has 1 values, expected 2"),
-        (_ATTRS, [(1, 4), (2, 5)], ValueError,
-         "row 'x': value 4 is not a category of attribute 1"),
-        (_ATTRS, [(0, 5), (0, [5])], TypeError, "unhashable type: 'list'"),
-        ((_ATTRS[1],), [(5,)], ValueError, "attribute '' carries index 1, expected 0"),
+    # One row per case: the rows, names and row ids, then either each
+    # attribute's (name, categories) or the error both paths raise.
+    @pytest.mark.parametrize("rows, names, row_ids, expected", [
+        ([(2, 5), (2, 1), (3, 5)], None, "xyz", [("attr0", (2, 3)), ("attr1", (5, 1))]),
+        ([(0, 4)], ("a", "b"), None, [("a", (0,)), ("b", (4,))]),
+        ([], ["a", "b"], None, [("a", ()), ("b", ())]),
+        ([], None, (), []),
+        ([()] * 3, [], None, []),
+        # the first ragged row in row order, before any other check
+        ([(0, 5), (1,), (2, 5, 3)], ["a"], "x", (AlignmentError,
+                                                  "ragged input row of length 1, expected 2")),
+        ([(1, 2)], ["a"], None, (AlignmentError, "kinds/names do not match the attribute count")),
+        ([(1,), (2,)], None, "xyz", (AlignmentError, "3 row ids for 2 rows")),
+        ([(0, 5), (0, [5])], None, None, (TypeError, "unhashable type: 'list'")),
+        ([(1, -1)], ["a", "b"], None, (ValueError, "attribute 'b': category codes must be "
+                                                   "non-negative integers, got -1")),
+        ([(1.0,), (1,)], None, None, (ValueError, "attribute 'attr0': category codes must "
+                                                  "be non-negative integers, got 1.0")),
     ])
-    def test_direct_construction_names_the_first_bad_row(self, attrs, rows, error,
-                                                         message):
-        with pytest.raises(error) as exc:
-            CategoricalDataset(attrs=attrs, rows=rows, row_ids="xyz"[:len(rows)])
-        assert (type(exc.value), str(exc.value)) == (error, message)
+    def test_the_constructor_derives_the_attributes_as_from_values_does(
+            self, rows, names, row_ids, expected):
+        def build(make):
+            try:
+                ds = make()
+            except Exception as exc:
+                return type(exc), str(exc)
+            assert ds.row_ids == tuple(range(ds.n) if row_ids is None else row_ids)
+            assert ds.names == tuple(a.name for a in ds.attrs)
+            return ds
+
+        direct = build(lambda: CategoricalDataset(rows, names, row_ids))
+        assert direct == build(lambda: CategoricalDataset.from_values(
+            rows, names=names, row_ids=row_ids))
+        if isinstance(direct, CategoricalDataset):
+            assert direct.rows == tuple(rows)
+            direct = [(a.name, a.categories) for a in direct.attrs]
+        assert direct == expected
 
 
 def _mode_of(values):
@@ -721,15 +718,16 @@ def test_a_batch_that_hides_a_change_of_mode_differs_from_the_reference(
 
 @pytest.mark.parametrize("cell", [1.0, True])
 def test_cells_equal_to_their_codes_fit_as_the_codes_do(cell):
-    # A directly built dataset accepts a cell equal to a category code but
-    # of another type. bytes() refuses 1.0, so its rows take the encoder's
+    # After an int 1 in its column, a cell equal to 1 but of another type
+    # reads as code 1. bytes() refuses 1.0, so its rows take the encoder's
     # dict; it reads True as 1. Either way the model equals that of the int
     # codes, windows of the allocation pass included.
-    ints = CategoricalDataset.from_values(
-        [(1, 2, 1)] * 20 + random_rows(random.Random(79), 40, 3, 3))
-    ds = CategoricalDataset(ints.attrs, [tuple(cell if v == 1 else v for v in row)
-                                         for row in ints.rows])
+    rows = [(1, 1, 1)] + [(1, 2, 1)] * 20 + random_rows(random.Random(79), 40, 3, 3)
+    ints = CategoricalDataset(rows)
+    ds = CategoricalDataset(rows[:1] + [tuple(cell if v == 1 else v for v in row)
+                                        for row in rows[1:]])
     assert {type(v) for row in ds.rows for v in row} == {int, type(cell)}
+    assert ds.attrs == ints.attrs
     assert kmodes._encode_rows(ds)[1] == kmodes._encode_rows(ints)[1]
     for init in INIT_STRATEGIES:
         config = FitConfig(k=3, init=init, restarts=2)
@@ -857,7 +855,7 @@ class TestFitMemo:
     def test_datasets_never_share_entries(self, monkeypatch):
         rows = random_rows(random.Random(4), 25, 3, 3)
         a = CategoricalDataset.from_values(rows)
-        b = CategoricalDataset(attrs=a.attrs, rows=a.rows)
+        b = CategoricalDataset(a.rows)
         c = CategoricalDataset.from_values(rows)
         config = FitConfig(k=2, seed=6)
         fit(a, config)
@@ -1084,3 +1082,16 @@ class TestElbow:
                 select_k(curve)
             assert str(info.value) == (
                 f"elbow curve cost at k={k} must be finite and >= 0, got {cost!r}")
+        # A k is a plain int and a cost an int or float, as elbow_scan gives
+        # them; a bool is neither.
+        bad_cost = "elbow curve cost at k={} must be finite and >= 0, got {!r}"
+        for curve, message in [
+                ([(True, 10.0), (2.5, 1.0)], "k must be an integer, got True"),
+                ([(1.5, 10.0), (2, 9.9)], "k must be an integer, got 1.5"),
+                ([(1, "10"), (2, 1.0)], bad_cost.format(1, "10")),
+                ([(1, 10), (2, None)], bad_cost.format(2, None)),
+                ([(1, 10.0), (2, False)], bad_cost.format(2, False))]:
+            with pytest.raises(ValueError) as info:
+                select_k(curve)
+            assert (type(info.value), str(info.value)) == (ValueError, message)
+        assert select_k([(1, 10), (2, 1)]) == 2
