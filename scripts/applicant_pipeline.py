@@ -57,7 +57,7 @@ def main() -> int:
     status = "converged" if model.converged else "hit the epoch budget"
     print(f"fit cost {model.cost:.3f} after {model.epochs_run} epoch(s), {status}")
 
-    _, percent = score_profiles(result.table.rows, schema)
+    _, percent = score_profiles(result.table, schema)
     labeling = label_clusters(model, percent, schema)
     for summary in labeling.clusters:
         members = [str(rid) for rid, l in zip(result.table.ids, model.assignments)

@@ -195,7 +195,7 @@ def _cmd_elbow(args) -> str:
 
 def _cmd_score(args) -> str:
     schema, result = _parse_input(args)
-    raw, percent = score_profiles(result.table.rows, schema)
+    raw, percent = score_profiles(result.table, schema)
     dims = schema.dimensions
     raw_rows = zip(*(raw[d] for d in dims))
     percent_rows = zip(*(percent[d] for d in dims))
@@ -231,7 +231,7 @@ def _cmd_report(args) -> str:
     if args.input == args.model == "-":
         raise ValueError("--input and --model cannot both read stdin")
     schema, result = _parse_input(args)
-    _, percent = score_profiles(result.table.rows, schema)
+    _, percent = score_profiles(result.table, schema)
     if args.aggregate == "mean":
         rep = mean_percentages(percent, schema, meta={"n": result.table.n})
     else:

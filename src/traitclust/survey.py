@@ -124,7 +124,9 @@ class SurveySchema:
 
 @dataclass(frozen=True)
 class ResponseTable:
-    """Parsed (or generated) answers: one id and one int row per respondent."""
+    """Parsed (or generated) answers: one id and one int row per respondent.
+    A parsed table also carries ``_proven``, which is not a field (see
+    ``parse_responses``)."""
 
     ids: tuple
     columns: tuple[str, ...]
@@ -134,14 +136,14 @@ class ResponseTable:
     def __post_init__(self):
         object.__setattr__(self, "ids", tuple(self.ids))
         object.__setattr__(self, "columns", tuple(self.columns))
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
+        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
         if len(self.ids) != len(self.rows):
             raise AlignmentError(f"{len(self.ids)} ids for {len(self.rows)} rows")
-        for rid, row in zip(self.ids, self.rows):
-            if len(row) != len(self.columns):
-                raise AlignmentError(
-                    f"row {rid!r} has {len(row)} cells, expected {len(self.columns)}"
-                )
+        m = len(self.columns)
+        if not set(map(len, self.rows)) <= {m}:
+            rid, row = next((rid, row) for rid, row in zip(self.ids, self.rows)
+                            if len(row) != m)
+            raise AlignmentError(f"row {rid!r} has {len(row)} cells, expected {m}")
 
     @property
     def n(self) -> int:
@@ -332,6 +334,11 @@ def parse_responses(stream, schema: SurveySchema, delimiter: str = ",",
         rows=tuple(kept_rows),
         id_name=id_name,
     )
+    # The proof score_profiles trusts: each kept cell passed the per-cell
+    # check and is not the missing code (dropped, or imputed with an
+    # observed answer). Not a field, so equality, hashing and repr ignore
+    # it and dataclasses.replace drops it.
+    object.__setattr__(table, "_proven", (len(columns), lo, hi))
     report = ParseReport(
         rows_read=rows_read,
         rows_kept=len(kept_rows),
@@ -415,39 +422,50 @@ def score_profile(values, schema: SurveySchema) -> TraitProfile:
 
 
 def score_profiles(rows, schema: SurveySchema):
-    """Score many answer vectors at once. Returns ``(raw, percent)``, each a
-    dict from dimension to a list with one value per row, equal to what
-    ``score_profile`` gives row by row (``float.hex`` for percentages). A
-    row ``score_profile`` would reject raises its error, for the first such
-    row."""
-    rows = [tuple(r) for r in rows]
+    """Score many answer vectors, or a ``ResponseTable``, at once. Returns
+    ``(raw, percent)``, each a dict from dimension to a list with one value
+    per row, equal to what ``score_profile`` gives row by row (``float.hex``
+    for percentages).
+
+    A table from ``parse_responses`` whose proof matches the schema's item
+    count and Likert range is not checked again. Other input is checked
+    per column for plain ints in range; if a column fails, ``score_profile``
+    checks each row and the first row it rejects raises its error. A row
+    whose raw scores are all zero raises DegenerateProfileError naming the
+    row: its id for a table, its 0-based position otherwise. The sums take
+    one column of the table at a time, so no transposed copy is held."""
     dims = schema.dimensions
+    lo, hi = schema.likert_min, schema.likert_max
+    checked = getattr(rows, "_proven", None) == (len(schema.items), lo, hi)
+    if isinstance(rows, ResponseTable):
+        names, rows = rows.ids, rows.rows
+    else:
+        rows = [tuple(r) for r in rows]
+        names = range(len(rows))
     n = len(rows)
     if not n:
         return {d: [] for d in dims}, {d: [] for d in dims}
-    lo, hi = schema.likert_min, schema.likert_max
-    columns = list(zip(*rows))
-    # Plain ints in range, checked once per column. Otherwise score_profile
-    # checks each row: it raises for the first bad one, or lets through an
-    # int subclass such as True, which the column sums below treat as its
-    # int value, as score_profile does.
-    if (set(map(len, rows)) != {len(schema.items)}
-            or not all(_plain_answers(col, lo, hi) for col in columns)):
-        for r in rows:
-            score_profile(r, schema)
-    raw = {}
-    for d, (pos, neg, reversal) in zip(dims, schema._score_plan):
-        acc = [reversal] * n
-        for col in pos(columns):
-            acc = list(map(add, acc, col))
-        for col in neg(columns):
-            acc = list(map(sub, acc, col))
-        raw[d] = acc
+    if not checked and set(map(len, rows)) != {len(schema.items)}:
+        _check_rows(rows, names, schema)
+    at = {d: j for j, d in enumerate(dims)}
+    sums = [[reversal] * n for _, _, reversal in schema._score_plan]
+    for item, col in zip(schema.items, zip(*rows)):
+        # A column of plain ints in range needs no row check. Otherwise
+        # _check_rows raises for the first bad row, or lets through an int
+        # subclass such as True, which the sums treat as its int value, as
+        # score_profile does.
+        if not checked and not _plain_answers(col, lo, hi):
+            _check_rows(rows, names, schema)
+            checked = True
+        j = at[item.dimension]
+        sums[j] = list(map(add if item.keying == POSITIVE else sub, sums[j], col))
+    raw = dict(zip(dims, sums))
     totals = [0] * n
-    for col in raw.values():
+    for col in sums:
         totals = list(map(add, totals, col))
-    if 0 in totals:  # score_profile names the first degenerate row
-        score_profile(rows[totals.index(0)], schema)
+    if 0 in totals:
+        i = totals.index(0)
+        _check_rows(rows[i:i + 1], names[i:i + 1], schema)  # raises, naming row i
     # Answers in [lo, hi] with lo >= 0 give no negative raw score, so
     # normalize_profile's check is skipped; float(total) equals its exact
     # fsum of integers.
@@ -455,6 +473,16 @@ def score_profiles(rows, schema: SurveySchema):
     percent = {d: list(map(truediv, map(mul, repeat(100.0), col), totals))
                for d, col in raw.items()}
     return raw, percent
+
+
+def _check_rows(rows, names, schema):
+    """Score each row alone, so the first row score_profile rejects raises
+    its error; a degenerate row's error is prefixed with its name."""
+    for name, row in zip(names, rows):
+        try:
+            score_profile(row, schema)
+        except DegenerateProfileError as exc:
+            raise DegenerateProfileError(f"row {name!r}: {exc}") from None
 
 
 def _plain_answers(values, lo, hi) -> bool:

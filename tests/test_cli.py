@@ -8,9 +8,9 @@ import json
 import pytest
 
 from traitclust import (
-    DegenerateProfileError, FitConfig, cli, dump_schema, elbow_scan, emit_report, fit,
-    generate_synthetic, kmodes, label_clusters, load_schema, parse_responses,
-    personality_percentages, score_profile, score_profiles, survey,
+    DegenerateProfileError, FitConfig, ResponseTable, cli, dump_schema, elbow_scan,
+    emit_report, fit, generate_synthetic, kmodes, label_clusters, load_schema,
+    parse_responses, personality_percentages, score_profile, score_profiles, survey,
 )
 from traitclust.cli import main
 
@@ -666,13 +666,20 @@ def test_an_all_zero_row_is_refused_by_the_library_and_the_cli_alike(capsys, tmp
         score_profile(rows[1], schema)
     with pytest.raises(DegenerateProfileError) as many:
         score_profiles(rows, schema)
-    assert str(one.value) == str(many.value) == message
+    assert str(one.value) == message
+    assert str(many.value) == f"row 1: {message}"
     (tmp_path / "zero.json").write_text(json.dumps(doc))
-    (tmp_path / "in.csv").write_text(
-        "who,Q1,Q2\n" + "".join(f"r{i},{a},{b}\n" for i, (a, b) in enumerate(rows)))
+    text = "who,Q1,Q2\n" + "".join(f"r{i},{a},{b}\n" for i, (a, b) in enumerate(rows))
+    (tmp_path / "in.csv").write_text(text)
+    # A table names the row by its id, whether the parse proved it or not.
+    parsed = parse_responses(text, schema).table
+    for table in (parsed, ResponseTable(parsed.ids, parsed.columns, parsed.rows)):
+        with pytest.raises(DegenerateProfileError) as named:
+            score_profiles(table, schema)
+        assert str(named.value) == f"row 'r1': {message}"
     parse = ("-i", str(tmp_path / "in.csv"), "--schema", str(tmp_path / "zero.json"))
     for argv in (("score",), ("score", "--format", "json"), ("report", "--aggregate", "mean")):
-        assert run(capsys, *argv, *parse) == (1, "", f"error: {message}\n")
+        assert run(capsys, *argv, *parse) == (1, "", f"error: row 'r1': {message}\n")
 
 
 @pytest.mark.parametrize("marked", ["input", "schema", "model"])

@@ -1,6 +1,7 @@
 """Tests for schemas, response parsing, trait scoring, and synthesis."""
 
 import csv
+import dataclasses
 import hashlib
 import io
 import math
@@ -29,7 +30,9 @@ from traitclust import (
     schema_to_dict,
     score_profile,
     score_profiles,
+    survey,
 )
+from traitclust.survey import MISSING_POLICIES
 
 import oracle
 
@@ -516,10 +519,13 @@ class TestResponseTable:
             assert type(exc.value) is ValueError
 
     def test_rejects_misaligned_construction(self):
-        with pytest.raises(AlignmentError):
+        with pytest.raises(AlignmentError, match="^1 ids for 0 rows$"):
             ResponseTable(ids=("a",), columns=("Q1",), rows=())
-        with pytest.raises(AlignmentError):
+        with pytest.raises(AlignmentError, match="^row 'a' has 1 cells, expected 2$"):
             ResponseTable(ids=("a",), columns=("Q1", "Q2"), rows=((1,),))
+        # the first ragged row is named, whichever length it has
+        with pytest.raises(AlignmentError, match="^row 'b' has 3 cells, expected 2$"):
+            ResponseTable(ids="abc", columns=("Q1", "Q2"), rows=[[1, 2], [1, 2, 3], [1]])
 
 
 @settings(max_examples=50, deadline=None)
@@ -607,18 +613,102 @@ def test_score_profiles_match_score_profile(data):
             row.pop()
         elif row:  # a shortened row may be planted in again
             row[data.draw(st.integers(0, len(row) - 1))] = planted
-    try:
-        expected = [score_profile(row, schema) for row in rows]
-    except ValueError as exc:
-        with pytest.raises(type(exc)) as info:
-            score_profiles(rows, schema)
-        assert str(info.value) == str(exc)
-        return
+    expected = []
+    for i, row in enumerate(rows):
+        try:
+            expected.append(score_profile(row, schema))
+        except ValueError as exc:
+            kind, message = type(exc), str(exc)
+            if kind is DegenerateProfileError:  # score_profiles names the row
+                message = f"row {i}: {message}"
+            with pytest.raises(kind) as info:
+                score_profiles(rows, schema)
+            assert type(info.value) is kind
+            assert str(info.value) == message
+            return
     raw, percent = score_profiles(rows, schema)
     assert list(raw) == list(percent) == list(schema.dimensions)
     for d in schema.dimensions:
         assert _typed(raw[d]) == _typed(p.raw[d] for p in expected)
         assert [v.hex() for v in percent[d]] == [p.percent[d].hex() for p in expected]
+
+
+class TestScoringAParsedTable:
+    """score_profiles trusts the proof parse_responses puts on its table
+    only when it matches the schema; every other input is checked."""
+
+    SCHEMA = load_schema({
+        "name": "three", "dimensions": ["A", "B"],
+        "items": [
+            {"column": "Q1", "dimension": "A"},
+            {"column": "Q2", "dimension": "B", "keying": "negative"},
+            {"column": "Q3", "dimension": "A"},
+        ],
+    })
+    TEXT = "who,Q1,Q2,Q3\nx,1,5,2\ny,4,0,3\nz,5,2,1\n"
+
+    @pytest.mark.parametrize("policy", MISSING_POLICIES)
+    def test_the_proof_is_not_a_field(self, policy):
+        table = parse_responses(self.TEXT, self.SCHEMA, missing_policy=policy).table
+        plain = ResponseTable(table.ids, table.columns, table.rows, table.id_name)
+        assert table._proven == (3, 1, 5)
+        assert not hasattr(plain, "_proven")
+        assert table == plain and hash(table) == hash(plain)
+        assert repr(table) == repr(plain)
+        assert "proven" not in repr(table)
+        assert not hasattr(dataclasses.replace(table), "_proven")
+
+    @pytest.mark.parametrize("bad", [3.0, 6])
+    def test_a_hand_built_table_is_checked_row_by_row(self, bad):
+        table = ResponseTable(("x", "y"), self.SCHEMA.columns, ((1, 2, 3), (4, bad, 2)))
+        with pytest.raises(ValueError) as info:
+            score_profiles(table, self.SCHEMA)
+        assert str(info.value) == (
+            f"item 'Q2': answer {bad!r} outside the Likert range [1, 5] "
+            "(impute or drop missing values before scoring)")
+
+    def test_a_replaced_table_loses_the_proof(self):
+        table = parse_responses(self.TEXT, self.SCHEMA, missing_policy="impute_mode").table
+        replaced = dataclasses.replace(table, rows=(*table.rows[:2], (5, 2, 6)))
+        with pytest.raises(ValueError) as info:
+            score_profiles(replaced, self.SCHEMA)
+        assert str(info.value) == (
+            "item 'Q3': answer 6 outside the Likert range [1, 5] "
+            "(impute or drop missing values before scoring)")
+
+    def test_a_proof_for_another_range_is_not_trusted(self):
+        table = parse_responses(self.TEXT, self.SCHEMA, missing_policy="impute_mode").table
+        narrow = dataclasses.replace(self.SCHEMA, likert_max=4)
+        with pytest.raises(ValueError) as info:
+            score_profiles(table, narrow)
+        assert str(info.value) == (
+            "item 'Q2': answer 5 outside the Likert range [1, 4] "
+            "(impute or drop missing values before scoring)")
+
+    def test_only_unproven_rows_are_checked(self, monkeypatch):
+        schema, text = _ocean50_with_missing_cells()
+        table = parse_responses(text, schema, missing_policy="impute_mode").table
+        calls = []
+        check = survey._plain_answers
+        monkeypatch.setattr(survey, "_plain_answers",
+                            lambda *args: calls.append(1) or check(*args))
+        proven = score_profiles(table, schema)
+        assert calls == []
+        assert score_profiles(list(table.rows), schema) == proven
+        assert len(calls) >= 1
+
+
+@pytest.mark.parametrize("later", [(True, 1, 1), (3.0, 1, 1)], ids=["bool", "float"])
+def test_a_degenerate_row_is_named_when_every_row_is_checked(later):
+    # A later column fails the plain-int check, so each row is scored
+    # alone; the all-zero row comes first and is named as the sums name it.
+    schema = load_schema(ZERO_FLOOR_SCHEMA)
+    rows = [(1, 2, 0), (0, 0, 0), later]
+    message = "all raw scores are zero; percentages are undefined"
+    for scored, name in ((rows, "1"), (ResponseTable("abc", schema.columns, rows), "'b'")):
+        with pytest.raises(DegenerateProfileError) as info:
+            score_profiles(scored, schema)
+        assert str(info.value) == f"row {name}: {message}"
 
 
 PARSE_SCHEMAS = {
@@ -756,8 +846,11 @@ def test_ingest_is_bit_identical_to_the_golden_record(source, policy, applicant_
         schema, text = load_schema("scenario3"), applicant_csv_text
     assert _ingest_digests(text, schema, policy) == INGEST_GOLDEN[source, policy]
     dims = schema.dimensions
-    raw, percent = score_profiles(
-        parse_responses(text, schema, missing_policy=policy).table.rows, schema)
-    batch = zip(zip(*(raw[d] for d in dims)), zip(*(percent[d] for d in dims)))
-    assert _scores_digest((dict(zip(dims, r)), dict(zip(dims, p))) for r, p in batch) == (
-        INGEST_GOLDEN[source, policy][1])
+    table = parse_responses(text, schema, missing_policy=policy).table
+    # The parsed table is scored on the parse's proof, its rows with the
+    # full check; both give every score_profile value, type and float.hex.
+    for scored in (table, table.rows):
+        raw, percent = score_profiles(scored, schema)
+        batch = zip(zip(*(raw[d] for d in dims)), zip(*(percent[d] for d in dims)))
+        assert _scores_digest((dict(zip(dims, r)), dict(zip(dims, p))) for r, p in batch) == (
+            INGEST_GOLDEN[source, policy][1])
