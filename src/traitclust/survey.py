@@ -309,7 +309,10 @@ def parse_responses(stream, schema: SurveySchema, delimiter: str = ",",
             )
         picked = pick(cells)
         try:
-            row = tuple(map(known.__getitem__, picked))
+            # From a list, so the tuple is allocated at its size: tuple(map())
+            # grows it past pymalloc's 512-byte limit, and 50-answer rows then
+            # sit in the C heap, whose holes vary peak memory from run to run.
+            row = tuple([*map(known.__getitem__, picked)])
         except KeyError:
             row = _checked_cells(picked, columns, lineno, lo, hi, miss)
             known.update(zip(picked, row))
