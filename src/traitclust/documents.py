@@ -20,10 +20,13 @@ def dumps(doc) -> str:
 def loads(text, error, what, kind=None) -> dict:
     """Decode ``text`` into a JSON object whose ``"kind"`` is ``kind`` when
     one is given; otherwise raise ``error``, naming the document ``what``.
-    One leading UTF-8 byte-order mark, which json refuses, is dropped."""
+    One leading UTF-8 byte-order mark, which json refuses, is dropped. Too
+    deep a nesting, or an integer over Python's digit limit, is invalid."""
     try:
         doc = json.loads(text.removeprefix("\ufeff"))
-    except json.JSONDecodeError as exc:
+    except RecursionError:
+        raise error(f"invalid {what} JSON: nested too deeply") from None
+    except ValueError as exc:  # a JSONDecodeError, or too many digits
         raise error(f"invalid {what} JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise error(f"{what} document must be a JSON object, got {type(doc).__name__}")

@@ -276,52 +276,54 @@ def parse_responses(stream, schema: SurveySchema, delimiter: str = ",",
     # removeprefix returns the text itself, uncopied, when it has no mark.
     text = (stream if isinstance(stream, str) else stream.read()).removeprefix("\ufeff")
     reader = csv.reader(io.StringIO(text), delimiter=delimiter)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty input: no header row") from None
+    try:  # a csv.Error, such as a field over the csv module's size limit
+        header = next(reader, None)
+        if header is None:
+            raise ParseError("empty input: no header row")
 
-    columns = schema.columns
-    wanted = set(columns)
-    missing_cols = [c for c in columns if c not in header]
-    if missing_cols:
-        raise ParseError(f"header is missing schema columns: {', '.join(missing_cols)}")
-    for col in columns:
-        if header.count(col) > 1:
-            raise ParseError(f"header repeats schema column {col!r}")
-    positions = [header.index(col) for col in columns]
-    id_pos = next((p for p, name in enumerate(header) if name not in wanted), None)
-    id_name = header[id_pos] if id_pos is not None else "row_id"
-    pick = _picker(positions)
+        columns = schema.columns
+        wanted = set(columns)
+        missing_cols = [c for c in columns if c not in header]
+        if missing_cols:
+            raise ParseError(f"header is missing schema columns: {', '.join(missing_cols)}")
+        for col in columns:
+            if header.count(col) > 1:
+                raise ParseError(f"header repeats schema column {col!r}")
+        positions = [header.index(col) for col in columns]
+        id_pos = next((p for p, name in enumerate(header) if name not in wanted), None)
+        id_name = header[id_pos] if id_pos is not None else "row_id"
+        pick = _picker(positions)
 
-    lo, hi, miss = schema.likert_min, schema.likert_max, schema.missing_code
-    # Every cell string the per-cell check has accepted, mapped to its
-    # value, so a row of known strings is converted in one pass at C level.
-    known = {}
-    ids, rows = [], []
-    seen_ids = set()
-    for lineno, cells in enumerate(reader, start=2):
-        if not cells:
-            continue
-        if len(cells) != len(header):
-            raise ParseError(
-                f"row {lineno}: expected {len(header)} cells, found {len(cells)}"
-            )
-        picked = pick(cells)
-        try:
-            # From a list, so the tuple is allocated at its size: tuple(map())
-            # grows it past pymalloc's 512-byte limit, and 50-answer rows then
-            # sit in the C heap, whose holes vary peak memory from run to run.
-            row = tuple([*map(known.__getitem__, picked)])
-        except KeyError:
-            row = _checked_cells(picked, columns, lineno, lo, hi, miss)
-            known.update(zip(picked, row))
-        rid = cells[id_pos] if id_pos is not None else str(len(rows))
-        if rid in seen_ids:
-            raise ParseError(f"row {lineno}: duplicate id {rid!r}")
-        seen_ids.add(rid)
-        ids.append(rid)
-        rows.append(row)
+        lo, hi, miss = schema.likert_min, schema.likert_max, schema.missing_code
+        # Every cell string the per-cell check has accepted, mapped to its
+        # value, so a row of known strings is converted in one pass at C level.
+        known = {}
+        ids, rows = [], []
+        seen_ids = set()
+        for lineno, cells in enumerate(reader, start=2):
+            if not cells:
+                continue
+            if len(cells) != len(header):
+                raise ParseError(
+                    f"row {lineno}: expected {len(header)} cells, found {len(cells)}"
+                )
+            picked = pick(cells)
+            try:
+                # From a list, so the tuple is allocated at its size: tuple(map())
+                # grows it past pymalloc's 512-byte limit, and 50-answer rows then
+                # sit in the C heap, whose holes vary peak memory from run to run.
+                row = tuple([*map(known.__getitem__, picked)])
+            except KeyError:
+                row = _checked_cells(picked, columns, lineno, lo, hi, miss)
+                known.update(zip(picked, row))
+            rid = cells[id_pos] if id_pos is not None else str(len(rows))
+            if rid in seen_ids:
+                raise ParseError(f"row {lineno}: duplicate id {rid!r}")
+            seen_ids.add(rid)
+            ids.append(rid)
+            rows.append(row)
+    except csv.Error as exc:
+        raise ParseError(f"row {reader.line_num}: {exc}") from None
     rows_read = len(rows)
 
     if missing_policy == "impute_mode":
@@ -431,35 +433,26 @@ def score_profiles(rows, schema: SurveySchema):
     for percentages).
 
     A table from ``parse_responses`` whose proof matches the schema's item
-    count and Likert range is not checked again. Other input is checked
-    per column for plain ints in range; if a column fails, ``score_profile``
-    checks each row and the first row it rejects raises its error. A row
+    count and Likert range is not checked again. Any other input is checked
+    row by row by ``score_profile``'s check, so the first row it rejects
+    raises its error; this is slower, and only tests send such input. A row
     whose raw scores are all zero raises DegenerateProfileError naming the
     row: its id for a table, its 0-based position otherwise. The sums take
     one column of the table at a time, so no transposed copy is held."""
     dims = schema.dimensions
-    lo, hi = schema.likert_min, schema.likert_max
-    checked = getattr(rows, "_proven", None) == (len(schema.items), lo, hi)
+    proven = (len(schema.items), schema.likert_min, schema.likert_max)
+    checked = getattr(rows, "_proven", None) == proven
     if isinstance(rows, ResponseTable):
         names, rows = rows.ids, rows.rows
     else:
         rows = [tuple(r) for r in rows]
         names = range(len(rows))
     n = len(rows)
-    if not n:
-        return {d: [] for d in dims}, {d: [] for d in dims}
-    if not checked and set(map(len, rows)) != {len(schema.items)}:
+    if not checked:
         _check_rows(rows, names, schema)
     at = {d: j for j, d in enumerate(dims)}
     sums = [[reversal] * n for _, _, reversal in schema._score_plan]
     for item, col in zip(schema.items, zip(*rows)):
-        # A column of plain ints in range needs no row check. Otherwise
-        # _check_rows raises for the first bad row, or lets through an int
-        # subclass such as True, which the sums treat as its int value, as
-        # score_profile does.
-        if not checked and not _plain_answers(col, lo, hi):
-            _check_rows(rows, names, schema)
-            checked = True
         j = at[item.dimension]
         sums[j] = list(map(add if item.keying == POSITIVE else sub, sums[j], col))
     raw = dict(zip(dims, sums))

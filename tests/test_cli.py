@@ -760,7 +760,9 @@ class _UnreadStdin(io.StringIO):
 # One row per refusal: the command, the bad value, the exit code and the one
 # error line. Exit 2 is a k the input cannot hold (below 1, or above its 9
 # rows or 6 distinct rows); every other refusal exits 1. list.json, in the
-# working directory, holds a JSON list where a document needs an object.
+# working directory, holds a JSON list where a document needs an object, and
+# deep.json nests lists past the JSON decoder's depth. wide-header.csv and
+# wide-row.csv are the input with one field over the csv module's size limit.
 @pytest.mark.parametrize("argv, code, message", [
     pytest.param(("fit", *_PARSED, "--k", "0"), 2, "k must be >= 1, got 0", id="fit k=0"),
     pytest.param(("report", *_PARSED, "--k", "0"), 2, "k must be >= 1, got 0",
@@ -790,6 +792,18 @@ class _UnreadStdin(io.StringIO):
                  "report document must be a JSON object, got list", id="fuse list"),
     pytest.param(("report", *_PARSED, "--model", "list.json"), 1,
                  "model document must be a JSON object, got list", id="model list"),
+    pytest.param(("score", "-i", FIXTURE, "--schema", "deep.json"), 1,
+                 "invalid schema 'deep.json' JSON: nested too deeply", id="schema deep"),
+    pytest.param(("fuse", "deep.json", "list.json"), 1,
+                 "invalid report JSON: nested too deeply", id="fuse deep"),
+    pytest.param(("report", *_PARSED, "--model", "deep.json"), 1,
+                 "invalid model JSON: nested too deeply", id="model deep"),
+    *(pytest.param((command, "-i", f"wide-{where}.csv", "--schema", "scenario3", *more), 1,
+                   f"row {line}: field larger than field limit ({csv.field_size_limit()})",
+                   id=f"{command} wide {where}")
+      for command, more in [("score", ()), ("fit", ("--k", "2")), ("report", ("--k", "2")),
+                            ("elbow", ("--k-max", "3"))]
+      for where, line in [("header", 1), ("row", 3)]),
     # stdin holds one input, so a second read would see it empty: refused
     # before either is read.
     pytest.param(("report", "-i", "-", "--schema", "scenario3", "--model", "-"), 1,
@@ -808,6 +822,12 @@ def test_every_refusal_prints_one_error_line_and_no_output(
         capsys, tmp_path, monkeypatch, argv, code, message):
     # <key>.json is a model of the input whose config holds a bad <key>.
     (tmp_path / "list.json").write_text("[]\n")
+    (tmp_path / "deep.json").write_text("[" * 200_000)
+    lines = APPLICANT_CSV.read_text().splitlines(keepends=True)
+    wide = "x" * (csv.field_size_limit() + 1)
+    (tmp_path / "wide-header.csv").write_text("".join([lines[0].rstrip() + f",{wide}\n",
+                                                       *lines[1:]]))
+    (tmp_path / "wide-row.csv").write_text("".join([*lines[:2], wide + lines[2], *lines[3:]]))
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr("sys.stdin", _UnreadStdin())
     assert run(capsys, "fit", *_PARSED, "--k", "2", "-o", "model.json")[0] == 0

@@ -132,3 +132,18 @@ def test_mutated_report_documents(workdir, data):
     b.write_text(json.dumps(REPORT))
     _library(lambda: parse_report(text))
     _check_outcome(*_run("fuse", str(a), str(b)))
+
+
+@pytest.mark.parametrize("text, detail", [
+    ("[" * 200_000, "nested too deeply"),
+    ('{"n": ' + "1" * 5000 + "}", "Exceeds the limit"),
+], ids=["deep", "digits"])
+def test_an_undecodable_document_is_invalid_json(tmp_path, text, detail):
+    schema = tmp_path / "schema.json"
+    schema.write_text(text)
+    for load, what in ((lambda: load_schema(str(schema)), f"schema {str(schema)!r}"),
+                       (lambda: parse_report(text), "report"),
+                       (lambda: documents.load_model(text, (), 0), "model")):
+        with pytest.raises(ValueError) as info:
+            load()
+        assert str(info.value).startswith(f"invalid {what} JSON: {detail}")

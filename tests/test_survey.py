@@ -293,6 +293,16 @@ class TestParseResponses:
         assert result.dataset.n == 0
         assert [a.name for a in result.dataset.attrs] == ["Q1"]
 
+    @pytest.mark.parametrize("text, line", [
+        ("Q1,{wide}\n1,2\n", 1),
+        ("who,Q1\na,1\n{wide},2\n", 3),
+    ], ids=["header", "row"])
+    def test_a_field_over_the_csv_limit_is_a_parse_error(self, text, line):
+        limit = csv.field_size_limit()
+        with pytest.raises(ParseError) as info:
+            parse_responses(text.format(wide="x" * (limit + 1)), load_schema(TINY_SCHEMA))
+        assert str(info.value) == f"row {line}: field larger than field limit ({limit})"
+
     def test_unknown_missing_policy(self):
         with pytest.raises(ValueError):
             parse_responses("Q1\n1\n", load_schema(TINY_SCHEMA), missing_policy="guess")
@@ -684,6 +694,14 @@ class TestScoringAParsedTable:
         assert str(info.value) == (
             "item 'Q2': answer 5 outside the Likert range [1, 4] "
             "(impute or drop missing values before scoring)")
+
+    def test_no_rows_score_to_empty_lists(self):
+        table = parse_responses("who,Q1,Q2,Q3\n", self.SCHEMA).table
+        assert table.n == 0 and table._proven == (3, 1, 5)
+        for rows in (table, []):
+            raw, percent = score_profiles(rows, self.SCHEMA)
+            assert raw == percent == {"A": [], "B": []}
+            assert {type(v) for v in (*raw.values(), *percent.values())} == {list}
 
     def test_only_unproven_rows_are_checked(self, monkeypatch):
         schema, text = _ocean50_with_missing_cells()
