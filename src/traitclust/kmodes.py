@@ -239,17 +239,19 @@ def _seed_pool(dataset, codes, init, k_min, k_max):
     seed..seed+restarts-1 draw, in restart order. Under random_rows restart
     r samples k distinct rows seeded with r; under density all draw the
     first k of the k_max density seeds (the seeds at k, by their prefix
-    property), one draw. Raises InfeasibleConfigError, naming the first
-    infeasible k, if random_rows cannot draw k_max."""
-    if init == "density":
-        seeds = tuple(_density_seeds(dataset, k_max, codes))
-        return lambda k, seed, restarts: [seeds[:k]]
+    property), one draw. Either way the k seeds are distinct rows (a
+    farthest row differs from every seed before it), as Huang's k-modes
+    starts, so under both inits a k_max above the distinct rows raises
+    InfeasibleConfigError, naming the first infeasible k, before any draw."""
     distinct = list(dict.fromkeys(dataset.rows))
     if k_max > len(distinct):
         raise InfeasibleConfigError(
             f"k={max(k_min, len(distinct) + 1)} exceeds the number of distinct "
             f"rows ({len(distinct)})"
         )
+    if init == "density":
+        seeds = tuple(_density_seeds(dataset, k_max, codes))
+        return lambda k, seed, restarts: [seeds[:k]]
     return lambda k, seed, restarts: list(dict.fromkeys(
         tuple(random.Random(r).sample(distinct, k)) for r in range(seed, seed + restarts)))
 
@@ -261,8 +263,6 @@ def init_modes(dataset, k: int, strategy: str = "random_rows", seed: int = 0):
     density starts from the highest-frequency row and then spreads out.
     """
     FitConfig(k=k, init=strategy, seed=seed)
-    if k > dataset.n:
-        raise InfeasibleConfigError(f"k={k} exceeds the number of rows ({dataset.n})")
     codes = _encode_rows(dataset)[1] if strategy == "density" else None
     (seeds,) = _seed_pool(dataset, codes, strategy, k, k)(k, seed, 1)
     return list(map(Prototype, seeds))
@@ -300,8 +300,7 @@ class _Cluster:
     no other code (at most ``rest[j]``) can reach unless
     ``2 * rest[j] >= size``. One C-level pass over rest finds those
     attributes, and only they are rescanned. Whenever a mode code changes,
-    the mask swaps the old code's bit for the new one's. An emptied cluster
-    keeps its last mode.
+    the mask swaps the old code's bit for the new one's.
 
     Under a bytewise encoder the allocation pass may skip add for the next
     room() members and hand them to absorb in one batch: no add among them
@@ -363,8 +362,6 @@ class _Cluster:
             d ^= 1 << p
             counts[p] -= 1
             rest[attr_of[p]] -= 1
-        if not size:
-            return
         pos = self._pos
         for j in compress(range(len(rest)), map(ge, rest, repeat((size + 1) // 2))):
             if x >> pos[j] & 1:
@@ -423,7 +420,8 @@ def _total(m, points, masks, assignments):
 
 def _fit_once(encoder, codes, seeds, max_epochs):
     """One online k-modes run over the rows' masks from the initial modes
-    ``seeds``: (modes, assignments, epochs_run, converged, cost)."""
+    ``seeds``, distinct rows (see _seed_pool), so that no cluster is ever
+    empty: (modes, assignments, epochs_run, converged, cost)."""
     k = len(seeds)
     clusters = [_Cluster(v, encoder) for v in seeds]
     # masks are ints, refreshed whenever an add or remove changes one.
@@ -431,22 +429,11 @@ def _fit_once(encoder, codes, seeds, max_epochs):
     assign = [0] * len(codes)
     # changes counts the updates that altered an entry of masks. seen[i] is
     # the count under which row i was last found at its nearest mode, taken
-    # before its own add or move, or -1 if it was placed otherwise. A row
-    # with seen[i] == changes faces the very masks under which it stayed or
-    # was placed, so _nearest would give the same answer and it would stay.
+    # before its own add or move. A row with seen[i] == changes faces the
+    # very masks under which it stayed or was placed, so _nearest would give
+    # the same answer and it would stay.
     changes = 0
-    seen = [-1] * len(codes)
-
-    def move(i, t):
-        nonlocal changes
-        s = assign[i]
-        clusters[s].remove(codes[i])
-        clusters[t].add(codes[i])
-        ms, mt = clusters[s].mask, clusters[t].mask
-        if ms != masks[s] or mt != masks[t]:
-            masks[s], masks[t] = ms, mt
-            changes += 1
-        assign[i] = t
+    seen = [0] * len(codes)
 
     # Initial allocation pass. Under a bytewise encoder each counted add
     # opens a window of c.room() adds, which cannot change the mode: a row
@@ -482,18 +469,9 @@ def _fit_once(encoder, codes, seeds, max_epochs):
         if queues[l]:
             flush(l)
 
-    # With distinct seeds no cluster ends the pass empty: the row that would
-    # complete a mode's drift onto an empty cluster's seed agrees more with
-    # that seed than with the mode, so it does not join it. Seeds repeat
-    # only under density with k above the distinct rows, which the seeds
-    # then all hold: every row sits at a mode equal to itself, and the first
-    # row of a cluster that can spare one moves, unstamped (_nearest did not
-    # place it). k <= n guarantees a donor.
-    for l in range(k):
-        if not clusters[l].size:
-            i = next(i for i, s in enumerate(assign) if clusters[s].size > 1)
-            move(i, l)
-            seen[i] = -1
+    # The seeds are distinct, so no cluster ends the pass empty: the row that
+    # would complete a mode's drift onto an empty cluster's seed agrees more
+    # with that seed than with the mode, so it does not join the mode.
 
     # Reallocation epochs. A row moves only when some mode is strictly
     # closer (agrees on more attributes) than its current one (equidistant
@@ -515,7 +493,13 @@ def _fit_once(encoder, codes, seeds, max_epochs):
             seen[i] = changes
             if at <= (x & masks[s]).bit_count():
                 continue
-            move(i, t)
+            cs, ct = clusters[s], clusters[t]
+            cs.remove(x)
+            ct.add(x)
+            if cs.mask != masks[s] or ct.mask != masks[t]:
+                masks[s], masks[t] = cs.mask, ct.mask
+                changes += 1
+            assign[i] = t
             moves += 1
         if moves == 0:
             converged = True
@@ -561,7 +545,8 @@ def fit(dataset, config: FitConfig) -> ClusterModel:
     restart r fits the seeds drawn with seed + r and the lowest cost wins
     (earliest restart on ties); a restart that repeats an earlier draw is
     skipped, so a density fit runs once, and its model's config keeps the
-    requested restarts.
+    requested restarts. Under either init a k above the dataset's distinct
+    rows raises InfeasibleConfigError: the k seeds are distinct rows.
 
     The model is kept in the dataset's memo, and a later fit or elbow_scan
     with an equal config returns it, carrying its own config. That each
@@ -596,12 +581,12 @@ def elbow_scan(dataset, k_min, k_max, seed=0, restarts=1, init="random_rows"):
     """Fit every k in [k_min, k_max] and return the (k, cost) curve, each
     cost equal to that of ``fit`` at k bit for bit.
 
-    All arguments, and under random_rows the number of distinct rows, are
-    checked before any fit; FitConfig refuses a k below 1, as in fit. The
-    scan is one call of _models, the driver fit uses: every k the dataset's
-    memo lacks shares one encoding of the rows and one seed pool (density
-    seeds are derived once, at the largest such k; see _seed_pool). A scan
-    whose every k is in the memo encodes nothing.
+    All arguments, and the number of distinct rows, are checked before any
+    fit; FitConfig refuses a k below 1, as in fit. The scan is one call of
+    _models, the driver fit uses: every k the dataset's memo lacks shares
+    one encoding of the rows and one seed pool (density seeds are derived
+    once, at the largest such k; see _seed_pool). A scan whose every k is
+    in the memo encodes nothing.
     """
     check_int("k_min", k_min)
     check_int("k_max", k_max)

@@ -437,9 +437,9 @@ def score_profiles(rows, schema: SurveySchema):
     row by row by ``score_profile``'s check, so the first row it rejects
     raises its error; this is slower, and only tests send such input. A row
     whose raw scores are all zero raises DegenerateProfileError naming the
-    row: its id for a table, its 0-based position otherwise. The sums take
-    one column of the table at a time, so no transposed copy is held."""
-    dims = schema.dimensions
+    row: its id for a table, its 0-based position otherwise. The raw scores
+    follow score_profile's rule, the schema's score plan, applied to every
+    row at C level one dimension at a time, so no transposed copy is held."""
     proven = (len(schema.items), schema.likert_min, schema.likert_max)
     checked = getattr(rows, "_proven", None) == proven
     if isinstance(rows, ResponseTable):
@@ -450,14 +450,11 @@ def score_profiles(rows, schema: SurveySchema):
     n = len(rows)
     if not checked:
         _check_rows(rows, names, schema)
-    at = {d: j for j, d in enumerate(dims)}
-    sums = [[reversal] * n for _, _, reversal in schema._score_plan]
-    for item, col in zip(schema.items, zip(*rows)):
-        j = at[item.dimension]
-        sums[j] = list(map(add if item.keying == POSITIVE else sub, sums[j], col))
-    raw = dict(zip(dims, sums))
+    raw = {d: list(map(sub, map(sum, map(pos, rows), repeat(reversal)),
+                       map(sum, map(neg, rows))))
+           for d, (pos, neg, reversal) in zip(schema.dimensions, schema._score_plan)}
     totals = [0] * n
-    for col in sums:
+    for col in raw.values():
         totals = list(map(add, totals, col))
     if 0 in totals:
         i = totals.index(0)
@@ -506,12 +503,14 @@ def generate_synthetic(n: int, schema: SurveySchema, weights=None, seed: int = 0
     the mixture, answering that dimension's positive items at likert_max and
     its negative items at likert_min (and the converse on every other
     dimension). With noise > 0, each answer is replaced by a uniform Likert
-    draw with that probability. Deterministic for a given seed. n and seed
-    must be plain ints, seed in [0, 2**64), as FitConfig requires.
+    draw with that probability. Deterministic for a given seed. n must be a
+    plain int in [1, 10**6], seed one in [0, 2**64), as FitConfig requires.
     """
     check_int("n", n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if n > 10**6:  # built in memory: about 0.7 MB per 1000 noisy ocean50 rows
+        raise ValueError(f"n must be <= 1000000, got {n}")
     if not 0.0 <= noise <= 1.0:
         raise ValueError(f"noise must lie in [0, 1], got {noise}")
     FitConfig(k=1, seed=seed)  # refuses a bad seed in FitConfig's words

@@ -775,10 +775,17 @@ class _UnreadStdin(io.StringIO):
                  "seed must be an integer in [0, 2**64), got -1", id="fit seed=-1"),
     pytest.param(("gen", "--schema", "scenario3", "--n", "5", "--seed", "-1"), 1,
                  "seed must be an integer in [0, 2**64), got -1", id="gen seed=-1"),
+    pytest.param(("gen", "--schema", "scenario3", "--n", "99999999999999999999"), 1,
+                 "n must be <= 1000000, got 99999999999999999999", id="gen n>10**6"),
     pytest.param(("fit", *_PARSED, "--k", "10"), 2, "k=10 exceeds the number of rows (9)",
                  id="fit k>n"),
     pytest.param(("elbow", *_PARSED, "--k-max", "9"), 2,
                  "k=7 exceeds the number of distinct rows (6)", id="elbow k>distinct"),
+    pytest.param(("fit", *_PARSED, "--k", "7", "--init", "density"), 2,
+                 "k=7 exceeds the number of distinct rows (6)", id="fit density k>distinct"),
+    pytest.param(("elbow", *_PARSED, "--k-max", "8", "--init", "density"), 2,
+                 "k=7 exceeds the number of distinct rows (6)",
+                 id="elbow density k>distinct"),
     pytest.param(("elbow", *_PARSED, "--k-min", "3", "--k-max", "2"), 1,
                  "need k_min <= k_max, got 3..2", id="elbow k_min>k_max"),
     pytest.param(("report", *_PARSED, "--k", "2", "--model", "model.json"), 1,

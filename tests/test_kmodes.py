@@ -272,10 +272,16 @@ class TestInitModes:
         with pytest.raises(InfeasibleConfigError):
             init_modes(ds, 3)
 
-    def test_more_clusters_than_distinct_rows_is_infeasible(self):
+    @pytest.mark.parametrize("init", INIT_STRATEGIES)
+    def test_more_clusters_than_distinct_rows_is_infeasible(self, init):
         ds = CategoricalDataset.from_values([(1,), (1,), (1,)])
         with pytest.raises(InfeasibleConfigError):
-            init_modes(ds, 2, "random_rows")
+            init_modes(ds, 2, init)
+        # 3 distinct rows in 6: density seeds past them would repeat (0, 0).
+        ds = CategoricalDataset.from_values([(0, 0)] * 3 + [(0, 1)] * 2 + [(1, 0)])
+        with pytest.raises(InfeasibleConfigError,
+                           match=r"^k=5 exceeds the number of distinct rows \(3\)$"):
+            fit(ds, FitConfig(k=5, init=init))
 
 
 class TestNearestMode:
@@ -431,6 +437,10 @@ class TestFit:
             k = rng.randint(1, min(5, n if init == "density" else len(set(ds.rows))))
             config = FitConfig(k=k, init=init, seed=case, restarts=rng.randint(1, 3),
                                max_epochs=rng.choice((1, 100)))
+            if k > len(set(ds.rows)):  # a density draw past the distinct rows
+                with pytest.raises(InfeasibleConfigError):
+                    fit(ds, config)
+                continue
             model = fit(ds, config)
             encoder, codes = kmodes._encode_rows(ds)
             masks = [encoder.encode(p.values) for p in model.modes]
@@ -465,18 +475,14 @@ class TestFit:
                 model.converged) == (best.modes, best.assignments, best.cost,
                                      best.epochs_run, best.converged)
 
-    def test_distinct_seeds_leave_no_cluster_empty(self, monkeypatch):
+    def test_distinct_seeds_leave_no_cluster_empty(self):
         # Every dataset of n <= 4 rows over m=2 attributes of 3 codes, and
         # every ordered choice of k <= 3 distinct rows as seeds: after the
-        # allocation pass (max_epochs=0) no cluster needs the repair, whose
-        # move is the only remove. Two exact symmetries shrink the search:
-        # the fit uses only the order of codes, so each column takes the
-        # codes 0..c-1 without gaps, and it treats the attributes alike, so
-        # the first column is at most the second.
-        def refuse(self, x):
-            raise AssertionError("a cluster ended the allocation pass empty")
-
-        monkeypatch.setattr(_Cluster, "remove", refuse)
+        # allocation pass (max_epochs=0) every cluster has a member. Two
+        # exact symmetries shrink the search: the fit uses only the order of
+        # codes, so each column takes the codes 0..c-1 without gaps, and it
+        # treats the attributes alike, so the first column is at most the
+        # second.
         for n in range(1, 5):
             columns = [c for c in product(range(3), repeat=n)
                        if set(c) == set(range(max(c) + 1))]
@@ -488,17 +494,8 @@ class TestFit:
                 distinct = list(dict.fromkeys(rows))
                 for k in range(1, min(3, len(distinct)) + 1):
                     for seeds in permutations(distinct, k):
-                        kmodes._fit_once(encoder, codes, seeds, 0)
-
-    def test_empty_cluster_repair_moves_the_first_farthest_row(self):
-        # 3 distinct rows: the density seeds of clusters 3 and 4 repeat
-        # (0, 0), so both end the allocation pass empty. Every row then
-        # agrees fully with its mode, so the first row of a cluster that
-        # can spare one moves: row 0 to cluster 3, then row 1 to cluster 4.
-        ds = CategoricalDataset.from_values([(0, 0)] * 3 + [(0, 1)] * 2 + [(1, 0)])
-        model = fit(ds, FitConfig(k=5, init="density"))
-        assert model.assignments == (3, 4, 0, 1, 1, 2)
-        assert model.cost == 0.0
+                        assignments = kmodes._fit_once(encoder, codes, seeds, 0)[1]
+                        assert set(assignments) == set(range(k)), (rows, seeds)
 
     def test_density_init_fits(self):
         ds = random_dataset(random.Random(37), 15, 3, 3)
@@ -770,8 +767,9 @@ def test_ocean50_elbow_curve_is_bit_identical_to_the_golden_record(ocean50_popul
 # SHA-256 over 1500 seeded random fits (small n and m, sparse and gapped
 # category codes, both inits, some fits cut short by max_epochs) and 20
 # elbow curves. Any change to the kernel that alters one bit of one fit
-# shows here.
-RANDOM_FITS_DIGEST = "d20c6518087b79b7659bc05ce956b7b9721599d2cb9c8b65506a6cd557f6bad9"
+# shows here. A density draw whose k exceeds the distinct rows (230 of the
+# 1500) hashes its refusal in place of a model.
+RANDOM_FITS_DIGEST = "7c58482c6404540837ce1440218520d11aa673f8c8dcd4a3dcfc867c7bf1864d"
 
 
 def test_random_fits_are_bit_identical_to_the_pinned_digest():
@@ -785,7 +783,13 @@ def test_random_fits_are_bit_identical_to_the_pinned_digest():
         k = rng.randint(1, min(6, n if init == "density" else len(set(rows))))
         config = FitConfig(k=k, init=init, seed=rng.randrange(2**32),
                            restarts=rng.randint(1, 4), max_epochs=rng.choice((1, 2, 100)))
-        model = fit(CategoricalDataset.from_values(rows), config)
+        ds = CategoricalDataset.from_values(rows)
+        if k > len(set(rows)):
+            with pytest.raises(InfeasibleConfigError) as info:
+                fit(ds, config)
+            h.update(repr(("infeasible", str(info.value))).encode())
+            continue
+        model = fit(ds, config)
         h.update(repr((tuple(p.values for p in model.modes), model.assignments,
                        model.cost.hex(), model.epochs_run, model.converged)).encode())
     for _ in range(20):
@@ -804,8 +808,8 @@ def test_every_restart_of_the_random_corpus_equals_the_reference_fit(reference_c
     # and fits cut short by max_epochs; an epoch skip that leaves a row
     # with a strictly closer mode unexamined shows here.
     test_random_fits_are_bit_identical_to_the_pinned_digest()
-    assert len(reference_checked) == 2311
-    assert reference_checked.count(True) == 956
+    assert len(reference_checked) == 2081
+    assert reference_checked.count(True) == 806
 
 
 def test_planted_tables_fit_as_the_reference_does(reference_checked):
@@ -978,8 +982,7 @@ class TestElbow:
     @staticmethod
     def _duplicated_dataset(seed, n=30, m=3, pool=5):
         # n rows drawn from `pool` distinct rows: density scores and
-        # farthest-first distances tie, and seeds past the distinct rows
-        # repeat, which empties clusters after the allocation pass.
+        # farthest-first distances tie.
         rng = random.Random(seed)
         distinct = list(dict.fromkeys(random_rows(rng, 4 * pool, m, 3)))[:pool]
         return CategoricalDataset.from_values([rng.choice(distinct) for _ in range(n)])
@@ -992,9 +995,7 @@ class TestElbow:
         if population == "random":
             ds, k_max = random_dataset(random.Random(43 + seed), 30, 4, 3), 6
         else:
-            ds = self._duplicated_dataset(seed)
-            # density may seed past the 5 distinct rows; random_rows may not
-            k_max = 7 if init == "density" else 5
+            ds, k_max = self._duplicated_dataset(seed), 5  # its distinct rows
         curve = elbow_scan(ds, 1, k_max, seed=seed, restarts=restarts, init=init)
         fresh = CategoricalDataset.from_values(ds.rows)  # fits that do not read the memo
         expected = [
@@ -1017,7 +1018,8 @@ class TestElbow:
         assert type(excinfo.value) is ValueError
         assert str(excinfo.value) == f"{name} must be an integer, got {value!r}"
 
-    def test_random_rows_scan_past_the_distinct_rows_fails_at_that_k(self, monkeypatch):
+    @pytest.mark.parametrize("init", INIT_STRATEGIES)
+    def test_a_scan_past_the_distinct_rows_fails_at_that_k(self, monkeypatch, init):
         # The distinct rows are counted once, before any fit.
         ds = CategoricalDataset.from_values([(0, 1), (1, 1), (0, 1), (2, 0), (1, 1)])
         fitted = []
@@ -1025,7 +1027,7 @@ class TestElbow:
         for k_min, first_infeasible in [(2, 4), (5, 5)]:
             message = rf"^k={first_infeasible} exceeds the number of distinct rows \(3\)$"
             with pytest.raises(InfeasibleConfigError, match=message):
-                elbow_scan(ds, k_min, 5, init="random_rows", restarts=2)
+                elbow_scan(ds, k_min, 5, init=init, restarts=2)
         assert fitted == []
 
     @settings(max_examples=80, deadline=None)
