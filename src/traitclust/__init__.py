@@ -46,7 +46,6 @@ from .survey import (
     dump_schema,
     generate_synthetic,
     load_schema,
-    normalize_profile,
     parse_responses,
     schema_to_dict,
     score_profile,

@@ -167,16 +167,16 @@ def _load_model(path: str, dataset, schema_name=None) -> ClusterModel:
 
 
 def _cmd_fit(args) -> str:
-    schema, result = _parse_input(args)
     config = FitConfig(k=args.k, init=args.init, seed=args.seed, restarts=args.restarts)
+    schema, result = _parse_input(args)
     model = fit(result.dataset, config)
     return documents.dumps(documents.model_to_dict(model, result.dataset, schema.name))
 
 
 def _cmd_elbow(args) -> str:
-    _, result = _parse_input(args)
     if 1 <= args.k_min <= args.k_max:  # otherwise elbow_scan or FitConfig refuses
         check_selection(args.k_max - args.k_min + 1, args.epsilon)
+    _, result = _parse_input(args)
     curve = elbow_scan(result.dataset, args.k_min, args.k_max,
                        seed=args.seed, restarts=args.restarts, init=args.init)
     chosen = select_k(curve, args.epsilon)
@@ -230,6 +230,10 @@ def _cmd_report(args) -> str:
         raise ValueError(f"{flags} {'does' if len(given) == 1 else 'do'} not apply to {where}")
     if args.input == args.model == "-":
         raise ValueError("--input and --model cannot both read stdin")
+    if args.aggregate == "share" and args.model is None:
+        if args.k is None:
+            raise ValueError("--k is required unless --model or --aggregate mean is given")
+        config = FitConfig(k=args.k, **given)
     schema, result = _parse_input(args)
     _, percent = score_profiles(result.table, schema)
     if args.aggregate == "mean":
@@ -239,9 +243,7 @@ def _cmd_report(args) -> str:
             model = documents.load_model(_read_input(args.model), result.table.ids,
                                          len(schema.columns), schema.name)
         else:
-            if args.k is None:
-                raise ValueError("--k is required unless --model or --aggregate mean is given")
-            model = fit(result.dataset, FitConfig(k=args.k, **given))
+            model = fit(result.dataset, config)
         labeling = label_clusters(model, percent, schema)
         rep = personality_percentages(labeling)
     return emit_report(rep, args.format)
@@ -304,7 +306,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, InfeasibleConfigError) else 1
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -98,7 +98,7 @@ class CategoricalDataset:
             raise AlignmentError(f"ragged input row of length {len(r)}, expected {m}")
         names = tuple(f"attr{j}" for j in range(m)) if names is None else tuple(names)
         if len(names) != m:
-            raise AlignmentError("kinds/names do not match the attribute count")
+            raise AlignmentError(f"{len(names)} names for {m} attributes")
         row_ids = tuple(range(len(rows)) if self.row_ids is None else self.row_ids)
         if len(row_ids) != len(rows):
             raise AlignmentError(f"{len(row_ids)} row ids for {len(rows)} rows")

@@ -216,8 +216,6 @@ def _schema_from_dict(doc) -> SurveySchema:
 
 def load_schema(source) -> SurveySchema:
     """Load a schema from a preset name, a JSON file path, or a dict."""
-    if isinstance(source, SurveySchema):
-        return source
     if isinstance(source, dict):
         return _schema_from_dict(source)
     if isinstance(source, (str, Path)):
@@ -256,10 +254,10 @@ def dump_schema(schema: SurveySchema) -> str:
     return documents.dumps(schema_to_dict(schema))
 
 
-def parse_responses(stream, schema: SurveySchema, delimiter: str = ",",
+def parse_responses(text: str, schema: SurveySchema, delimiter: str = ",",
                     missing_policy: str = "drop_row") -> ParseResult:
-    """Parse delimited text into a ResponseTable (and, on demand, its
-    categorical dataset).
+    """Parse delimited text, one str, into a ResponseTable (and, on demand,
+    its categorical dataset).
 
     The header must contain every schema column; extra columns are ignored.
     The first non-schema column, if any, supplies row ids (otherwise the row
@@ -274,7 +272,7 @@ def parse_responses(stream, schema: SurveySchema, delimiter: str = ",",
         raise ValueError(f"missing_policy must be one of {MISSING_POLICIES}, got {missing_policy!r}")
     check_delimiter(delimiter)
     # removeprefix returns the text itself, uncopied, when it has no mark.
-    text = (stream if isinstance(stream, str) else stream.read()).removeprefix("\ufeff")
+    text = text.removeprefix("\ufeff")
     reader = csv.reader(io.StringIO(text), delimiter=delimiter)
     try:  # a csv.Error, such as a field over the csv module's size limit
         header = next(reader, None)
@@ -402,7 +400,8 @@ def _impute_modes(rows, columns, miss):
 
 def score_profile(values, schema: SurveySchema) -> TraitProfile:
     """Sum answers into per-dimension raw scores (reversing negative items)
-    and attach the percentage normalization."""
+    and attach their percentages, which sum to 100. All-zero raw scores
+    raise DegenerateProfileError."""
     values = tuple(values)
     if len(values) != len(schema.items):
         raise AlignmentError(
@@ -423,7 +422,10 @@ def score_profile(values, schema: SurveySchema) -> TraitProfile:
         sum(pos(values)) + reversal - sum(neg(values))
         for pos, neg, reversal in schema._score_plan
     ]))
-    return TraitProfile(raw=raw, percent=normalize_profile(raw))
+    total = float(sum(raw.values()))
+    if total == 0:
+        raise DegenerateProfileError("all raw scores are zero; percentages are undefined")
+    return TraitProfile(raw=raw, percent={d: 100.0 * v / total for d, v in raw.items()})
 
 
 def score_profiles(rows, schema: SurveySchema):
@@ -459,9 +461,6 @@ def score_profiles(rows, schema: SurveySchema):
     if 0 in totals:
         i = totals.index(0)
         _check_rows(rows[i:i + 1], names[i:i + 1], schema)  # raises, naming row i
-    # Answers in [lo, hi] with lo >= 0 give no negative raw score, so
-    # normalize_profile's check is skipped; float(total) equals its exact
-    # fsum of integers.
     totals = list(map(float, totals))
     percent = {d: list(map(truediv, map(mul, repeat(100.0), col), totals))
                for d, col in raw.items()}
@@ -486,23 +485,13 @@ def _plain_answers(values, lo, hi) -> bool:
     return lo <= min(answers) and max(answers) <= hi
 
 
-def normalize_profile(raw: dict) -> dict:
-    """Rescale non-negative raw scores to percentages summing to 100."""
-    for d, v in raw.items():
-        if v < 0:
-            raise ValueError(f"raw score for {d!r} is negative: {v}")
-    total = math.fsum(raw.values())
-    if total == 0:
-        raise DegenerateProfileError("all raw scores are zero; percentages are undefined")
-    return {d: 100.0 * v / total for d, v in raw.items()}
-
-
 def generate_synthetic(n: int, schema: SurveySchema, weights=None, seed: int = 0,
                        noise: float = 0.0) -> ResponseTable:
     """Draw n respondents, each with a latent dominant dimension sampled from
-    the mixture, answering that dimension's positive items at likert_max and
-    its negative items at likert_min (and the converse on every other
-    dimension). With noise > 0, each answer is replaced by a uniform Likert
+    the mixture ``weights`` (None for uniform, else a sequence with one
+    weight per schema dimension, in order), answering that dimension's
+    positive items at likert_max and its negative items at likert_min (and
+    the converse on every other dimension). With noise > 0, each answer is replaced by a uniform Likert
     draw with that probability. Deterministic for a given seed. n must be a
     plain int in [1, 10**6], seed one in [0, 2**64), as FitConfig requires.
     """
@@ -517,11 +506,6 @@ def generate_synthetic(n: int, schema: SurveySchema, weights=None, seed: int = 0
     dims = schema.dimensions
     if weights is None:
         ws = [1.0 / len(dims)] * len(dims)
-    elif isinstance(weights, dict):
-        unknown = set(weights) - set(dims)
-        if unknown:
-            raise ValueError(f"mixture names unknown dimensions: {sorted(unknown)}")
-        ws = [float(weights.get(d, 0.0)) for d in dims]
     else:
         ws = [float(w) for w in weights]
         if len(ws) != len(dims):

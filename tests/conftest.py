@@ -7,6 +7,7 @@ from traitclust import CategoricalDataset, FitConfig
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 APPLICANT_CSV = DATA_DIR / "scenario_applicants.csv"
+EMPLOYEE_CSV = DATA_DIR / "iwp_employees.csv"
 
 ACCEPTANCE_LINES = []
 

@@ -207,15 +207,15 @@ def allocation_pass(rows, seeds):
 
 def reference_fit(rows, seeds, max_epochs):
     """Huang's online k-modes from the initial modes ``seeds``, one row at a
-    time: allocation_pass, then the empty-cluster repair (each cluster left
-    without members, in order, takes the first row whose cluster has
-    another), then up to max_epochs reallocation epochs. An epoch visits
-    every row and moves it to the nearest mode (the lowest cluster on ties)
-    only when that mode is strictly closer than its own; both modes then
-    become their members' majority. A run converges at an epoch without a
-    move. Asserts that every accepted move strictly lowers the objective and
-    leaves no cluster empty. Returns (modes, assignments, epochs_run,
-    converged, cost) as tuples and a float cost."""
+    time: allocation_pass, then up to max_epochs reallocation epochs. An
+    epoch visits every row and moves it to the nearest mode (the lowest
+    cluster on ties) only when that mode is strictly closer than its own;
+    both modes then become their members' majority. A run converges at an
+    epoch without a move. The library seeds distinct rows and repairs no
+    empty cluster, so this asserts that the allocation pass leaves every
+    cluster a member, that every accepted move strictly lowers the
+    objective, and that no move empties a cluster. Returns (modes,
+    assignments, epochs_run, converged, cost) as tuples and a float cost."""
     modes, assignments, _ = allocation_pass(rows, seeds)
 
     def cost():
@@ -228,9 +228,8 @@ def reference_fit(rows, seeds, max_epochs):
             members = [row for row, a in zip(rows, assignments) if a == l]
             modes[l] = tuple(majority_value(column) for column in zip(*members))
 
-    for l in range(len(seeds)):
-        if l not in assignments:
-            move(next(i for i, s in enumerate(assignments) if assignments.count(s) > 1), l)
+    empty = set(range(len(seeds))) - set(assignments)
+    assert not empty, f"the allocation pass left clusters {sorted(empty)} empty"
     epochs_run, converged = 0, False
     for epoch in range(1, max_epochs + 1):
         epochs_run, moves = epoch, 0

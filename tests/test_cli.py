@@ -14,7 +14,7 @@ from traitclust import (
 )
 from traitclust.cli import main
 
-from conftest import APPLICANT_CSV
+from conftest import APPLICANT_CSV, EMPLOYEE_CSV
 
 FIXTURE = str(APPLICANT_CSV)
 
@@ -617,6 +617,18 @@ def test_json_documents_are_byte_frozen(capsys, argv, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+# data/iwp_employees.csv, the employee side of the paper's data, holds
+# Scenario 1-3 only: it parses under scenario3, not under iwp (Scenario 1-5).
+@pytest.mark.parametrize("argv, digest", [
+    (("score",), "cb9ae8c91a6a6031cdb15d216210baa75d0bb5a39174c5b65a4658f5165e4f8c"),
+    (("report", "--k", "2"), "351cc0f901a289f1675520f47de26d3c01d9cc4af1d8321d5365c25471b864f0"),
+], ids=["score", "report"])
+def test_the_employee_file_is_byte_frozen_under_scenario3(capsys, argv, digest):
+    code, out, err = run(capsys, *argv, "-i", str(EMPLOYEE_CSV), "--schema", "scenario3")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 class TestMissingHandling:
     CSV = "who,Q1\na,2\nb,0\nc,5\n"
 
@@ -748,6 +760,7 @@ def test_answers_of_eight_and_above_run_through_the_cli_as_through_the_library(
 
 
 _PARSED = ("-i", FIXTURE, "--schema", "scenario3")
+_STDIN = ("-i", "-", "--schema", "scenario3")
 
 
 class _UnreadStdin(io.StringIO):
@@ -817,6 +830,20 @@ class _UnreadStdin(io.StringIO):
                  "--input and --model cannot both read stdin", id="report stdin twice"),
     pytest.param(("fuse", "-", "-"), 1, "reports a and b cannot both read stdin",
                  id="fuse stdin twice"),
+    # A refusal that needs only the arguments comes before the input is read.
+    pytest.param(("report", *_STDIN), 1,
+                 "--k is required unless --model or --aggregate mean is given",
+                 id="report no source, stdin"),
+    *(pytest.param((command, *_STDIN, *flags), code, message, id=f"{command} {id_}, stdin")
+      for command in ("fit", "report")
+      for flags, code, message, id_ in [
+          (("--k", "0"), 2, "k must be >= 1, got 0", "k=0"),
+          (("--k", "2", "--seed", "-1"), 1,
+           "seed must be an integer in [0, 2**64), got -1", "seed=-1"),
+          (("--k", "2", "--restarts", "0"), 1, "restarts must be >= 1, got 0",
+           "restarts=0")]),
+    pytest.param(("elbow", *_STDIN, "--k-max", "4", "--epsilon", "0"), 1,
+                 "epsilon must lie in (0, 1), got 0.0", id="elbow epsilon=0, stdin"),
     *(pytest.param(("report", *_PARSED, "--model", f"{key}.json"), 1,
                    f"malformed model document: {message}", id=f"model {key}")
       for key, message in [

@@ -16,6 +16,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
     ["synthetic_elbow.py", "--n", "60", "--noise", "0", "0.15", "--k-max", "6",
      "--restarts", "2"],
     ["src_lines.py"],
+    ["reach.py"],
 ], ids=lambda argv: argv[0])
 def test_script_exits_zero(argv):
     env = dict(os.environ)

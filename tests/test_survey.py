@@ -25,7 +25,6 @@ from traitclust import (
     dump_schema,
     generate_synthetic,
     load_schema,
-    normalize_profile,
     parse_responses,
     schema_to_dict,
     score_profile,
@@ -214,11 +213,6 @@ class TestParseResponses:
         assert result.dataset.rows[0] == (2, 2, 2)
         assert result.dataset.row_ids[0] == "DIYA B"
 
-    def test_accepts_file_like_streams(self):
-        schema = load_schema(TINY_SCHEMA)
-        result = parse_responses(io.StringIO("Q1\n3\n"), schema)
-        assert result.table.rows == ((3,),)
-
     def test_missing_schema_column(self):
         schema = load_schema("scenario3")
         with pytest.raises(ParseError, match="Scenario 3"):
@@ -375,19 +369,6 @@ class TestScoreProfile:
         assert math.fsum(profile.percent.values()) == pytest.approx(100.0, abs=1e-9)
 
 
-class TestNormalizeProfile:
-    def test_scales_to_percentages(self):
-        assert normalize_profile({"a": 1, "b": 3}) == {"a": 25.0, "b": 75.0}
-
-    def test_rejects_negative_scores(self):
-        with pytest.raises(ValueError):
-            normalize_profile({"a": -1, "b": 2})
-
-    def test_all_zero_is_degenerate(self):
-        with pytest.raises(DegenerateProfileError):
-            normalize_profile({"a": 0, "b": 0})
-
-
 class TestGenerateSynthetic:
     def test_deterministic_per_seed(self):
         schema = load_schema("scenario")
@@ -410,7 +391,7 @@ class TestGenerateSynthetic:
 
     def test_degenerate_mixture_concentrates_on_one_trait(self):
         schema = load_schema("scenario")
-        table = generate_synthetic(40, schema, weights={"Openness": 1.0}, seed=0)
+        table = generate_synthetic(40, schema, weights=[1.0, 0.0, 0.0, 0.0, 0.0], seed=0)
         for row in table.rows:
             profile = score_profile(row, schema)
             assert max(profile.percent, key=profile.percent.get) == "Openness"
@@ -433,8 +414,6 @@ class TestGenerateSynthetic:
         schema = load_schema("scenario")
         with pytest.raises(ValueError):
             generate_synthetic(0, schema)
-        with pytest.raises(ValueError):
-            generate_synthetic(5, schema, weights={"Bravery": 1.0})
         with pytest.raises(ValueError):
             generate_synthetic(5, schema, weights=[0.5, 0.5])
         with pytest.raises(ValueError):
@@ -469,16 +448,15 @@ class TestGenerateSynthetic:
         schema = load_schema("scenario")
         with pytest.raises(ValueError, match="finite"):
             generate_synthetic(5, schema, weights=[1.0, bad, 0.0, 0.0, 0.0])
-        with pytest.raises(ValueError, match="finite"):
-            generate_synthetic(5, schema, weights={"Openness": 1.0, "Extraversion": bad})
 
 
 def _synthesis_weights(dims):
     """No weights, a list that zeroes every other dimension (the last one
-    too when the count is odd), and a dict naming two dimensions."""
+    too when the count is odd), and a list that weights only the first and
+    the last dimension."""
     alternate = [i % 2 for i in range(len(dims))]
     return (None, [w / sum(alternate) for w in alternate],
-            {dims[-1]: 0.9, dims[0]: 0.1})
+            [0.1, *[0.0] * (len(dims) - 2), 0.9])
 
 
 def _synthesis_digest():
@@ -494,8 +472,8 @@ def _synthesis_digest():
 
 
 def test_synthesis_is_bit_identical_to_the_golden_record():
-    # SHA-256 of 54 generated tables: three presets, the three kinds of
-    # mixture weights, noise 0, 0.15 and 1, and two seeds.
+    # SHA-256 of 54 generated tables: three presets, the three mixtures
+    # of _synthesis_weights, noise 0, 0.15 and 1, and two seeds.
     assert _synthesis_digest() == (
         "7b5da961f37a62d4c11bf7a189a2a93709284258607644f80d201a8b2f580636")
 
