@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, chain, compress, repeat
 from operator import add, itemgetter, mul, sub, truediv
 from pathlib import Path
 
@@ -263,8 +263,9 @@ def parse_responses(text: str, schema: SurveySchema, delimiter: str = ",",
     The first non-schema column, if any, supplies row ids (otherwise the row
     ordinal does). Missing answers (== schema.missing_code) are either
     dropped with their row or imputed with the column's most frequent
-    observed value, per missing_policy. Likert answers are kept verbatim as
-    the dataset's category codes. The delimiter must pass check_delimiter.
+    observed value (the lowest on ties), per missing_policy. Likert answers
+    are kept verbatim as the dataset's category codes. The delimiter must
+    pass check_delimiter.
     One leading UTF-8 byte-order mark, which spreadsheet exports often
     write, is dropped.
     """
@@ -325,7 +326,7 @@ def parse_responses(text: str, schema: SurveySchema, delimiter: str = ",",
     rows_read = len(rows)
 
     if missing_policy == "impute_mode":
-        kept_ids, kept_rows = ids, _impute_modes(rows, columns, miss)
+        kept_ids, kept_rows = ids, _impute_modes(rows, columns, lo, hi, miss)
     else:
         kept = [miss not in row for row in rows]
         kept_ids = list(compress(ids, kept))
@@ -370,22 +371,38 @@ def _checked_cells(cells, columns, lineno, lo, hi, miss):
     return tuple(row)
 
 
-def _impute_modes(rows, columns, miss):
-    """Replace every missing cell with its column's most frequent observed
-    value (ties to the lowest); only rows holding a missing cell are
-    rebuilt."""
+def _impute_modes(rows, columns, lo, hi, miss):
+    """Replace every missing cell of the list rows, in place, with its
+    column's most frequent observed value (ties to the lowest), and return
+    rows. Only rows holding a missing cell are rebuilt; the others stay the
+    same objects."""
     fills = []
-    for col, values in zip(columns, zip(*rows)):
-        counts = Counter(values)
-        fill = None
-        if counts.pop(miss, 0):
-            if not counts:
-                raise ParseError(f"column {col!r}: every value is missing, cannot impute")
-            top = max(counts.values())
-            fill = min(v for v, cnt in counts.items() if cnt == top)
-        fills.append(fill)
-    out = []
-    for row in rows:
+    if 0 <= miss < 256 and hi < 256:
+        # Every code fits a byte (lo >= 0): column j is the stride blob[j::m],
+        # and bytes.count counts each code at C level without transposing.
+        m = len(columns)
+        blob = bytes(chain.from_iterable(rows))
+        for j, col in enumerate(columns):
+            cells = blob[j::m]
+            fill = None
+            if cells.count(miss):
+                counts = list(map(cells.count, range(lo, hi + 1)))
+                top = max(counts)
+                if not top:
+                    raise ParseError(f"column {col!r}: every value is missing, cannot impute")
+                fill = lo + counts.index(top)
+            fills.append(fill)
+    else:
+        for col, values in zip(columns, zip(*rows)):
+            counts = Counter(values)
+            fill = None
+            if counts.pop(miss, 0):
+                if not counts:
+                    raise ParseError(f"column {col!r}: every value is missing, cannot impute")
+                top = max(counts.values())
+                fill = min(v for v, cnt in counts.items() if cnt == top)
+            fills.append(fill)
+    for i, row in enumerate(rows):
         holes = row.count(miss)
         if holes:
             cells = list(row)
@@ -393,9 +410,10 @@ def _impute_modes(rows, columns, miss):
             for _ in range(holes):
                 j = cells.index(miss, j + 1)
                 cells[j] = fills[j]
-            row = tuple(cells)
-        out.append(row)
-    return out
+            # Written back at once, so the old tuple is freed now rather
+            # than living beside its copy until the parse returns.
+            rows[i] = tuple(cells)
+    return rows
 
 
 def score_profile(values, schema: SurveySchema) -> TraitProfile:

@@ -311,22 +311,50 @@ class TestMissingValues:
         assert result.report.rows_kept == 3
         assert result.report.rows_dropped == 1
 
-    def test_impute_mode_fills_with_the_column_mode(self):
+    # Missing code 0 counts codes as bytes; the other schemas hold a code
+    # that does not fit a byte and take the fallback count.
+    IMPUTE_SCHEMAS = [
+        pytest.param({}, id="missing-0"),
+        pytest.param({"missing_code": -1}, id="missing-neg1"),
+        pytest.param({"missing_code": 256}, id="missing-256"),
+        pytest.param({"likert_max": 300}, id="likert-max-300"),
+    ]
+
+    @staticmethod
+    def _impute(lines, change):
+        schema = load_schema({**TINY_SCHEMA, **change})
+        text = "Q1\n" + "".join(f"{v}\n" for v in lines).replace(
+            "?", str(schema.missing_code))
+        return parse_responses(text, schema, missing_policy="impute_mode")
+
+    @pytest.mark.parametrize("change", IMPUTE_SCHEMAS)
+    def test_impute_mode_fills_with_the_column_mode(self, change):
         # observed values 2, 2, 5: the mode 2 replaces the missing answer
-        schema = load_schema(TINY_SCHEMA)
-        result = parse_responses("Q1\n2\n2\n5\n0\n", schema, missing_policy="impute_mode")
+        result = self._impute(["2", "2", "5", "?"], change)
         assert result.table.rows == ((2,), (2,), (5,), (2,))
         assert result.report.rows_dropped == 0
 
-    def test_impute_mode_ties_break_to_the_lowest_value(self):
-        schema = load_schema(TINY_SCHEMA)
-        result = parse_responses("Q1\n5\n2\n5\n2\n0\n", schema, missing_policy="impute_mode")
+    @pytest.mark.parametrize("change", IMPUTE_SCHEMAS)
+    def test_impute_mode_ties_break_to_the_lowest_value(self, change):
+        result = self._impute(["5", "2", "5", "2", "?"], change)
         assert result.table.rows[-1] == (2,)
 
-    def test_impute_with_nothing_observed_is_an_error(self):
-        schema = load_schema(TINY_SCHEMA)
+    @pytest.mark.parametrize("change", IMPUTE_SCHEMAS)
+    def test_impute_with_nothing_observed_is_an_error(self, change):
         with pytest.raises(ParseError, match="every value is missing"):
-            parse_responses("Q1\n0\n0\n", schema, missing_policy="impute_mode")
+            self._impute(["?", "?"], change)
+
+    @pytest.mark.parametrize("miss", [0, -1])  # the byte count, the fallback
+    def test_imputation_rebuilds_only_the_rows_with_a_missing_cell(self, miss):
+        rows = [(1, 2, 3), (miss, 2, miss), (3, 3, 3), (1, miss, 3)]
+        before = list(rows)
+        out = survey._impute_modes(rows, ("Q1", "Q2", "Q3"), 1, 5, miss)
+        assert out is rows
+        assert rows == [(1, 2, 3), (1, 2, 3), (3, 3, 3), (1, 2, 3)]
+        for i in (0, 2):
+            assert rows[i] is before[i]
+        for i in (1, 3):
+            assert type(rows[i]) is tuple and rows[i] is not before[i]
 
 
 class TestScoreProfile:
@@ -717,7 +745,7 @@ PARSE_SCHEMAS = {
         ],
         "missing_code": code,
     })
-    for code in (0, -1)
+    for code in (0, -1, 255, 256)
 }
 PARSE_HEADERS = (
     ("who", "Q1", "Q2", "Q3"),
