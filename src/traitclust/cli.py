@@ -235,14 +235,17 @@ def _cmd_report(args) -> str:
             raise ValueError("--k is required unless --model or --aggregate mean is given")
         config = FitConfig(k=args.k, **given)
     schema, result = _parse_input(args)
+    if args.model is not None:
+        # Before scoring: the decoded document is freed before the percent
+        # columns exist, and a model that does not match is refused unscored.
+        model = documents.load_model(_read_input(args.model), result.table.ids,
+                                     len(schema.columns), schema.name,
+                                     (schema.likert_min, schema.likert_max))
     _, percent = score_profiles(result.table, schema)
     if args.aggregate == "mean":
         rep = mean_percentages(percent, schema, meta={"n": result.table.n})
     else:
-        if args.model is not None:
-            model = documents.load_model(_read_input(args.model), result.table.ids,
-                                         len(schema.columns), schema.name)
-        else:
+        if args.model is None:
             model = fit(result.dataset, config)
         labeling = label_clusters(model, percent, schema)
         rep = personality_percentages(labeling)

@@ -84,14 +84,15 @@ def model_to_dict(model: ClusterModel, dataset, schema_name: str) -> dict:
     }
 
 
-def load_model(text, row_ids, m, schema_name=None) -> ClusterModel:
+def load_model(text, row_ids, m, schema_name=None, value_range=None) -> ClusterModel:
     """Read a model document written by ``fit`` and check it against the
     input it is applied to: ``row_ids``, unique, one per row in input order,
     and ``m`` attributes. The document's ``n`` must be the row count and its
     assignments must cover exactly those ids. When ``schema_name`` is given
-    the model must have been fitted under it. Keys under ``config.policy``
-    other than ``mode``, which older documents hold, are ignored. Every
-    rejection is a ValueError."""
+    the model must have been fitted under it, and when ``value_range``,
+    ``(lo, hi)``, is given, every mode value must lie in ``[lo, hi]``. Keys
+    under ``config.policy`` other than ``mode``, which older documents hold,
+    are ignored. Every rejection is a ValueError."""
     doc = loads(text, ValueError, "model", kind="cluster_model")
     where = "malformed model document"
     if schema_name is not None:
@@ -121,6 +122,12 @@ def load_model(text, row_ids, m, schema_name=None) -> ClusterModel:
             typed(v, int, ValueError, f"{where}: a value of mode {i}")
         if len(vals) != m:
             raise ValueError(f"model mode {i} has {len(vals)} values, expected {m}")
+        if value_range is not None:
+            lo, hi = value_range
+            for v in vals:
+                if not lo <= v <= hi:
+                    raise ValueError(f"model mode {i} holds {v}, outside the schema's range "
+                                     f"[{lo}, {hi}]")
         modes.append(Prototype(values=tuple(vals)))
     k = field(doc, "k", int, ValueError, where)
     if not k == config.k == len(modes):

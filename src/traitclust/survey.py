@@ -29,6 +29,9 @@ NEGATIVE = "negative"
 PRESETS = ("ocean50", "scenario", "scenario3", "iwp")
 
 MISSING_POLICIES = ("drop_row", "impute_mode")
+# The characters of input that parse_responses hands to io.StringIO at a
+# time, rounded up to a line end; StringIO copies them at 4 bytes each.
+_BLOCK = 8192
 
 
 def check_delimiter(delimiter) -> str:
@@ -274,7 +277,7 @@ def parse_responses(text: str, schema: SurveySchema, delimiter: str = ",",
     check_delimiter(delimiter)
     # removeprefix returns the text itself, uncopied, when it has no mark.
     text = text.removeprefix("\ufeff")
-    reader = csv.reader(io.StringIO(text), delimiter=delimiter)
+    reader = csv.reader(_lines(text), delimiter=delimiter)
     try:  # a csv.Error, such as a field over the csv module's size limit
         header = next(reader, None)
         if header is None:
@@ -349,6 +352,18 @@ def parse_responses(text: str, schema: SurveySchema, delimiter: str = ",",
         rows_dropped=rows_read - len(kept_rows),
     )
     return ParseResult(table=table, report=report)
+
+
+def _lines(text):
+    """The lines of ``text``, each ending at "\\n" and keeping it (the last
+    may have none), as iterating ``io.StringIO(text)`` yields them: each
+    block given to StringIO starts a line, and none holds the whole text.
+    ``str.splitlines`` would also split on "\\r", U+2028 and others."""
+    start, find = 0, text.find
+    while start < len(text):
+        end = find("\n", start + _BLOCK) + 1 or len(text)
+        yield from io.StringIO(text[start:end])
+        start = end
 
 
 def _checked_cells(cells, columns, lineno, lo, hi, miss):

@@ -81,6 +81,15 @@ class ReferenceParseError(Exception):
     parse_responses must raise its ParseError with."""
 
 
+def _records(reader):
+    """The rows of a csv reader. A csv.Error, such as a line break in an
+    unquoted field, becomes the error parse_responses raises for it."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ReferenceParseError(f"row {reader.line_num}: {exc}") from None
+
+
 def reference_parse(text, columns, likert_min, likert_max, missing_code,
                     delimiter=",", missing_policy="drop_row"):
     """Parse survey CSV text one cell at a time: int() and a range check per
@@ -92,7 +101,7 @@ def reference_parse(text, columns, likert_min, likert_max, missing_code,
     first appearance among the kept rows.
     """
     lo, hi, miss = likert_min, likert_max, missing_code
-    reader = csv.reader(io.StringIO(text), delimiter=delimiter)
+    reader = _records(csv.reader(io.StringIO(text), delimiter=delimiter))
     try:
         header = next(reader)
     except StopIteration:

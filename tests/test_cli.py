@@ -473,6 +473,36 @@ class TestReportCommand:
         assert "malformed" in err
 
 
+@pytest.mark.parametrize("missing", ["drop", "impute"])
+def test_a_model_of_other_rows_is_refused_before_scoring(capsys, monkeypatch, tmp_path,
+                                                          missing):
+    # report --model loads and checks the model right after the parse, so a
+    # model that does not match the input is refused before any scoring.
+    schema = load_schema("ocean50")
+    lines = generate_synthetic(40, schema, seed=3, noise=0.2).to_csv().splitlines(keepends=True)
+    # Missing cells in two rows; every kept cell, imputed or not, lies in
+    # [1, 5], so the fitted modes pass the model's range check.
+    lines[1], lines[2] = (line.replace(",3,", ",0,", 2) for line in lines[1:3])
+    matching, other = tmp_path / "matching.csv", tmp_path / "other.csv"
+    matching.write_text("".join(lines))
+    other.write_text("".join(lines[:-1]))
+    parse = ("--schema", "ocean50", "--missing", missing)
+    model_path = str(tmp_path / "model.json")
+    assert run(capsys, "fit", "-i", str(matching), *parse, "--k", "3", "-o", model_path) == (
+        0, "", "")
+    direct = run(capsys, "report", "-i", str(matching), *parse, "--k", "3")
+    assert direct[0] == 0
+    assert run(capsys, "report", "-i", str(matching), *parse, "--model", model_path) == direct
+
+    def unreachable(*args):
+        raise AssertionError("scored before the model was checked")
+
+    monkeypatch.setattr(cli, "score_profiles", unreachable)
+    n = 39 if missing == "impute" else 37
+    assert run(capsys, "report", "-i", str(other), *parse, "--model", model_path) == (
+        1, "", f"error: model was fitted on {n + 1} rows, but the input has {n}\n")
+
+
 def test_report_and_score_run_without_datasets_or_profiles(capsys, monkeypatch, tmp_path):
     # report --model, report --aggregate mean and score work on columns: a
     # CategoricalDataset or a TraitProfile built on the way is a fall-back
@@ -851,6 +881,11 @@ class _UnreadStdin(io.StringIO):
           ("max_epochs", "max_epochs must be >= 1, got 0"),
           ("restarts", "restarts must be >= 1, got 0"),
           ("seed", "seed must be an integer in [0, 2**64), got -1")]),
+    # mode<i>-<v>.json is a model of the input whose mode i holds v.
+    *(pytest.param(("report", *_PARSED, "--model", f"mode{i}-{v}.json"), 1,
+                   f"model mode {i} holds {v}, outside the schema's range [1, 5]",
+                   id=f"model mode {i} holds {v}")
+      for i, v in [(0, 99), (1, 0), (0, 6)]),
 ])
 def test_every_refusal_prints_one_error_line_and_no_output(
         capsys, tmp_path, monkeypatch, argv, code, message):
@@ -869,6 +904,10 @@ def test_every_refusal_prints_one_error_line_and_no_output(
     for key, value in (("init", "kmeanspp"), ("max_epochs", 0), ("restarts", 0), ("seed", -1)):
         bad = {**doc, "config": {**doc["config"], key: value}}
         (tmp_path / f"{key}.json").write_text(json.dumps(bad))
+    for i, v in [(0, 99), (1, 0), (0, 6)]:
+        modes = [list(mode) for mode in doc["modes"]]
+        modes[i][-1] = v
+        (tmp_path / f"mode{i}-{v}.json").write_text(json.dumps({**doc, "modes": modes}))
     assert run(capsys, *argv) == (code, "", f"error: {message}\n")
 
 

@@ -118,9 +118,24 @@ def test_mutated_model_documents(workdir, model_doc, dataset, data):
     text = json.dumps(_mutate(data, model_doc))
     path.write_text(text)
     _library(lambda: documents.load_model(text, dataset.row_ids, len(dataset.attrs),
-                                          "scenario3"))
+                                          "scenario3", (1, 5)))
     _check_outcome(*_run("report", "-i", FIXTURE, "--schema", "scenario3",
                          "--model", str(path)))
+
+
+def test_mode_values_are_range_checked_only_when_a_range_is_given(model_doc, dataset):
+    # The CLI passes the schema's [likert_min, likert_max]; a caller that
+    # passes no range, as perfbench's cli._load_model(path, dataset) does,
+    # keeps the checks of before.
+    doc = json.loads(json.dumps(model_doc))
+    doc["modes"][0][0] = 99
+    args = (json.dumps(doc), dataset.row_ids, len(dataset.attrs), "scenario3")
+    assert documents.load_model(*args).modes[0].values[0] == 99
+    with pytest.raises(ValueError) as info:
+        documents.load_model(*args, (1, 5))
+    assert str(info.value) == "model mode 0 holds 99, outside the schema's range [1, 5]"
+    valid = (json.dumps(model_doc), *args[1:])
+    assert documents.load_model(*valid, (1, 5)) == documents.load_model(*valid)
 
 
 @settings(max_examples=120, deadline=None)
