@@ -624,7 +624,7 @@ def select_k(curve, epsilon: float = 0.05) -> int:
         if wcd <= tiny:
             return k
         if i + 1 < len(curve):
-            drop = (wcd - curve[i + 1][1]) / max(wcd, tiny)
+            drop = (wcd - curve[i + 1][1]) / wcd
             if drop < epsilon:
                 return k
     return curve[-1][0]

@@ -85,6 +85,10 @@ def label_clusters(model, profiles, schema) -> ClusterLabeling:
     if rows != n:
         raise AlignmentError(f"{rows} profiles for {n} assigned rows")
     k = len(model.modes)
+    sizes = list(map(model.assignments.count, range(k)))
+    outside = n - sum(sizes)
+    if outside:
+        raise ReportError(f"{outside} of {n} assignments lie outside 0..{k - 1}")
     sums = {}
     for d in dims:
         # += from 0.0 in row order; sum() rounds differently from Python
@@ -94,8 +98,7 @@ def label_clusters(model, profiles, schema) -> ClusterLabeling:
             acc[l] += v
         sums[d] = acc
     summaries = []
-    for l in range(k):
-        size = model.assignments.count(l)
+    for l, size in enumerate(sizes):
         if size == 0:
             raise ReportError(f"cluster {l} has no members; cannot label")
         mean = {d: sums[d][l] / size for d in dims}

@@ -12,10 +12,10 @@ import math
 import random
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from importlib import resources
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, chain, repeat
 from operator import add, itemgetter, mul, sub, truediv
 from pathlib import Path
 
@@ -235,22 +235,9 @@ def load_schema(source) -> SurveySchema:
 
 
 def schema_to_dict(schema: SurveySchema) -> dict:
-    return {
-        "name": schema.name,
-        "dimensions": list(schema.dimensions),
-        "likert_min": schema.likert_min,
-        "likert_max": schema.likert_max,
-        "missing_code": schema.missing_code,
-        "items": [
-            {
-                "column": item.column,
-                "dimension": item.dimension,
-                "keying": item.keying,
-                "text": item.text,
-            }
-            for item in schema.items
-        ],
-    }
+    doc = asdict(schema)
+    doc["dimensions"], doc["items"] = list(doc["dimensions"]), list(doc["items"])
+    return doc
 
 
 def dump_schema(schema: SurveySchema) -> str:
@@ -297,6 +284,7 @@ def parse_responses(text: str, schema: SurveySchema, delimiter: str = ",",
         pick = _picker(positions)
 
         lo, hi, miss = schema.likert_min, schema.likert_max, schema.missing_code
+        drop = missing_policy == "drop_row"
         # Every cell string the per-cell check has accepted, mapped to its
         # value, so a row of known strings is converted in one pass at C level.
         known = {}
@@ -318,27 +306,25 @@ def parse_responses(text: str, schema: SurveySchema, delimiter: str = ",",
             except KeyError:
                 row = _checked_cells(picked, columns, lineno, lo, hi, miss)
                 known.update(zip(picked, row))
-            rid = cells[id_pos] if id_pos is not None else str(len(rows))
+            rid = cells[id_pos] if id_pos is not None else str(len(seen_ids))
             if rid in seen_ids:
                 raise ParseError(f"row {lineno}: duplicate id {rid!r}")
             seen_ids.add(rid)
+            # A dropped row has had its cells and id checked; it is not held.
+            if drop and miss in row:
+                continue
             ids.append(rid)
             rows.append(row)
     except csv.Error as exc:
         raise ParseError(f"row {reader.line_num}: {exc}") from None
-    rows_read = len(rows)
 
     if missing_policy == "impute_mode":
-        kept_ids, kept_rows = ids, _impute_modes(rows, columns, lo, hi, miss)
-    else:
-        kept = [miss not in row for row in rows]
-        kept_ids = list(compress(ids, kept))
-        kept_rows = list(compress(rows, kept))
+        _impute_modes(rows, columns, lo, hi, miss)
 
     table = ResponseTable(
-        ids=tuple(kept_ids),
+        ids=tuple(ids),
         columns=columns,
-        rows=tuple(kept_rows),
+        rows=tuple(rows),
         id_name=id_name,
     )
     # The proof score_profiles trusts: each kept cell passed the per-cell
@@ -347,9 +333,9 @@ def parse_responses(text: str, schema: SurveySchema, delimiter: str = ",",
     # it and dataclasses.replace drops it.
     object.__setattr__(table, "_proven", (len(columns), lo, hi))
     report = ParseReport(
-        rows_read=rows_read,
-        rows_kept=len(kept_rows),
-        rows_dropped=rows_read - len(kept_rows),
+        rows_read=len(seen_ids),
+        rows_kept=len(rows),
+        rows_dropped=len(seen_ids) - len(rows),
     )
     return ParseResult(table=table, report=report)
 

@@ -99,6 +99,14 @@ class TestLabelClusters:
         with pytest.raises(ReportError, match="cluster 1 has no members"):
             label_clusters(_model((0,), 2), form(profiles, schema), schema)
 
+    @pytest.mark.parametrize("stray", [-1, 2])
+    def test_an_assignment_outside_the_clusters_is_refused(self, form, stray):
+        schema = load_schema(COMPASS_SCHEMA)
+        profiles = [_profile(North=80.0, South=20.0), _profile(North=10.0, South=90.0),
+                    _profile(North=60.0, South=40.0)]
+        with pytest.raises(ReportError, match=r"^1 of 3 assignments lie outside 0\.\.1$"):
+            label_clusters(_model((0, 1, stray), 2), form(profiles, schema), schema)
+
     def test_profile_count_must_match_assignments(self, form):
         schema = load_schema(COMPASS_SCHEMA)
         profiles = [_profile(North=50.0, South=50.0)]

@@ -853,19 +853,25 @@ def test_the_parse_reads_the_lines_and_records_stringio_yields(text):
 @pytest.mark.parametrize("policy", MISSING_POLICIES)
 def test_the_parse_holds_no_copy_of_its_input(policy):
     # The transient is the parse's tracemalloc peak less what its result
-    # keeps: 1.21 (drop_row) and 1.26 (impute_mode) bytes per input
-    # character here. csv.reader over io.StringIO(text), which copies the
-    # whole text at 4 bytes per character, read 5.21 and 5.27.
+    # keeps, in bytes per input character: 0.97 (drop_row) and 1.26
+    # (impute_mode) on the complete input, 1.19 and 1.24 with 2% of cells
+    # missing. csv.reader over io.StringIO(text), which copies the whole
+    # text at 4 bytes per character, read 5.21 and 5.27 on the first; a
+    # drop_row parse that held each dropped row until the end read 4.01 on
+    # the second.
     schema = load_schema("ocean50")
-    text = generate_synthetic(2000, schema, seed=11, noise=0.15).to_csv()
-    tracemalloc.start()
-    try:
-        result = parse_responses(text, schema, missing_policy=policy)
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert result.report.rows_kept == 2000
-    assert (peak - kept) / len(text) < 2.5
+    complete = generate_synthetic(2000, schema, seed=11, noise=0.15).to_csv()
+    _, holed = _ocean50_with_missing_cells()
+    holed_kept = 749 if policy == "drop_row" else 2000
+    for text, rows_kept in ((complete, 2000), (holed, holed_kept)):
+        tracemalloc.start()
+        try:
+            result = parse_responses(text, schema, missing_policy=policy)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (result.report.rows_read, result.report.rows_kept) == (2000, rows_kept)
+        assert (peak - kept) / len(text) < 2.5
 
 
 def _ocean50_with_missing_cells():
