@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from importlib import resources
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, repeat
 from operator import add, itemgetter, mul, sub, truediv
 from pathlib import Path
 
@@ -258,6 +258,16 @@ def parse_responses(text: str, schema: SurveySchema, delimiter: str = ",",
     pass check_delimiter.
     One leading UTF-8 byte-order mark, which spreadsheet exports often
     write, is dropped.
+
+    A row whose schema cells are each one accepted digit is converted by a
+    few C-level calls: the cells joined by "," must put such a digit at
+    every even position of 2m - 1 characters, for m schema columns, so the
+    commas can only be the separators. Any other row is converted through
+    the cell strings already accepted, and int() with the range check per
+    cell for a new one. Imputing codes that fit a byte, the kept rows' codes
+    are held in one bytearray, each column filled as a stride of it, and
+    the row tuples are built once from it; other codes are imputed in the
+    row tuples by a per-column count.
     """
     if missing_policy not in MISSING_POLICIES:
         raise ValueError(f"missing_policy must be one of {MISSING_POLICIES}, got {missing_policy!r}")
@@ -285,9 +295,24 @@ def parse_responses(text: str, schema: SurveySchema, delimiter: str = ",",
 
         lo, hi, miss = schema.likert_min, schema.likert_max, schema.missing_code
         drop = missing_policy == "drop_row"
+        m = len(columns)
+        # A row of one-digit cells is converted by a few C-level calls. Its
+        # cells joined by "," (a non-ASCII character encoded as one "?") must
+        # give 2m - 1 bytes with a digit the per-cell check accepts at each
+        # even position. The m - 1 separators, which are not digits, then fill
+        # the m - 1 odd positions, so each cell is one of those digits; a join
+        # without separators would take ("", "11", "1") for three cells. The
+        # digits come from 0-9 alone, as likert_max has no upper bound.
+        ok = bytes(d for d in b"0123456789" if lo <= d - 48 <= hi or d - 48 == miss)
+        value = bytes.maketrans(b"0123456789", bytes(range(10)))
+        width = 2 * m - 1
         # Every cell string the per-cell check has accepted, mapped to its
-        # value, so a row of known strings is converted in one pass at C level.
+        # value, so any other row of known strings is converted in one pass.
         known = {}
+        # Imputing codes that all fit a byte (lo >= 0), the kept rows' codes
+        # go into one bytearray, row after row, and are filled column by
+        # column after the read; otherwise rows are tuples from the start.
+        codes = bytearray() if not drop and 0 <= miss < 256 and hi < 256 else None
         ids, rows = [], []
         seen_ids = set()
         for lineno, cells in enumerate(reader, start=2):
@@ -298,14 +323,22 @@ def parse_responses(text: str, schema: SurveySchema, delimiter: str = ",",
                     f"row {lineno}: expected {len(header)} cells, found {len(cells)}"
                 )
             picked = pick(cells)
-            try:
-                # From a list, so the tuple is allocated at its size: tuple(map())
-                # grows it past pymalloc's 512-byte limit, and 50-answer rows then
-                # sit in the C heap, whose holes vary peak memory from run to run.
-                row = tuple([*map(known.__getitem__, picked)])
-            except KeyError:
-                row = _checked_cells(picked, columns, lineno, lo, hi, miss)
-                known.update(zip(picked, row))
+            joined = ",".join(picked).encode("ascii", "replace")
+            digits = joined[::2]
+            if len(joined) == width and not digits.translate(None, ok):
+                row = digits.translate(value)
+                if codes is None:
+                    row = tuple(row)
+            else:
+                try:
+                    # From a list, so the tuple is allocated at its size:
+                    # tuple(map()) grows it past pymalloc's 512-byte limit, and
+                    # 50-answer rows then sit in the C heap, whose holes vary
+                    # peak memory from run to run.
+                    row = tuple([*map(known.__getitem__, picked)])
+                except KeyError:
+                    row = _checked_cells(picked, columns, lineno, lo, hi, miss)
+                    known.update(zip(picked, row))
             rid = cells[id_pos] if id_pos is not None else str(len(seen_ids))
             if rid in seen_ids:
                 raise ParseError(f"row {lineno}: duplicate id {rid!r}")
@@ -314,12 +347,19 @@ def parse_responses(text: str, schema: SurveySchema, delimiter: str = ",",
             if drop and miss in row:
                 continue
             ids.append(rid)
-            rows.append(row)
+            if codes is None:
+                rows.append(row)
+            else:
+                codes.extend(row)
     except csv.Error as exc:
         raise ParseError(f"row {reader.line_num}: {exc}") from None
 
-    if missing_policy == "impute_mode":
-        _impute_modes(rows, columns, lo, hi, miss)
+    if codes is not None:
+        _impute_codes(codes, columns, lo, hi, miss)
+        rows = [tuple(codes[i:i + m]) for i in range(0, len(codes), m)]
+        del codes  # freed before the ResponseTable is built
+    elif missing_policy == "impute_mode":
+        _impute_modes(rows, columns, miss)
 
     table = ResponseTable(
         ids=tuple(ids),
@@ -372,37 +412,38 @@ def _checked_cells(cells, columns, lineno, lo, hi, miss):
     return tuple(row)
 
 
-def _impute_modes(rows, columns, lo, hi, miss):
+def _impute_codes(codes, columns, lo, hi, miss):
+    """Replace every missing code of the bytearray ``codes``, whose rows
+    are len(columns) codes each, in place with its column's most frequent
+    observed code (ties to the lowest). Column j is the stride codes[j::m],
+    whose codes bytes.count counts at C level without transposing."""
+    m = len(columns)
+    for j, col in enumerate(columns):
+        cells = codes[j::m]
+        if cells.count(miss):
+            counts = list(map(cells.count, range(lo, hi + 1)))
+            top = max(counts)
+            if not top:
+                raise ParseError(f"column {col!r}: every value is missing, cannot impute")
+            codes[j::m] = cells.replace(bytes([miss]), bytes([lo + counts.index(top)]))
+
+
+def _impute_modes(rows, columns, miss):
     """Replace every missing cell of the list rows, in place, with its
     column's most frequent observed value (ties to the lowest), and return
     rows. Only rows holding a missing cell are rebuilt; the others stay the
-    same objects."""
+    same objects. This serves the codes that ``_impute_codes`` cannot
+    hold, those that do not fit a byte."""
     fills = []
-    if 0 <= miss < 256 and hi < 256:
-        # Every code fits a byte (lo >= 0): column j is the stride blob[j::m],
-        # and bytes.count counts each code at C level without transposing.
-        m = len(columns)
-        blob = bytes(chain.from_iterable(rows))
-        for j, col in enumerate(columns):
-            cells = blob[j::m]
-            fill = None
-            if cells.count(miss):
-                counts = list(map(cells.count, range(lo, hi + 1)))
-                top = max(counts)
-                if not top:
-                    raise ParseError(f"column {col!r}: every value is missing, cannot impute")
-                fill = lo + counts.index(top)
-            fills.append(fill)
-    else:
-        for col, values in zip(columns, zip(*rows)):
-            counts = Counter(values)
-            fill = None
-            if counts.pop(miss, 0):
-                if not counts:
-                    raise ParseError(f"column {col!r}: every value is missing, cannot impute")
-                top = max(counts.values())
-                fill = min(v for v, cnt in counts.items() if cnt == top)
-            fills.append(fill)
+    for col, values in zip(columns, zip(*rows)):
+        counts = Counter(values)
+        fill = None
+        if counts.pop(miss, 0):
+            if not counts:
+                raise ParseError(f"column {col!r}: every value is missing, cannot impute")
+            top = max(counts.values())
+            fill = min(v for v, cnt in counts.items() if cnt == top)
+        fills.append(fill)
     for i, row in enumerate(rows):
         holes = row.count(miss)
         if holes:

@@ -7,7 +7,9 @@ import io
 import math
 import random
 import re
+import time
 import tracemalloc
+import weakref
 from importlib import resources
 from unittest import mock
 
@@ -346,17 +348,53 @@ class TestMissingValues:
         with pytest.raises(ParseError, match="every value is missing"):
             self._impute(["?", "?"], change)
 
-    @pytest.mark.parametrize("miss", [0, -1])  # the byte count, the fallback
+    @pytest.mark.parametrize("miss", [-1])  # codes that do not fit a byte
     def test_imputation_rebuilds_only_the_rows_with_a_missing_cell(self, miss):
         rows = [(1, 2, 3), (miss, 2, miss), (3, 3, 3), (1, miss, 3)]
         before = list(rows)
-        out = survey._impute_modes(rows, ("Q1", "Q2", "Q3"), 1, 5, miss)
+        out = survey._impute_modes(rows, ("Q1", "Q2", "Q3"), miss)
         assert out is rows
         assert rows == [(1, 2, 3), (1, 2, 3), (3, 3, 3), (1, 2, 3)]
         for i in (0, 2):
             assert rows[i] is before[i]
         for i in (1, 3):
             assert type(rows[i]) is tuple and rows[i] is not before[i]
+
+    def test_byte_imputation_frees_its_bytearray_before_the_table_is_built(self):
+        # Codes that fit a byte are imputed in one bytearray, which must be
+        # gone before the ResponseTable is built from the rows.
+        made, freed = [], []
+
+        class Codes(bytearray):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(weakref.ref(self))
+
+        def build(*args, **kwargs):
+            freed.extend(ref() is None for ref in made)
+            return ResponseTable(*args, **kwargs)
+
+        text = "Q1,Q2,Q3\n1,2,3\n0,2,0\n3,3,3\n1,0,3\n"
+        with mock.patch.object(survey, "bytearray", Codes, create=True), \
+                mock.patch.object(survey, "ResponseTable", build):
+            result = parse_responses(text, PARSE_SCHEMAS[0], missing_policy="impute_mode")
+        assert result.table.rows == ((1, 2, 3), (1, 2, 3), (3, 3, 3), (1, 2, 3))
+        assert freed == [True]
+
+    @pytest.mark.parametrize("policy", MISSING_POLICIES)
+    def test_a_likert_range_too_wide_to_iterate_parses_at_once(self, policy):
+        # Nothing may walk [likert_min, likert_max] here: not the one-digit
+        # check, and not the imputation, which counts codes by value.
+        schema = load_schema({**TINY_SCHEMA, "likert_max": 10**9, "items": [
+            {"column": f"Q{i}", "dimension": "D"} for i in (1, 2, 3)]})
+        text = "Q1,Q2,Q3\n1,0,3\n1000000000,2,3\n7,2,999\n"
+        start = time.perf_counter()
+        result = parse_responses(text, schema, missing_policy=policy)
+        assert time.perf_counter() - start < 5.0
+        kept = ((10**9, 2, 3), (7, 2, 999))
+        assert result.table.rows == (((1, 2, 3),) if policy == "impute_mode" else ()) + kept
+        assert _reference_outcome(text, schema, ",", policy) == _parse_outcome(
+            text, schema, ",", policy)
 
 
 class TestScoreProfile:
@@ -817,6 +855,58 @@ def test_parse_matches_the_per_cell_reference(data):
     assert table.columns == schema.columns
     assert [a.name for a in dataset.attrs] == list(schema.columns)
     assert (dataset.row_ids, dataset.rows) == (table.ids, table.rows)
+
+
+def _reference_outcome(text, schema, delimiter, policy):
+    """oracle.reference_parse's result, or the text of its error."""
+    try:
+        return oracle.reference_parse(
+            text, schema.columns, schema.likert_min, schema.likert_max,
+            schema.missing_code, delimiter, policy)
+    except oracle.ReferenceParseError as exc:
+        return str(exc)
+
+
+def _parse_outcome(text, schema, delimiter, policy):
+    """parse_responses' result in reference_parse's form, or the text of
+    its ParseError."""
+    try:
+        result = parse_responses(text, schema, delimiter=delimiter, missing_policy=policy)
+    except ParseError as exc:
+        return str(exc)
+    table, report = result.table, result.report
+    return (table.id_name, table.ids, table.rows,
+            tuple(a.categories for a in result.dataset.attrs),
+            (report.rows_read, report.rows_kept, report.rows_dropped))
+
+
+# Rows of three cells. The first four join to three digits without each
+# cell being one digit; a one-digit parse that checked only the joined
+# digits would accept them. "M" stands for the missing code.
+FAST_PATH_ROWS = [
+    ("", "11", "1"), ("1,", "", "1"), ("1", ",", "1"), ("", "", "111"),
+    ("11", "1", ""), (",", ",", "1"), ("1", "2", "3,"), ("1", "2", "3 "),
+    (" 1", "2", "3"), ("\u0661", "2", "3"), ("+1", "2", "3"), ("0", "1", "2"),
+    ("M", "1", "2"), ("M", "M", "M"), ("1", "2", "6"),
+]
+
+
+@pytest.mark.parametrize("delimiter", [",", ";"])
+@pytest.mark.parametrize("policy", MISSING_POLICIES)
+@pytest.mark.parametrize("miss", [0, -1])  # the bytearray, the fallback
+def test_the_one_digit_path_matches_the_per_cell_reference(miss, policy, delimiter):
+    schema = PARSE_SCHEMAS[miss]
+    base = [("a", "1", "2", "3"), ("b", "M", "2", "M"), ("c", "3", "3", "3"),
+            ("d", "1", "M", "3")]
+    for odd in FAST_PATH_ROWS:
+        buf = io.StringIO()
+        writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
+        writer.writerow(("id", "Q1", "Q2", "Q3"))
+        writer.writerows([[c.replace("M", str(miss)) for c in row]
+                          for row in [*base[:2], ("e", *odd), *base[2:]]])
+        text = buf.getvalue()
+        assert _parse_outcome(text, schema, delimiter, policy) == _reference_outcome(
+            text, schema, delimiter, policy), odd
 
 
 def _records(lines):
