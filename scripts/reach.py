@@ -6,6 +6,9 @@ count too:
 
 * every CLI command, on both files in data/ and on a generated ``ocean50``
   input, and ``python -m traitclust`` once;
+* ``score`` and ``report --aggregate mean``, under both missing policies, on
+  a Likert 1..10 input with missing code -1 and padded cells such as " 3",
+  whose rows the one-digit conversion leaves to the per-cell checks;
 * both example scripts, at small sizes;
 * for each perfbench workload, one set-up, one checked job and every probe
   at n=120, as tests/test_bench_probes.py runs them (perfbench/ is only
@@ -20,6 +23,7 @@ how many no caller ran, and those lines. Exits 1 if a caller fails.
 
 import contextlib
 import io
+import json
 import runpy
 import sys
 import tempfile
@@ -116,8 +120,24 @@ def _cli_callers(tmp: Path):
              stdin=Path(path).read_text(encoding="utf-8"))
         for fmt in ("json", "text", "piedata"):
             _cli("fuse", rep, str(tmp / "report0.json"), "--w", "0.3", "--format", fmt)
+    _wide_cell_callers(tmp)
     _run_as_main(["traitclust", "schema", "--list"],
                  lambda: runpy.run_module("traitclust", run_name="__main__"))
+
+
+def _wide_cell_callers(tmp: Path):
+    schema, path = tmp / "likert10.json", tmp / "likert10.csv"
+    schema.write_text(json.dumps({
+        "name": "likert10", "dimensions": ["A", "B"], "likert_min": 1, "likert_max": 10,
+        "missing_code": -1,
+        "items": [{"column": f"Q{i}", "dimension": "AB"[i % 2],
+                   "keying": "negative" if i == 3 else "positive"} for i in range(4)]}))
+    path.write_text("id,Q0,Q1,Q2,Q3\na,10,3,-1,7\nb, 3,9,2,-1\nc,1, 3,10,4\n"
+                    "d,3,3,3,3\ne, 3,-1, 3,8\nf,1,2,3,4\n")
+    for missing in ("drop", "impute"):
+        parse = ("-i", str(path), "--schema", str(schema), "--missing", missing)
+        _cli("score", *parse)
+        _cli("report", *parse, "--aggregate", "mean")
 
 
 def _script_callers():

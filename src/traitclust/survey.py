@@ -11,7 +11,6 @@ import io
 import math
 import random
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from importlib import resources
@@ -29,6 +28,9 @@ NEGATIVE = "negative"
 PRESETS = ("ocean50", "scenario", "scenario3", "iwp")
 
 MISSING_POLICIES = ("drop_row", "impute_mode")
+# A missing answer's code in the byte table that parse_responses fills: above
+# every Likert code, as SurveySchema bounds likert_max below it.
+_MISSING_BYTE = 255
 # The characters of input that parse_responses hands to io.StringIO at a
 # time, rounded up to a line end; StringIO copies them at 4 bytes each.
 _BLOCK = 8192
@@ -104,6 +106,9 @@ class SurveySchema:
             )
         if self.likert_min < 0:
             raise SchemaError(f"schema {self.name!r}: likert_min must be >= 0")
+        if self.likert_max >= _MISSING_BYTE:
+            raise SchemaError(f"schema {self.name!r}: likert_max must be <= "
+                              f"{_MISSING_BYTE - 1}, got {self.likert_max}")
         if self.likert_min <= self.missing_code <= self.likert_max:
             raise SchemaError(
                 f"schema {self.name!r}: missing_code {self.missing_code} lies inside "
@@ -260,9 +265,9 @@ def parse_responses(text: str, schema: SurveySchema, delimiter: str = ",",
     write, is dropped.
 
     A row of one-digit cells is converted at C level, by the comma rule
-    stated where it is checked, and byte-sized codes are imputed in one
-    bytearray; other rows and codes fall back to per-cell checks and a
-    Counter per column.
+    stated where it is checked; other rows by per-cell checks. Every kept
+    row goes into one byte table, a missing answer as byte 255, in which
+    imputation fills each column; the row tuples are built once from it.
     """
     if missing_policy not in MISSING_POLICIES:
         raise ValueError(f"missing_policy must be one of {MISSING_POLICIES}, got {missing_policy!r}")
@@ -298,20 +303,20 @@ def parse_responses(text: str, schema: SurveySchema, delimiter: str = ",",
         # digits, then fill the m - 1 odd positions, so each cell is one of
         # those digits; a join without separators would take ("", "11", "1")
         # for three cells. The length is tested first, so a row of wider cells
-        # costs only the join. The digits come from 0-9 alone, as likert_max
-        # has no upper bound.
+        # costs only the join. A digit's code is its value, or _MISSING_BYTE
+        # for the missing code.
         ok = bytes(d for d in b"0123456789" if lo <= d - 48 <= hi or d - 48 == miss)
-        value = bytes.maketrans(b"0123456789", bytes(range(10)))
+        value = bytes.maketrans(b"0123456789",
+                                bytes(_MISSING_BYTE if d == miss else d for d in range(10)))
         width = 2 * m - 1
         # Every cell string the per-cell check has accepted, mapped to its
-        # value, so any other row of known strings is converted in one pass:
+        # code, so any other row of known strings is converted in one pass:
         # without it, a Likert 1..10 input parses in twice the time.
         known = {}
-        # Imputing codes that all fit a byte (lo >= 0), the kept rows' codes
-        # go into one bytearray, row after row, and are filled column by
-        # column after the read; otherwise rows are tuples from the start.
-        codes = bytearray() if not drop and 0 <= miss < 256 and hi < 256 else None
-        ids, rows = [], []
+        # The kept rows' codes, row after row; imputation fills them column
+        # by column after the read.
+        codes = bytearray()
+        ids = []
         seen_ids = set()
         for lineno, cells in enumerate(reader, start=2):
             if not cells:
@@ -325,15 +330,9 @@ def parse_responses(text: str, schema: SurveySchema, delimiter: str = ",",
             if len(joined) == width and not (
                     digits := joined.encode("ascii", "replace")[::2]).translate(None, ok):
                 row = digits.translate(value)
-                if codes is None:
-                    row = tuple(row)
             else:
                 try:
-                    # From a list, so the tuple is allocated at its size:
-                    # tuple(map()) grows it past pymalloc's 512-byte limit, and
-                    # 50-answer rows then sit in the C heap, whose holes vary
-                    # peak memory from run to run.
-                    row = tuple([*map(known.__getitem__, picked)])
+                    row = bytes(map(known.__getitem__, picked))
                 except KeyError:
                     row = _checked_cells(picked, columns, lineno, lo, hi, miss)
                     known.update(zip(picked, row))
@@ -342,22 +341,17 @@ def parse_responses(text: str, schema: SurveySchema, delimiter: str = ",",
                 raise ParseError(f"row {lineno}: duplicate id {rid!r}")
             seen_ids.add(rid)
             # A dropped row has had its cells and id checked; it is not held.
-            if drop and miss in row:
+            if drop and _MISSING_BYTE in row:
                 continue
             ids.append(rid)
-            if codes is None:
-                rows.append(row)
-            else:
-                codes.extend(row)
+            codes.extend(row)
     except csv.Error as exc:
         raise ParseError(f"row {reader.line_num}: {exc}") from None
 
-    if codes is not None:
-        _impute_codes(codes, columns, lo, hi, miss)
-        rows = [tuple(codes[i:i + m]) for i in range(0, len(codes), m)]
-        del codes  # freed before the ResponseTable is built
-    elif missing_policy == "impute_mode":
-        _impute_modes(rows, columns, miss)
+    if not drop:
+        _impute_codes(codes, columns, lo, hi)
+    rows = [tuple(codes[i:i + m]) for i in range(0, len(codes), m)]
+    del codes  # freed before the ResponseTable is built
 
     table = ResponseTable(
         ids=tuple(ids),
@@ -391,8 +385,9 @@ def _lines(text):
 
 
 def _checked_cells(cells, columns, lineno, lo, hi, miss):
-    """Convert one row's schema cells with int() and the range check,
-    raising for the first bad cell."""
+    """Convert one row's schema cells with int() and the range check to
+    bytes, a missing answer as _MISSING_BYTE, raising for the first bad
+    cell."""
     row = []
     for col, cell in zip(columns, cells):
         try:
@@ -406,54 +401,25 @@ def _checked_cells(cells, columns, lineno, lo, hi, miss):
                 f"row {lineno}, column {col!r}: value {v} outside [{lo}, {hi}] "
                 f"and not the missing code {miss}"
             )
-        row.append(v)
-    return tuple(row)
+        row.append(_MISSING_BYTE if v == miss else v)
+    return bytes(row)
 
 
-def _impute_codes(codes, columns, lo, hi, miss):
-    """Replace every missing code of the bytearray ``codes``, whose rows
-    are len(columns) codes each, in place with its column's most frequent
-    observed code (ties to the lowest). Column j is the stride codes[j::m],
-    whose codes bytes.count counts at C level without transposing."""
+def _impute_codes(codes, columns, lo, hi):
+    """Replace every missing answer (_MISSING_BYTE) of the bytearray
+    ``codes``, whose rows are len(columns) codes each, in place with its
+    column's most frequent observed code (ties to the lowest). Column j is
+    the stride codes[j::m], whose codes bytes.count counts at C level
+    without transposing."""
     m = len(columns)
     for j, col in enumerate(columns):
         cells = codes[j::m]
-        if cells.count(miss):
+        if _MISSING_BYTE in cells:
             counts = list(map(cells.count, range(lo, hi + 1)))
             top = max(counts)
             if not top:
                 raise ParseError(f"column {col!r}: every value is missing, cannot impute")
-            codes[j::m] = cells.replace(bytes([miss]), bytes([lo + counts.index(top)]))
-
-
-def _impute_modes(rows, columns, miss):
-    """Replace every missing cell of the list rows, in place, with its
-    column's most frequent observed value (ties to the lowest), and return
-    rows. Only rows holding a missing cell are rebuilt; the others stay the
-    same objects. This serves the codes that ``_impute_codes`` cannot
-    hold, those that do not fit a byte."""
-    fills = []
-    for col, values in zip(columns, zip(*rows)):
-        counts = Counter(values)
-        fill = None
-        if counts.pop(miss, 0):
-            if not counts:
-                raise ParseError(f"column {col!r}: every value is missing, cannot impute")
-            top = max(counts.values())
-            fill = min(v for v, cnt in counts.items() if cnt == top)
-        fills.append(fill)
-    for i, row in enumerate(rows):
-        holes = row.count(miss)
-        if holes:
-            cells = list(row)
-            j = -1
-            for _ in range(holes):
-                j = cells.index(miss, j + 1)
-                cells[j] = fills[j]
-            # Written back at once, so the old tuple is freed now rather
-            # than living beside its copy until the parse returns.
-            rows[i] = tuple(cells)
-    return rows
+            codes[j::m] = cells.replace(bytes([_MISSING_BYTE]), bytes([lo + counts.index(top)]))
 
 
 def score_profile(values, schema: SurveySchema) -> TraitProfile:

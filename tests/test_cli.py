@@ -806,6 +806,7 @@ class _UnreadStdin(io.StringIO):
 # working directory, holds a JSON list where a document needs an object, and
 # deep.json nests lists past the JSON decoder's depth. wide-header.csv and
 # wide-row.csv are the input with one field over the csv module's size limit.
+# likert300.json is scenario3 with a likert_max past the parse's byte table.
 @pytest.mark.parametrize("argv, code, message", [
     pytest.param(("fit", *_PARSED, "--k", "0"), 2, "k must be >= 1, got 0", id="fit k=0"),
     pytest.param(("report", *_PARSED, "--k", "0"), 2, "k must be >= 1, got 0",
@@ -854,6 +855,10 @@ class _UnreadStdin(io.StringIO):
       for command, more in [("score", ()), ("fit", ("--k", "2")), ("report", ("--k", "2")),
                             ("elbow", ("--k-max", "3"))]
       for where, line in [("header", 1), ("row", 3)]),
+    *(pytest.param((command, *_PARSED[:2], "--schema", "likert300.json", *more), 1,
+                   "schema 'scenario3': likert_max must be <= 254, got 300",
+                   id=f"{command} likert_max=300")
+      for command, more in [("score", ()), ("fit", ("--k", "2")), ("report", ("--k", "2"))]),
     # stdin holds one input, so a second read would see it empty: refused
     # before either is read.
     pytest.param(("report", "-i", "-", "--schema", "scenario3", "--model", "-"), 1,
@@ -892,6 +897,8 @@ def test_every_refusal_prints_one_error_line_and_no_output(
     # <key>.json is a model of the input whose config holds a bad <key>.
     (tmp_path / "list.json").write_text("[]\n")
     (tmp_path / "deep.json").write_text("[" * 200_000)
+    (tmp_path / "likert300.json").write_text(json.dumps(
+        {**survey.schema_to_dict(load_schema("scenario3")), "likert_max": 300}))
     lines = APPLICANT_CSV.read_text().splitlines(keepends=True)
     wide = "x" * (csv.field_size_limit() + 1)
     (tmp_path / "wide-header.csv").write_text("".join([lines[0].rstrip() + f",{wide}\n",
