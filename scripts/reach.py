@@ -6,9 +6,11 @@ count too:
 
 * every CLI command, on both files in data/ and on a generated ``ocean50``
   input, and ``python -m traitclust`` once;
-* ``score`` and ``report --aggregate mean``, under both missing policies, on
-  a Likert 1..10 input with missing code -1 and padded cells such as " 3",
-  whose rows the one-digit conversion leaves to the per-cell checks;
+* ``score``, ``report --aggregate mean`` and ``report --k 2``, under both
+  missing policies, on a Likert 1..10 input with missing code -1 and padded
+  cells such as " 3", whose rows the one-digit conversion leaves to the
+  per-cell checks and whose codes the fit encodes in first-appearance
+  order;
 * both example scripts, at small sizes;
 * for each perfbench workload, one set-up, one checked job and every probe
   at n=120, as tests/test_bench_probes.py runs them (perfbench/ is only
@@ -138,6 +140,7 @@ def _wide_cell_callers(tmp: Path):
         parse = ("-i", str(path), "--schema", str(schema), "--missing", missing)
         _cli("score", *parse)
         _cli("report", *parse, "--aggregate", "mean")
+        _cli("report", *parse, "--k", "2")
 
 
 def _script_callers():

@@ -31,6 +31,9 @@ MISSING_POLICIES = ("drop_row", "impute_mode")
 # A missing answer's code in the byte table that parse_responses fills: above
 # every Likert code, as SurveySchema bounds likert_max below it.
 _MISSING_BYTE = 255
+# What score_profile raises for a row whose raw scores are all zero, and
+# score_profiles after the row's id.
+_DEGENERATE = "all raw scores are zero; percentages are undefined"
 # The characters of input that parse_responses hands to io.StringIO at a
 # time, rounded up to a line end; StringIO copies them at 4 bytes each.
 _BLOCK = 8192
@@ -133,8 +136,9 @@ class SurveySchema:
 @dataclass(frozen=True)
 class ResponseTable:
     """Parsed (or generated) answers: one id and one int row per respondent.
-    A parsed table also carries ``_proven``, which is not a field (see
-    ``parse_responses``)."""
+    Only a table that ``parse_responses`` returned can be scored in bulk by
+    ``score_profiles``: it carries the parse's proof, ``_proven``, which is
+    not a field."""
 
     ids: tuple
     columns: tuple[str, ...]
@@ -359,11 +363,12 @@ def parse_responses(text: str, schema: SurveySchema, delimiter: str = ",",
         rows=tuple(rows),
         id_name=id_name,
     )
-    # The proof score_profiles trusts: each kept cell passed the per-cell
-    # check and is not the missing code (dropped, or imputed with an
-    # observed answer). Not a field, so equality, hashing and repr ignore
-    # it and dataclasses.replace drops it.
-    object.__setattr__(table, "_proven", (len(columns), lo, hi))
+    # The proof score_profiles requires: each kept cell of these columns, in
+    # this order, passed the per-cell check for [lo, hi] and is not the
+    # missing code (dropped, or imputed with an observed answer). Not a
+    # field, so equality, hashing and repr ignore it and dataclasses.replace
+    # drops it.
+    object.__setattr__(table, "_proven", (columns, lo, hi))
     report = ParseReport(
         rows_read=len(seen_ids),
         rows_kept=len(rows),
@@ -448,57 +453,43 @@ def score_profile(values, schema: SurveySchema) -> TraitProfile:
     ]))
     total = float(sum(raw.values()))
     if total == 0:
-        raise DegenerateProfileError("all raw scores are zero; percentages are undefined")
+        raise DegenerateProfileError(_DEGENERATE)
     return TraitProfile(raw=raw, percent={d: 100.0 * v / total for d, v in raw.items()})
 
 
-def score_profiles(rows, schema: SurveySchema):
-    """Score many answer vectors, or a ``ResponseTable``, at once. Returns
+def score_profiles(table: ResponseTable, schema: SurveySchema):
+    """Score every row of a table that ``parse_responses`` returned under a
+    schema with this schema's columns, in order, and Likert range. Returns
     ``(raw, percent)``, each a dict from dimension to a list with one value
     per row, equal to what ``score_profile`` gives row by row (``float.hex``
     for percentages).
 
-    A table from ``parse_responses`` whose proof matches the schema's item
-    count and Likert range is not checked again. Any other input is checked
-    row by row by ``score_profile``'s check, so the first row it rejects
-    raises its error; this is slower, and only tests send such input. A row
-    whose raw scores are all zero raises DegenerateProfileError naming the
-    row: its id for a table, its 0-based position otherwise. The raw scores
-    follow score_profile's rule, the schema's score plan, applied to every
-    row at C level one dimension at a time, so no transposed copy is held."""
-    proven = (len(schema.items), schema.likert_min, schema.likert_max)
-    checked = getattr(rows, "_proven", None) == proven
-    if isinstance(rows, ResponseTable):
-        names, rows = rows.ids, rows.rows
-    else:
-        rows = [tuple(r) for r in rows]
-        names = range(len(rows))
-    n = len(rows)
-    if not checked:
-        _check_rows(rows, names, schema)
+    The parse's proof stands for ``score_profile``'s check, so no row is
+    checked again. Any other input, such as a list of rows or a table built
+    by hand or with ``dataclasses.replace``, raises ValueError: score such
+    rows with ``score_profile``. A row whose raw scores are all zero raises
+    DegenerateProfileError naming the row by its id. The raw scores follow
+    score_profile's rule, the schema's score plan, applied to every row at C
+    level one dimension at a time, so no transposed copy is held."""
+    if getattr(table, "_proven", None) != (schema.columns, schema.likert_min,
+                                           schema.likert_max):
+        raise ValueError(
+            f"score_profiles needs a table parse_responses returned under schema "
+            f"{schema.name!r} (its columns and Likert range); score other rows "
+            f"with score_profile")
+    rows = table.rows
     raw = {d: list(map(sub, map(sum, map(pos, rows), repeat(reversal)),
                        map(sum, map(neg, rows))))
            for d, (pos, neg, reversal) in zip(schema.dimensions, schema._score_plan)}
-    totals = [0] * n
+    totals = [0] * len(rows)
     for col in raw.values():
         totals = list(map(add, totals, col))
     if 0 in totals:
-        i = totals.index(0)
-        _check_rows(rows[i:i + 1], names[i:i + 1], schema)  # raises, naming row i
+        raise DegenerateProfileError(f"row {table.ids[totals.index(0)]!r}: {_DEGENERATE}")
     totals = list(map(float, totals))
     percent = {d: list(map(truediv, map(mul, repeat(100.0), col), totals))
                for d, col in raw.items()}
     return raw, percent
-
-
-def _check_rows(rows, names, schema):
-    """Score each row alone, so the first row score_profile rejects raises
-    its error; a degenerate row's error is prefixed with its name."""
-    for name, row in zip(names, rows):
-        try:
-            score_profile(row, schema)
-        except DegenerateProfileError as exc:
-            raise DegenerateProfileError(f"row {name!r}: {exc}") from None
 
 
 def _plain_answers(values, lo, hi) -> bool:

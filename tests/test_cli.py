@@ -8,7 +8,7 @@ import json
 import pytest
 
 from traitclust import (
-    DegenerateProfileError, FitConfig, ResponseTable, cli, dump_schema, elbow_scan,
+    DegenerateProfileError, FitConfig, cli, dump_schema, elbow_scan,
     emit_report, fit, generate_synthetic, kmodes, label_clusters, load_schema,
     parse_responses, personality_percentages, score_profile, score_profiles, survey,
 )
@@ -706,19 +706,14 @@ def test_an_all_zero_row_is_refused_by_the_library_and_the_cli_alike(capsys, tmp
     message = "all raw scores are zero; percentages are undefined"
     with pytest.raises(DegenerateProfileError) as one:
         score_profile(rows[1], schema)
-    with pytest.raises(DegenerateProfileError) as many:
-        score_profiles(rows, schema)
     assert str(one.value) == message
-    assert str(many.value) == f"row 1: {message}"
     (tmp_path / "zero.json").write_text(json.dumps(doc))
     text = "who,Q1,Q2\n" + "".join(f"r{i},{a},{b}\n" for i, (a, b) in enumerate(rows))
     (tmp_path / "in.csv").write_text(text)
-    # A table names the row by its id, whether the parse proved it or not.
-    parsed = parse_responses(text, schema).table
-    for table in (parsed, ResponseTable(parsed.ids, parsed.columns, parsed.rows)):
-        with pytest.raises(DegenerateProfileError) as named:
-            score_profiles(table, schema)
-        assert str(named.value) == f"row 'r1': {message}"
+    # A parsed table names the row by its id.
+    with pytest.raises(DegenerateProfileError) as named:
+        score_profiles(parse_responses(text, schema).table, schema)
+    assert str(named.value) == f"row 'r1': {message}"
     parse = ("-i", str(tmp_path / "in.csv"), "--schema", str(tmp_path / "zero.json"))
     for argv in (("score",), ("score", "--format", "json"), ("report", "--aggregate", "mean")):
         assert run(capsys, *argv, *parse) == (1, "", f"error: row 'r1': {message}\n")
@@ -769,7 +764,7 @@ def test_answers_of_eight_and_above_run_through_the_cli_as_through_the_library(
     assert max(max(row) for row in parsed.table.rows) == 10
     config = FitConfig(k=3, seed=2, restarts=2)
     model = fit(parsed.dataset, config)
-    _, percent = score_profiles(parsed.table.rows, schema)
+    _, percent = score_profiles(parsed.table, schema)
     expected = emit_report(personality_percentages(label_clusters(model, percent, schema)), "json")
 
     parse = ("-i", str(tmp_path / "in.csv"), "--schema", str(tmp_path / "likert10.json"),

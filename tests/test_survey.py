@@ -634,9 +634,6 @@ ZERO_FLOOR_SCHEMA = {
     "likert_min": 0, "likert_max": 2, "missing_code": -1,
 }
 SCORE_SCHEMAS = [load_schema(name) for name in PRESETS] + [load_schema(ZERO_FLOOR_SCHEMA)]
-# Each is rejected by score_profile, except True, an int subclass it lets
-# through; "short" drops the row's last answer.
-PLANTED_ANSWERS = [3.0, "3", None, True, 6, -1, "short"]
 
 
 def _typed(values):
@@ -646,32 +643,26 @@ def _typed(values):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_score_profiles_match_score_profile(data):
+    # The drawn rows go through the parse, as every caller's table does.
     schema = data.draw(st.sampled_from(SCORE_SCHEMAS))
     m = len(schema.items)
     answers = st.lists(st.integers(schema.likert_min, schema.likert_max),
                        min_size=m, max_size=m)
     rows = data.draw(st.lists(answers, max_size=6))
-    for _ in range(data.draw(st.integers(0, 2)) if rows else 0):
-        row = rows[data.draw(st.integers(0, len(rows) - 1))]
-        planted = data.draw(st.sampled_from(PLANTED_ANSWERS))
-        if planted == "short":
-            row.pop()
-        elif row:  # a shortened row may be planted in again
-            row[data.draw(st.integers(0, len(row) - 1))] = planted
+    ids = [f"r{i}" for i in range(len(rows))]
+    text = ResponseTable(ids, schema.columns, rows, "who").to_csv()
+    table = parse_responses(text, schema).table
+    assert table.ids == tuple(ids)
     expected = []
-    for i, row in enumerate(rows):
+    for rid, row in zip(ids, rows):
         try:
             expected.append(score_profile(row, schema))
-        except ValueError as exc:
-            kind, message = type(exc), str(exc)
-            if kind is DegenerateProfileError:  # score_profiles names the row
-                message = f"row {i}: {message}"
-            with pytest.raises(kind) as info:
-                score_profiles(rows, schema)
-            assert type(info.value) is kind
-            assert str(info.value) == message
+        except DegenerateProfileError as exc:  # score_profiles names the row
+            with pytest.raises(DegenerateProfileError) as info:
+                score_profiles(table, schema)
+            assert str(info.value) == f"row {rid!r}: {exc}"
             return
-    raw, percent = score_profiles(rows, schema)
+    raw, percent = score_profiles(table, schema)
     assert list(raw) == list(percent) == list(schema.dimensions)
     for d in schema.dimensions:
         assert _typed(raw[d]) == _typed(p.raw[d] for p in expected)
@@ -679,8 +670,8 @@ def test_score_profiles_match_score_profile(data):
 
 
 class TestScoringAParsedTable:
-    """score_profiles trusts the proof parse_responses puts on its table
-    only when it matches the schema; every other input is checked."""
+    """score_profiles scores only a table whose parse proof matches the
+    schema's columns and Likert range; it refuses every other input."""
 
     SCHEMA = load_schema({
         "name": "three", "dimensions": ["A", "B"],
@@ -696,72 +687,51 @@ class TestScoringAParsedTable:
     def test_the_proof_is_not_a_field(self, policy):
         table = parse_responses(self.TEXT, self.SCHEMA, missing_policy=policy).table
         plain = ResponseTable(table.ids, table.columns, table.rows, table.id_name)
-        assert table._proven == (3, 1, 5)
+        assert table._proven == (("Q1", "Q2", "Q3"), 1, 5)
         assert not hasattr(plain, "_proven")
         assert table == plain and hash(table) == hash(plain)
         assert repr(table) == repr(plain)
         assert "proven" not in repr(table)
         assert not hasattr(dataclasses.replace(table), "_proven")
 
-    @pytest.mark.parametrize("bad", [3.0, 6])
-    def test_a_hand_built_table_is_checked_row_by_row(self, bad):
-        table = ResponseTable(("x", "y"), self.SCHEMA.columns, ((1, 2, 3), (4, bad, 2)))
-        with pytest.raises(ValueError) as info:
-            score_profiles(table, self.SCHEMA)
-        assert str(info.value) == (
-            f"item 'Q2': answer {bad!r} outside the Likert range [1, 5] "
-            "(impute or drop missing values before scoring)")
-
-    def test_a_replaced_table_loses_the_proof(self):
+    @pytest.mark.parametrize("given", ["rows", "hand-built", "replaced", "range", "order"])
+    def test_anything_but_a_table_parsed_under_the_schema_is_refused(self, given):
         table = parse_responses(self.TEXT, self.SCHEMA, missing_policy="impute_mode").table
-        replaced = dataclasses.replace(table, rows=(*table.rows[:2], (5, 2, 6)))
+        schema = self.SCHEMA
+        if given == "rows":
+            table = list(table.rows)
+        elif given == "hand-built":
+            table = ResponseTable(table.ids, table.columns, table.rows, table.id_name)
+        elif given == "replaced":
+            table = dataclasses.replace(table)
+        elif given == "range":
+            schema = dataclasses.replace(schema, likert_max=4)
+        else:  # the same columns in another order: by position, Q1's answers would be Q3's
+            schema = dataclasses.replace(schema, items=schema.items[::-1])
+            assert sorted(schema.columns) == sorted(table.columns) != list(schema.columns)
         with pytest.raises(ValueError) as info:
-            score_profiles(replaced, self.SCHEMA)
+            score_profiles(table, schema)
+        assert type(info.value) is ValueError
         assert str(info.value) == (
-            "item 'Q3': answer 6 outside the Likert range [1, 5] "
-            "(impute or drop missing values before scoring)")
-
-    def test_a_proof_for_another_range_is_not_trusted(self):
-        table = parse_responses(self.TEXT, self.SCHEMA, missing_policy="impute_mode").table
-        narrow = dataclasses.replace(self.SCHEMA, likert_max=4)
-        with pytest.raises(ValueError) as info:
-            score_profiles(table, narrow)
-        assert str(info.value) == (
-            "item 'Q2': answer 5 outside the Likert range [1, 4] "
-            "(impute or drop missing values before scoring)")
+            "score_profiles needs a table parse_responses returned under schema 'three' "
+            "(its columns and Likert range); score other rows with score_profile")
 
     def test_no_rows_score_to_empty_lists(self):
         table = parse_responses("who,Q1,Q2,Q3\n", self.SCHEMA).table
-        assert table.n == 0 and table._proven == (3, 1, 5)
-        for rows in (table, []):
-            raw, percent = score_profiles(rows, self.SCHEMA)
-            assert raw == percent == {"A": [], "B": []}
-            assert {type(v) for v in (*raw.values(), *percent.values())} == {list}
+        assert table.n == 0 and table._proven == (self.SCHEMA.columns, 1, 5)
+        raw, percent = score_profiles(table, self.SCHEMA)
+        assert raw == percent == {"A": [], "B": []}
+        assert {type(v) for v in (*raw.values(), *percent.values())} == {list}
 
-    def test_only_unproven_rows_are_checked(self, monkeypatch):
+    def test_a_parsed_table_is_not_checked_again(self, monkeypatch):
         schema, text = _ocean50_with_missing_cells()
         table = parse_responses(text, schema, missing_policy="impute_mode").table
         calls = []
         check = survey._plain_answers
         monkeypatch.setattr(survey, "_plain_answers",
                             lambda *args: calls.append(1) or check(*args))
-        proven = score_profiles(table, schema)
+        score_profiles(table, schema)
         assert calls == []
-        assert score_profiles(list(table.rows), schema) == proven
-        assert len(calls) >= 1
-
-
-@pytest.mark.parametrize("later", [(True, 1, 1), (3.0, 1, 1)], ids=["bool", "float"])
-def test_a_degenerate_row_is_named_when_every_row_is_checked(later):
-    # A later column fails the plain-int check, so each row is scored
-    # alone; the all-zero row comes first and is named as the sums name it.
-    schema = load_schema(ZERO_FLOOR_SCHEMA)
-    rows = [(1, 2, 0), (0, 0, 0), later]
-    message = "all raw scores are zero; percentages are undefined"
-    for scored, name in ((rows, "1"), (ResponseTable("abc", schema.columns, rows), "'b'")):
-        with pytest.raises(DegenerateProfileError) as info:
-            score_profiles(scored, schema)
-        assert str(info.value) == f"row {name}: {message}"
 
 
 PARSE_SCHEMAS = {
@@ -1016,10 +986,9 @@ def test_ingest_is_bit_identical_to_the_golden_record(source, policy, applicant_
     assert _ingest_digests(text, schema, policy) == INGEST_GOLDEN[source, policy]
     dims = schema.dimensions
     table = parse_responses(text, schema, missing_policy=policy).table
-    # The parsed table is scored on the parse's proof, its rows with the
-    # full check; both give every score_profile value, type and float.hex.
-    for scored in (table, table.rows):
-        raw, percent = score_profiles(scored, schema)
-        batch = zip(zip(*(raw[d] for d in dims)), zip(*(percent[d] for d in dims)))
-        assert _scores_digest((dict(zip(dims, r)), dict(zip(dims, p))) for r, p in batch) == (
-            INGEST_GOLDEN[source, policy][1])
+    # The parsed table, scored on the parse's proof, gives every
+    # score_profile value, type and float.hex.
+    raw, percent = score_profiles(table, schema)
+    batch = zip(zip(*(raw[d] for d in dims)), zip(*(percent[d] for d in dims)))
+    assert _scores_digest((dict(zip(dims, r)), dict(zip(dims, p))) for r, p in batch) == (
+        INGEST_GOLDEN[source, policy][1])
