@@ -716,6 +716,28 @@ class TestScoringAParsedTable:
             "score_profiles needs a table parse_responses returned under schema 'three' "
             "(its columns and Likert range); score other rows with score_profile")
 
+    @pytest.mark.parametrize("other", ["rekeyed", "reordered"])
+    def test_a_proof_holds_for_any_schema_with_its_columns_and_range(self, other):
+        # The proof is compared by value: another schema object is accepted
+        # when its columns, in order, and range match the parse's. Parsed
+        # under the schema that scores it, a respondent's answers are read by
+        # column name, so reordering the items changes no profile.
+        if other == "rekeyed":  # Q2 scores A, positively
+            items = [dataclasses.replace(item, dimension="A", keying="positive")
+                     if item.column == "Q2" else item for item in self.SCHEMA.items]
+            schema = expected_schema = dataclasses.replace(self.SCHEMA, items=tuple(items))
+            parsed_under = self.SCHEMA
+        else:
+            schema = parsed_under = dataclasses.replace(self.SCHEMA, items=self.SCHEMA.items[::-1])
+            expected_schema = self.SCHEMA
+        table = parse_responses(self.TEXT, parsed_under, missing_policy="impute_mode").table
+        original = parse_responses(self.TEXT, self.SCHEMA, missing_policy="impute_mode").table
+        raw, percent = score_profiles(table, schema)
+        expected = [score_profile(row, expected_schema) for row in original.rows]
+        for d in self.SCHEMA.dimensions:
+            assert _typed(raw[d]) == _typed(p.raw[d] for p in expected)
+            assert [v.hex() for v in percent[d]] == [p.percent[d].hex() for p in expected]
+
     def test_no_rows_score_to_empty_lists(self):
         table = parse_responses("who,Q1,Q2,Q3\n", self.SCHEMA).table
         assert table.n == 0 and table._proven == (self.SCHEMA.columns, 1, 5)
