@@ -10,12 +10,13 @@ import csv
 import io
 import math
 import random
+import sys
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from importlib import resources
-from itertools import accumulate, repeat
-from operator import add, itemgetter, mul, sub, truediv
+from itertools import accumulate, chain
+from operator import itemgetter
 from pathlib import Path
 
 from . import documents
@@ -34,6 +35,9 @@ _MISSING_BYTE = 255
 # What score_profile raises for a row whose raw scores are all zero, and
 # score_profiles after the row's id.
 _DEGENERATE = "all raw scores are zero; percentages are undefined"
+# The memoryview format of a lane that score_profiles sums, by its width in
+# bytes, smallest first.
+_LANE_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 # The characters of input that parse_responses hands to io.StringIO at a
 # time, rounded up to a line end; StringIO copies them at 4 bytes each.
 _BLOCK = 8192
@@ -468,28 +472,63 @@ def score_profiles(table: ResponseTable, schema: SurveySchema):
     checked again. Any other input, such as a list of rows or a table built
     by hand or with ``dataclasses.replace``, raises ValueError: score such
     rows with ``score_profile``. A row whose raw scores are all zero raises
-    DegenerateProfileError naming the row by its id. The raw scores follow
-    score_profile's rule, the schema's score plan, applied to every row at C
-    level one dimension at a time, so no transposed copy is held."""
+    DegenerateProfileError naming the row by its id.
+
+    The raw scores follow score_profile's rule in lanes (SIMD within a
+    register). The table's codes are copied into one byte table, and each
+    of its columns is read as one int with a ``_lane_width(schema)``-byte
+    lane per row. A dimension's raw scores are its reversal constant in
+    every lane, plus its positive columns, minus its negative ones.
+    Big-int arithmetic is exact, so an intermediate may carry across
+    lanes; each final value fits its lane. The byte table is freed before
+    the lanes are read back."""
     if getattr(table, "_proven", None) != (schema.columns, schema.likert_min,
                                            schema.likert_max):
         raise ValueError(
             f"score_profiles needs a table parse_responses returned under schema "
             f"{schema.name!r} (its columns and Likert range); score other rows "
             f"with score_profile")
-    rows = table.rows
-    raw = {d: list(map(sub, map(sum, map(pos, rows), repeat(reversal)),
-                       map(sum, map(neg, rows))))
-           for d, (pos, neg, reversal) in zip(schema.dimensions, schema._score_plan)}
-    totals = [0] * len(rows)
-    for col in raw.values():
-        totals = list(map(add, totals, col))
+    n, m = table.n, len(schema.columns)
+    w = _lane_width(schema)
+    # A lane's low byte, as int.from_bytes and the cast read it.
+    low = 0 if sys.byteorder == "little" else w - 1
+
+    def lanes(cells):
+        """The n byte codes ``cells`` as one int, one w-byte lane each."""
+        if w > 1:
+            wide = bytearray(w * n)
+            wide[low::w] = cells
+            cells = wide
+        return int.from_bytes(cells, sys.byteorder)
+
+    def values(lane_sum):
+        return memoryview(lane_sum.to_bytes(w * n, sys.byteorder)).cast(
+            _LANE_FORMATS[w]).tolist()
+
+    # The parse proved every code an int in [likert_min, likert_max], and
+    # SurveySchema bounds likert_max below 255, so each fits a byte.
+    codes = bytearray(chain.from_iterable(table.rows))
+    ones = lanes(bytes([1]) * n)
+    sums = {d: reversal * ones
+            for d, (_, _, reversal) in zip(schema.dimensions, schema._score_plan)}
+    for j, item in enumerate(schema.items):
+        column = lanes(codes[j::m])
+        sums[item.dimension] += column if item.keying == POSITIVE else -column
+    del codes
+    totals = values(sum(sums.values()))
     if 0 in totals:
         raise DegenerateProfileError(f"row {table.ids[totals.index(0)]!r}: {_DEGENERATE}")
-    totals = list(map(float, totals))
-    percent = {d: list(map(truediv, map(mul, repeat(100.0), col), totals))
+    raw = {d: values(lane_sum) for d, lane_sum in sums.items()}
+    percent = {d: [100.0 * v / total for v, total in zip(col, totals)]
                for d, col in raw.items()}
     return raw, percent
+
+
+def _lane_width(schema: SurveySchema) -> int:
+    """The smallest lane width, in bytes, that holds len(columns) *
+    likert_max: each raw score and each row's total is at most that."""
+    top = len(schema.columns) * schema.likert_max
+    return next(w for w in _LANE_FORMATS if top < 256 ** w)
 
 
 def _plain_answers(values, lo, hi) -> bool:

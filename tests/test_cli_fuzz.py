@@ -7,7 +7,9 @@ under both missing policies, a report through ``fuse`` in both argument
 positions beside an ``--aggregate mean`` report, under every format. The
 exit code is 0, 1 or 2, nothing escapes ``cli.main``, and a non-zero exit
 writes nothing to stdout and exactly one ``error:`` line to stderr. The
-examples are derandomized, so every run tests the same inputs.
+examples are derandomized, so every run tests the same inputs. A report
+whose metadata digits are overwritten, which fuse does not read, fuses to
+the unmutated report's bytes.
 """
 
 import contextlib
@@ -109,3 +111,23 @@ def test_a_mutated_file_gives_a_result_or_one_error_line(files, data):
             assert out == "", argv
             assert err.startswith("error: ") and err.endswith("\n"), (argv, err)
             assert err.count("\n") == 1, (argv, err)
+
+
+@pytest.mark.parametrize("fields", [("k",), ("seed",), ("k", "seed")])
+def test_fuse_reads_no_metadata(files, fields):
+    # The drawn mutations rarely reach fuse's success path. Overwriting a
+    # digit of the report's metadata k or seed does, as fuse does not read
+    # metadata: every run writes the bytes of the unmutated report's run.
+    paths, originals, mean = files
+    mutated = bytearray(originals["report"])
+    for field in fields:
+        at = mutated.index(f'"{field}": '.encode()) + len(field) + 4
+        assert chr(mutated[at]).isdigit() and mutated[at] != ord("7")
+        mutated[at] = ord("7")
+    for command in _FUSES:
+        argv = [arg.format(report=paths["report"], mean=mean) for arg in command]
+        paths["report"].write_bytes(originals["report"])
+        expected = _run(argv)
+        assert expected[0] == 0 and expected[2] == "", (argv, expected)
+        paths["report"].write_bytes(mutated)
+        assert _run(argv) == expected, argv

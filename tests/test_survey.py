@@ -633,22 +633,41 @@ ZERO_FLOOR_SCHEMA = {
     ],
     "likert_min": 0, "likert_max": 2, "missing_code": -1,
 }
-SCORE_SCHEMAS = [load_schema(name) for name in PRESETS] + [load_schema(ZERO_FLOOR_SCHEMA)]
+
+
+def _lane_schema(name, items, lo, hi, negative=()):
+    """Items Q1..Q<items> on Likert lo..hi, alternating between dimensions
+    A and B, the item numbers in ``negative`` negatively keyed."""
+    return load_schema({
+        "name": name, "dimensions": ["A", "B"],
+        "items": [{"column": f"Q{i}", "dimension": "AB"[i % 2],
+                   "keying": "negative" if i in negative else "positive"}
+                  for i in range(1, items + 1)],
+        "likert_min": lo, "likert_max": hi,
+    })
+
+
+# Schemas at the edges of score_profiles' lane widths, each with the width
+# it takes: len(columns) * likert_max of 255 (one byte), 256 (two), and
+# 300 * 254 (four), and one negative item whose reversal constant, 300,
+# overflows a byte while its raw scores, 100..200, fit one.
+LANE_SCHEMAS = [
+    (_lane_schema("lanes-255", 3, 1, 85), 1),
+    (_lane_schema("lanes-256", 2, 1, 128, negative={2}), 2),
+    (_lane_schema("lanes-76200", 300, 1, 254, negative=range(3, 301, 3)), 4),
+    (_lane_schema("reversal-300", 1, 100, 200, negative={1}), 1),
+]
+SCORE_SCHEMAS = ([load_schema(name) for name in PRESETS] + [load_schema(ZERO_FLOOR_SCHEMA)]
+                 + [schema for schema, _ in LANE_SCHEMAS])
 
 
 def _typed(values):
     return [(type(v).__name__, v) for v in values]
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_score_profiles_match_score_profile(data):
-    # The drawn rows go through the parse, as every caller's table does.
-    schema = data.draw(st.sampled_from(SCORE_SCHEMAS))
-    m = len(schema.items)
-    answers = st.lists(st.integers(schema.likert_min, schema.likert_max),
-                       min_size=m, max_size=m)
-    rows = data.draw(st.lists(answers, max_size=6))
+def _check_scores_of_parsed_rows(schema, rows):
+    """score_profiles on the rows, parsed as every caller's table is, gives
+    what score_profile gives row by row, or names the first degenerate row."""
     ids = [f"r{i}" for i in range(len(rows))]
     text = ResponseTable(ids, schema.columns, rows, "who").to_csv()
     table = parse_responses(text, schema).table
@@ -667,6 +686,28 @@ def test_score_profiles_match_score_profile(data):
     for d in schema.dimensions:
         assert _typed(raw[d]) == _typed(p.raw[d] for p in expected)
         assert [v.hex() for v in percent[d]] == [p.percent[d].hex() for p in expected]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_score_profiles_match_score_profile(data):
+    schema = data.draw(st.sampled_from(SCORE_SCHEMAS))
+    m = len(schema.items)
+    answers = st.lists(st.integers(schema.likert_min, schema.likert_max),
+                       min_size=m, max_size=m)
+    _check_scores_of_parsed_rows(schema, data.draw(st.lists(answers, max_size=6)))
+
+
+@pytest.mark.parametrize("schema, width", LANE_SCHEMAS,
+                         ids=[schema.name for schema, _ in LANE_SCHEMAS])
+def test_lanes_hold_the_largest_scores(schema, width):
+    # A narrower lane overflows on the row with the largest raw scores and
+    # total, scored here; a wider one scores the same, so its width is pinned.
+    assert survey._lane_width(schema) == width
+    lo, hi = schema.likert_min, schema.likert_max
+    top = [hi if item.keying == "positive" else lo for item in schema.items]
+    bottom = [lo + hi - v for v in top]
+    _check_scores_of_parsed_rows(schema, [top, bottom, [hi] * len(top), [lo] * len(top), top])
 
 
 class TestScoringAParsedTable:
@@ -744,6 +785,17 @@ class TestScoringAParsedTable:
         raw, percent = score_profiles(table, self.SCHEMA)
         assert raw == percent == {"A": [], "B": []}
         assert {type(v) for v in (*raw.values(), *percent.values())} == {list}
+
+    def test_scoring_leaves_the_table_as_it_was(self):
+        # The byte table the lanes are summed from is freed, not kept on the
+        # table, where it would raise the peak of every later step.
+        schema, text = _ocean50_with_missing_cells()
+        table = parse_responses(text, schema, missing_policy="impute_mode").table
+        before, proven = dict(vars(table)), table._proven
+        first = score_profiles(table, schema)
+        assert score_profiles(table, schema) == first
+        assert vars(table) == before and table._proven == proven
+        assert all(vars(table)[name] is value for name, value in before.items())
 
     def test_a_parsed_table_is_not_checked_again(self, monkeypatch):
         schema, text = _ocean50_with_missing_cells()
