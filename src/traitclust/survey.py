@@ -142,7 +142,10 @@ class ResponseTable:
     """Parsed (or generated) answers: one id and one int row per respondent.
     Only a table that ``parse_responses`` returned can be scored in bulk by
     ``score_profiles``: it carries the parse's proof, ``_proven``, which is
-    not a field."""
+    not a field. It holds its codes as an n × m byte table, ``_codes``, in
+    place of ``rows`` until ``rows`` is first read (directly or by ``==``,
+    ``hash``, ``repr``, ``to_csv`` or ``dataclasses.replace``), which builds
+    the row tuples and drops the byte table: one form at a time."""
 
     ids: tuple
     columns: tuple[str, ...]
@@ -161,9 +164,23 @@ class ResponseTable:
                             if len(row) != m)
             raise AlignmentError(f"row {rid!r} has {len(row)} cells, expected {m}")
 
+    def __getattr__(self, name):
+        # Only on a failed lookup, as of ``rows`` on a parsed table. It reads
+        # __dict__ alone: pickle and copy look names up before they fill it.
+        # ``rows`` is set, first build kept, before ``_codes`` goes, so
+        # threads that race here all return the same rows.
+        table = vars(self)
+        codes = table.get("_codes") if name == "rows" else None
+        if codes is not None:
+            table.setdefault("rows", tuple(zip(*[iter(codes)] * len(self.columns))))
+            table.pop("_codes", None)
+        if name != "rows" or "rows" not in table:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return table["rows"]
+
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return len(self.ids)
 
     def to_csv(self, delimiter: str = ",") -> str:
         buf = io.StringIO()
@@ -197,7 +214,8 @@ class ParseResult:
     @cached_property
     def dataset(self) -> CategoricalDataset:
         """The table as a categorical dataset, built on first access (only a
-        fit needs it). It shares the table's row tuples and ids."""
+        fit needs it). It reads the table's rows, which builds them, and
+        shares the row tuples and ids."""
         table = self.table
         return CategoricalDataset(table.rows, table.columns, table.ids)
 
@@ -275,7 +293,9 @@ def parse_responses(text: str, schema: SurveySchema, delimiter: str = ",",
     A row of one-digit cells is converted at C level, by the comma rule
     stated where it is checked; other rows by per-cell checks. Every kept
     row goes into one byte table, a missing answer as byte 255, in which
-    imputation fills each column; the row tuples are built once from it.
+    imputation fills each column. The table keeps a copy of it in place of
+    its rows, which are built from it when first read; ``score_profiles``
+    and ``n`` read none.
     """
     if missing_policy not in MISSING_POLICIES:
         raise ValueError(f"missing_policy must be one of {MISSING_POLICIES}, got {missing_policy!r}")
@@ -358,25 +378,20 @@ def parse_responses(text: str, schema: SurveySchema, delimiter: str = ",",
 
     if not drop:
         _impute_codes(codes, columns, lo, hi)
-    rows = [tuple(codes[i:i + m]) for i in range(0, len(codes), m)]
-    del codes  # freed before the ResponseTable is built
 
-    table = ResponseTable(
-        ids=tuple(ids),
-        columns=columns,
-        rows=tuple(rows),
-        id_name=id_name,
-    )
-    # The proof score_profiles requires: each kept cell of these columns, in
-    # this order, passed the per-cell check for [lo, hi] and is not the
-    # missing code (dropped, or imputed with an observed answer). Not a
-    # field, so equality, hashing and repr ignore it and dataclasses.replace
-    # drops it.
-    object.__setattr__(table, "_proven", (columns, lo, hi))
+    # No rows, which ResponseTable.__getattr__ builds on first read: the
+    # codes as bytes, not the bytearray, and the proof score_profiles
+    # requires: each kept cell of these columns, in this order, passed the
+    # per-cell check for [lo, hi] and is not the missing code (dropped, or
+    # imputed with an observed answer). Not fields, so equality, hashing and
+    # repr ignore them and dataclasses.replace drops them.
+    table = object.__new__(ResponseTable)
+    vars(table).update(ids=tuple(ids), columns=columns, id_name=id_name,
+                       _codes=bytes(codes), _proven=(columns, lo, hi))
     report = ParseReport(
         rows_read=len(seen_ids),
-        rows_kept=len(rows),
-        rows_dropped=len(seen_ids) - len(rows),
+        rows_kept=len(ids),
+        rows_dropped=len(seen_ids) - len(ids),
     )
     return ParseResult(table=table, report=report)
 
@@ -475,13 +490,14 @@ def score_profiles(table: ResponseTable, schema: SurveySchema):
     DegenerateProfileError naming the row by its id.
 
     The raw scores follow score_profile's rule in lanes (SIMD within a
-    register). The table's codes are copied into one byte table, and each
-    of its columns is read as one int with a ``_lane_width(schema)``-byte
-    lane per row. A dimension's raw scores are its reversal constant in
-    every lane, plus its positive columns, minus its negative ones.
-    Big-int arithmetic is exact, so an intermediate may carry across
-    lanes; each final value fits its lane. The byte table is freed before
-    the lanes are read back."""
+    register). The lanes are read from the byte table the parse left on
+    the table, or, if its rows were read first (by a fit), from one built
+    from them and freed before the lanes are read back; no row tuple is
+    built. Each column of the byte table is read as one int with a
+    ``_lane_width(schema)``-byte lane per row. A dimension's raw scores are
+    its reversal constant in every lane, plus its positive columns, minus
+    its negative ones. Big-int arithmetic is exact, so an intermediate may
+    carry across lanes; each final value fits its lane."""
     if getattr(table, "_proven", None) != (schema.columns, schema.likert_min,
                                            schema.likert_max):
         raise ValueError(
@@ -507,7 +523,9 @@ def score_profiles(table: ResponseTable, schema: SurveySchema):
 
     # The parse proved every code an int in [likert_min, likert_max], and
     # SurveySchema bounds likert_max below 255, so each fits a byte.
-    codes = bytearray(chain.from_iterable(table.rows))
+    codes = getattr(table, "_codes", None)
+    if codes is None:
+        codes = bytearray(chain.from_iterable(table.rows))
     ones = lanes(bytes([1]) * n)
     sums = {d: reversal * ones
             for d, (_, _, reversal) in zip(schema.dimensions, schema._score_plan)}

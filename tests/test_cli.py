@@ -531,6 +531,43 @@ def test_report_and_score_run_without_datasets_or_profiles(capsys, monkeypatch, 
         assert run(capsys, *argv, "-i", FIXTURE, "--schema", "scenario3") == before
 
 
+@pytest.mark.parametrize("missing", ["drop", "impute"])
+def test_only_a_fit_builds_the_row_tuples(capsys, monkeypatch, tmp_path, missing):
+    # A parsed table holds its byte table until its rows are read. score,
+    # report --model and report --aggregate mean never read them, nor does
+    # the scoring step of report --k, which scores before it fits.
+    schema = load_schema("ocean50")
+    lines = generate_synthetic(40, schema, seed=3, noise=0.2).to_csv().splitlines(keepends=True)
+    lines[1], lines[2] = (line.replace(",3,", ",0,", 2) for line in lines[1:3])
+    data = tmp_path / "in.csv"
+    data.write_text("".join(lines))
+    parse = ("-i", str(data), "--schema", "ocean50", "--missing", missing)
+    model_path = str(tmp_path / "model.json")
+    assert run(capsys, "fit", *parse, "--k", "3", "-o", model_path) == (0, "", "")
+    tables, scored = [], []
+
+    def parse_responses(*args, **kwargs):
+        result = survey.parse_responses(*args, **kwargs)
+        tables.append(result.table)
+        return result
+
+    def score_profiles(table, schema):
+        scored.append("rows" in vars(table))
+        return survey.score_profiles(table, schema)
+
+    monkeypatch.setattr(cli, "parse_responses", parse_responses)
+    monkeypatch.setattr(cli, "score_profiles", score_profiles)
+    for argv, fits in [(("score",), False), (("score", "--format", "json"), False),
+                       (("report", "--model", model_path), False),
+                       (("report", "--aggregate", "mean"), False),
+                       (("report", "--k", "3"), True)]:
+        tables.clear(), scored.clear()
+        assert run(capsys, *argv, *parse)[0] == 0
+        (table,) = tables
+        assert scored == [False]
+        assert ("rows" in vars(table)) is fits is not ("_codes" in vars(table))
+
+
 class TestElbowCommand:
     def test_json_curve(self, capsys):
         code, out, _ = run(capsys, "elbow", "-i", FIXTURE, "--schema", "scenario3",

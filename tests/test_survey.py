@@ -1,15 +1,20 @@
 """Tests for schemas, response parsing, trait scoring, and synthesis."""
 
+import copy
 import csv
 import dataclasses
 import hashlib
 import io
 import math
+import pickle
 import random
 import re
+import sys
+import threading
 import tracemalloc
 import weakref
 from importlib import resources
+from itertools import chain
 from unittest import mock
 
 import pytest
@@ -361,29 +366,32 @@ class TestMissingValues:
             self._impute(["?", "?"], change)
 
     @pytest.mark.parametrize("policy", MISSING_POLICIES)
-    def test_the_parse_frees_its_bytearray_before_the_table_is_built(self, policy):
+    def test_a_parsed_table_holds_its_byte_table_or_its_rows_never_both(self, policy):
         # The kept rows' codes go into one bytearray, under either policy,
-        # which must be gone before the ResponseTable is built from the rows.
-        made, freed = [], []
+        # which is not kept: the table holds an n * m-byte copy in place of
+        # its rows until they are first read, then the rows alone.
+        made = []
 
         class Codes(bytearray):
             def __init__(self, *args):
                 super().__init__(*args)
                 made.append(weakref.ref(self))
 
-        def build(*args, **kwargs):
-            freed.extend(ref() is None for ref in made)
-            return ResponseTable(*args, **kwargs)
-
         text = "Q1,Q2,Q3\n1,2,3\n0,2,0\n3,3,3\n1,0,3\n"
-        with mock.patch.object(survey, "bytearray", Codes, create=True), \
-                mock.patch.object(survey, "ResponseTable", build):
-            result = parse_responses(text, PARSE_SCHEMAS[0], missing_policy=policy)
-        assert result.table.rows == {
+        with mock.patch.object(survey, "bytearray", Codes, create=True):
+            table = parse_responses(text, PARSE_SCHEMAS[0], missing_policy=policy).table
+        rows = {
             "drop_row": ((1, 2, 3), (3, 3, 3)),
             "impute_mode": ((1, 2, 3), (1, 2, 3), (3, 3, 3), (1, 2, 3)),
         }[policy]
-        assert freed == [True]
+        assert len(made) == 1 and made[0]() is None
+        assert set(vars(table)) == {"ids", "columns", "id_name", "_codes", "_proven"}
+        assert type(table._codes) is bytes
+        assert table._codes == bytes(chain.from_iterable(rows))
+        assert table.n == len(rows) and "rows" not in vars(table)
+        assert table.rows == rows
+        assert set(vars(table)) == {"ids", "columns", "id_name", "rows", "_proven"}
+        assert table.rows is vars(table)["rows"]
 
 
 class TestScoreProfile:
@@ -667,25 +675,30 @@ def _typed(values):
 
 def _check_scores_of_parsed_rows(schema, rows):
     """score_profiles on the rows, parsed as every caller's table is, gives
-    what score_profile gives row by row, or names the first degenerate row."""
+    what score_profile gives row by row, or names the first degenerate row:
+    from the byte table the parse holds, and from the rows when they were
+    read first, as a fit reads them."""
     ids = [f"r{i}" for i in range(len(rows))]
     text = ResponseTable(ids, schema.columns, rows, "who").to_csv()
-    table = parse_responses(text, schema).table
-    assert table.ids == tuple(ids)
+    held, read = (parse_responses(text, schema).table for _ in range(2))
+    assert read.rows == tuple(map(tuple, rows)) and read.ids == held.ids == tuple(ids)
     expected = []
     for rid, row in zip(ids, rows):
         try:
             expected.append(score_profile(row, schema))
         except DegenerateProfileError as exc:  # score_profiles names the row
-            with pytest.raises(DegenerateProfileError) as info:
-                score_profiles(table, schema)
-            assert str(info.value) == f"row {rid!r}: {exc}"
+            for table in (held, read):
+                with pytest.raises(DegenerateProfileError) as info:
+                    score_profiles(table, schema)
+                assert str(info.value) == f"row {rid!r}: {exc}"
             return
-    raw, percent = score_profiles(table, schema)
-    assert list(raw) == list(percent) == list(schema.dimensions)
-    for d in schema.dimensions:
-        assert _typed(raw[d]) == _typed(p.raw[d] for p in expected)
-        assert [v.hex() for v in percent[d]] == [p.percent[d].hex() for p in expected]
+    for table in (held, read):
+        raw, percent = score_profiles(table, schema)
+        assert list(raw) == list(percent) == list(schema.dimensions)
+        for d in schema.dimensions:
+            assert _typed(raw[d]) == _typed(p.raw[d] for p in expected)
+            assert [v.hex() for v in percent[d]] == [p.percent[d].hex() for p in expected]
+    assert "rows" not in vars(held)
 
 
 @settings(max_examples=300, deadline=None)
@@ -708,6 +721,99 @@ def test_lanes_hold_the_largest_scores(schema, width):
     top = [hi if item.keying == "positive" else lo for item in schema.items]
     bottom = [lo + hi - v for v in top]
     _check_scores_of_parsed_rows(schema, [top, bottom, [hi] * len(top), [lo] * len(top), top])
+
+
+@pytest.mark.parametrize("read", [False, True], ids=["held", "read"])
+class TestAParsedTableActsAsAHandBuiltOne:
+    """Before and after its rows are first read, a parsed table compares,
+    hashes, prints, writes and copies as a hand-built one with its fields;
+    a copy keeps the form and the proof, dataclasses.replace drops both."""
+
+    SCHEMA = load_schema("scenario3")
+    PLAIN = generate_synthetic(7, SCHEMA, seed=3, noise=0.5)
+
+    def _parsed(self, read):
+        table = parse_responses(self.PLAIN.to_csv(), self.SCHEMA).table
+        if read:
+            table.rows
+        assert ("rows" in vars(table)) is read is not ("_codes" in vars(table))
+        return table
+
+    @pytest.mark.parametrize("use", ["==", "!=", "hash", "repr", "to_csv", "n"])
+    def test_it_compares_prints_and_counts_as_a_hand_built_table(self, read, use):
+        other = dataclasses.replace(self.PLAIN, id_name="who")
+        act = {
+            "==": lambda t: (t == self.PLAIN, self.PLAIN == t, t == other),
+            "!=": lambda t: (t != self.PLAIN, self.PLAIN != t, t != other),
+            "hash": hash,
+            "repr": repr,
+            "to_csv": lambda t: (t.to_csv(), t.to_csv(";")),
+            "n": lambda t: t.n,
+        }[use]
+        table = self._parsed(read)
+        assert act(table) == act(self.PLAIN)
+        assert ("rows" in vars(table)) is (read or use != "n")
+
+    @pytest.mark.parametrize("how", ["copy", "deepcopy", *(
+        f"pickle-{protocol}" for protocol in range(pickle.HIGHEST_PROTOCOL + 1))])
+    def test_a_copy_keeps_the_form_and_the_proof(self, read, how):
+        copy_of = {"copy": copy.copy, "deepcopy": copy.deepcopy}.get(how) or (
+            lambda t: pickle.loads(pickle.dumps(t, int(how.split("-")[1]))))
+        table = self._parsed(read)
+        names = set(vars(table))
+        dup = copy_of(table)
+        assert set(vars(table)) == set(vars(dup)) == names
+        assert dup._proven == table._proven
+        assert score_profiles(dup, self.SCHEMA) == score_profiles(table, self.SCHEMA)
+        assert set(vars(dup)) == names
+        assert (dup, hash(dup), repr(dup)) == (self.PLAIN, hash(self.PLAIN), repr(self.PLAIN))
+        assert dup.rows is vars(dup)["rows"] and "_codes" not in vars(dup)
+
+    def test_replace_drops_the_byte_table_and_the_proof(self, read):
+        plain = dataclasses.replace(self._parsed(read))
+        assert set(vars(plain)) == {"ids", "columns", "rows", "id_name"}
+        assert plain == self.PLAIN
+        with pytest.raises(ValueError, match="^score_profiles needs a table"):
+            score_profiles(plain, self.SCHEMA)
+
+
+def test_a_table_that_is_not_yet_filled_has_no_rows():
+    # pickle and copy make a table with an empty __dict__ and look names up
+    # on it (on Python 3.10, __getstate__ too) before they fill it; none may
+    # recurse into the rows' build.
+    table = object.__new__(ResponseTable)
+    for name in ("rows", "_codes", "_proven", "ids", "columns", "__setstate__"):
+        assert not hasattr(table, name)
+    with pytest.raises(AttributeError, match="^'ResponseTable' object has no attribute 'rows'$"):
+        table.rows
+
+
+def test_threads_that_read_the_rows_at_once_all_get_the_same_rows():
+    # The first read of a parsed table's rows builds them; threads racing
+    # on it must neither fail nor see two builds.
+    schema = load_schema("ocean50")
+    text = generate_synthetic(500, schema, seed=5, noise=0.3).to_csv()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(30):
+            table = parse_responses(text, schema).table
+            barrier, seen = threading.Barrier(6), []
+
+            def read():
+                barrier.wait(timeout=10)
+                seen.append(table.rows)
+
+            threads = [threading.Thread(target=read) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(seen) == 6 and all(rows is seen[0] for rows in seen)
+            assert "_codes" not in vars(table) and len(seen[0]) == 500
+    finally:
+        sys.setswitchinterval(interval)
 
 
 class TestScoringAParsedTable:
