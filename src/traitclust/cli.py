@@ -18,7 +18,8 @@ from pathlib import Path
 from . import documents
 from .errors import InfeasibleConfigError
 from .kmodes import (
-    INIT_STRATEGIES, ClusterModel, FitConfig, check_selection, elbow_scan, fit, select_k,
+    INIT_STRATEGIES, ClusterModel, FitConfig, _scan_config, check_selection, elbow_scan, fit,
+    select_k,
 )
 from .report import (
     emit_report,
@@ -74,9 +75,17 @@ _FIT_FLAGS = ("seed", "restarts", "init")
 
 
 def _add_fit_flags(p):
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=1)
-    p.add_argument("--init", choices=INIT_STRATEGIES, default="random_rows")
+    # No defaults: a flag left out stays None, so a fit falls back on
+    # FitConfig's and report can refuse the flags it would ignore.
+    p.add_argument("--seed", type=int)
+    p.add_argument("--restarts", type=int)
+    p.add_argument("--init", choices=INIT_STRATEGIES)
+
+
+def _given_fit_flags(args) -> dict:
+    """The fit flags given on the command line, by FitConfig field name."""
+    return {name: getattr(args, name) for name in _FIT_FLAGS
+            if getattr(args, name) is not None}
 
 
 def build_parser() -> _Parser:
@@ -110,9 +119,6 @@ def build_parser() -> _Parser:
     _add_parse_flags(p)
     p.add_argument("--k", type=int, help="number of clusters")
     _add_fit_flags(p)
-    # A fit flag left out stays None, so report can refuse the ones it would
-    # ignore; a fit falls back on FitConfig's defaults, which are the above.
-    p.set_defaults(**dict.fromkeys(_FIT_FLAGS))
     p.add_argument("--format", choices=("json", "text", "piedata"), default="json")
     p.add_argument("--aggregate", choices=("share", "mean"), default="share",
                    help="share: dominant-cluster population shares; mean: mean profile")
@@ -159,26 +165,25 @@ def _parse_input(args):
     )
 
 
-def _load_model(path: str, dataset, schema_name=None) -> ClusterModel:
+def _load_model(path: str, dataset) -> ClusterModel:
     """``documents.load_model`` on the file at ``path`` (``-`` for stdin),
     checked against ``dataset``."""
-    return documents.load_model(_read_input(path), dataset.row_ids, len(dataset.attrs),
-                                schema_name)
+    return documents.load_model(_read_input(path), dataset.row_ids, len(dataset.attrs))
 
 
 def _cmd_fit(args) -> str:
-    config = FitConfig(k=args.k, init=args.init, seed=args.seed, restarts=args.restarts)
+    config = FitConfig(k=args.k, **_given_fit_flags(args))
     schema, result = _parse_input(args)
     model = fit(result.dataset, config)
     return documents.dumps(documents.model_to_dict(model, result.dataset, schema.name))
 
 
 def _cmd_elbow(args) -> str:
-    if 1 <= args.k_min <= args.k_max:  # otherwise elbow_scan or FitConfig refuses
-        check_selection(args.k_max - args.k_min + 1, args.epsilon)
+    given = _given_fit_flags(args)
+    _scan_config(args.k_min, args.k_max, **given)  # refused before the input is read
+    check_selection(args.k_max - args.k_min + 1, args.epsilon)
     _, result = _parse_input(args)
-    curve = elbow_scan(result.dataset, args.k_min, args.k_max,
-                       seed=args.seed, restarts=args.restarts, init=args.init)
+    curve = elbow_scan(result.dataset, args.k_min, args.k_max, **given)
     chosen = select_k(curve, args.epsilon)
     if args.format == "json":
         return documents.dumps({
@@ -222,8 +227,7 @@ def _cmd_report(args) -> str:
         raise ValueError("--model and --k do not apply to --aggregate mean")
     if args.model is not None and args.k is not None:
         raise ValueError("--k does not apply to --model, whose fit fixes k")
-    given = {name: getattr(args, name) for name in _FIT_FLAGS
-             if getattr(args, name) is not None}
+    given = _given_fit_flags(args)
     if given and (args.model is not None or args.aggregate == "mean"):
         flags = ", ".join(f"--{name}" for name in given)
         where = "--aggregate mean" if args.aggregate == "mean" else "--model"

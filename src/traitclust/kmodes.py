@@ -588,12 +588,19 @@ def elbow_scan(dataset, k_min, k_max, seed=0, restarts=1, init="random_rows"):
     once, at the largest such k; see _seed_pool). A scan whose every k is
     in the memo encodes nothing.
     """
+    config = _scan_config(k_min, k_max, seed=seed, restarts=restarts, init=init)
+    return [(model.config.k, model.cost) for model in _models(dataset, config, k_min, k_max)]
+
+
+def _scan_config(k_min, k_max, **fit_args) -> FitConfig:
+    """The FitConfig of a scan's first k, after elbow_scan's checks of its
+    range; ``fit_args`` are FitConfig's, which default the rest. The CLI
+    calls it to refuse bad flags before reading the input."""
     check_int("k_min", k_min)
     check_int("k_max", k_max)
     if k_min > k_max:
         raise ValueError(f"need k_min <= k_max, got {k_min}..{k_max}")
-    config = FitConfig(k=k_min, seed=seed, restarts=restarts, init=init)
-    return [(model.config.k, model.cost) for model in _models(dataset, config, k_min, k_max)]
+    return FitConfig(k=k_min, **fit_args)
 
 
 def check_selection(points: int, epsilon: float) -> None:

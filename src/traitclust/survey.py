@@ -456,16 +456,12 @@ def score_profile(values, schema: SurveySchema) -> TraitProfile:
             f"{len(values)} answers for {len(schema.items)} schema items"
         )
     lo, hi = schema.likert_min, schema.likert_max
-    # Plain ints in range pass at once; anything else (a bool, a float, a
-    # string, an out-of-range code) takes the per-item check, which names
-    # the first bad item or lets an int subclass through.
-    if not _plain_answers(values, lo, hi):
-        for item, v in zip(schema.items, values):
-            if not isinstance(v, int) or not lo <= v <= hi:
-                raise ValueError(
-                    f"item {item.column!r}: answer {v!r} outside the Likert range "
-                    f"[{lo}, {hi}] (impute or drop missing values before scoring)"
-                )
+    for item, v in zip(schema.items, values):
+        if not isinstance(v, int) or not lo <= v <= hi:
+            raise ValueError(
+                f"item {item.column!r}: answer {v!r} outside the Likert range "
+                f"[{lo}, {hi}] (impute or drop missing values before scoring)"
+            )
     raw = dict(zip(schema.dimensions, [
         sum(pos(values)) + reversal - sum(neg(values))
         for pos, neg, reversal in schema._score_plan
@@ -511,11 +507,9 @@ def score_profiles(table: ResponseTable, schema: SurveySchema):
 
     def lanes(cells):
         """The n byte codes ``cells`` as one int, one w-byte lane each."""
-        if w > 1:
-            wide = bytearray(w * n)
-            wide[low::w] = cells
-            cells = wide
-        return int.from_bytes(cells, sys.byteorder)
+        wide = bytearray(w * n)
+        wide[low::w] = cells
+        return int.from_bytes(wide, sys.byteorder)
 
     def values(lane_sum):
         return memoryview(lane_sum.to_bytes(w * n, sys.byteorder)).cast(
@@ -547,14 +541,6 @@ def _lane_width(schema: SurveySchema) -> int:
     likert_max: each raw score and each row's total is at most that."""
     top = len(schema.columns) * schema.likert_max
     return next(w for w in _LANE_FORMATS if top < 256 ** w)
-
-
-def _plain_answers(values, lo, hi) -> bool:
-    """Whether every answer is an int, not a subclass, in [lo, hi]."""
-    if set(map(type, values)) != {int}:
-        return False
-    answers = set(values)
-    return lo <= min(answers) and max(answers) <= hi
 
 
 def generate_synthetic(n: int, schema: SurveySchema, weights=None, seed: int = 0,

@@ -335,14 +335,17 @@ class TestReportCommand:
         assert explicit == (0, implicit, "")
         assert run(capsys, *base, "--model", str(model_path)) == (0, implicit, "")
 
-    def test_only_report_leaves_the_fit_flags_unset(self):
+    def test_fit_flags_left_out_stay_unset_and_fit_with_fitconfig_defaults(self, capsys):
         parser = cli.build_parser()
         common = ["--schema", "scenario3"]
-        for argv in (["fit", "--k", "2"], ["elbow", "--k-max", "3"]):
+        for argv in (["fit", "--k", "2"], ["elbow", "--k-max", "3"], ["report"]):
             args = parser.parse_args(argv + common)
-            assert (args.seed, args.restarts, args.init) == (0, 1, "random_rows")
-        args = parser.parse_args(["report"] + common)
-        assert (args.seed, args.restarts, args.init) == (None, None, None)
+            assert (args.seed, args.restarts, args.init) == (None, None, None)
+        defaults = ("--seed", "0", "--restarts", "1", "--init", "random_rows")
+        for argv in (["fit", "--k", "3"], ["elbow", "--k-max", "4"]):
+            implicit = run(capsys, *argv, "-i", FIXTURE, *common)
+            assert implicit[0] == 0
+            assert run(capsys, *argv, "-i", FIXTURE, *common, *defaults) == implicit
 
     def test_piedata_format(self, capsys):
         code, out, _ = run(capsys, "report", "-i", FIXTURE, "--schema",
@@ -911,6 +914,15 @@ class _UnreadStdin(io.StringIO):
            "restarts=0")]),
     pytest.param(("elbow", *_STDIN, "--k-max", "4", "--epsilon", "0"), 1,
                  "epsilon must lie in (0, 1), got 0.0", id="elbow epsilon=0, stdin"),
+    *(pytest.param(("elbow", *_STDIN, *flags), code, message, id=f"elbow {id_}, stdin")
+      for flags, code, message, id_ in [
+          (("--k-min", "0", "--k-max", "3"), 2, "k must be >= 1, got 0", "k_min=0"),
+          (("--k-min", "3", "--k-max", "2"), 1, "need k_min <= k_max, got 3..2",
+           "k_min>k_max"),
+          (("--k-max", "3", "--seed", "-1"), 1,
+           "seed must be an integer in [0, 2**64), got -1", "seed=-1"),
+          (("--k-max", "3", "--restarts", "0"), 1, "restarts must be >= 1, got 0",
+           "restarts=0")]),
     *(pytest.param(("report", *_PARSED, "--model", f"{key}.json"), 1,
                    f"malformed model document: {message}", id=f"model {key}")
       for key, message in [

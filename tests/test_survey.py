@@ -3,6 +3,7 @@
 import copy
 import csv
 import dataclasses
+import enum
 import hashlib
 import io
 import math
@@ -624,10 +625,12 @@ class TestScoreProfileMessages:
         )
 
     def test_bool_answers_count_as_their_int_value(self):
+        # So does any other int subclass, such as an IntEnum member.
         schema = load_schema(TINY_SCHEMA)
-        profile = score_profile((True,), schema)
-        assert profile.raw == {"D": 1}
-        assert type(profile.raw["D"]) is int
+        for answer in (True, enum.IntEnum("Answer", "ONE").ONE):
+            profile = score_profile((answer,), schema)
+            assert profile.raw == {"D": 1}
+            assert type(profile.raw["D"]) is int
 
 
 # Answers from 0 make all-zero rows, which cannot be normalized; dimension
@@ -907,8 +910,8 @@ class TestScoringAParsedTable:
         schema, text = _ocean50_with_missing_cells()
         table = parse_responses(text, schema, missing_policy="impute_mode").table
         calls = []
-        check = survey._plain_answers
-        monkeypatch.setattr(survey, "_plain_answers",
+        check = survey.score_profile
+        monkeypatch.setattr(survey, "score_profile",
                             lambda *args: calls.append(1) or check(*args))
         score_profiles(table, schema)
         assert calls == []
