@@ -22,6 +22,7 @@ from .kmodes import (
     select_k,
 )
 from .report import (
+    FORMATS,
     emit_report,
     fuse_profiles,
     label_clusters,
@@ -119,7 +120,7 @@ def build_parser() -> _Parser:
     _add_parse_flags(p)
     p.add_argument("--k", type=int, help="number of clusters")
     _add_fit_flags(p)
-    p.add_argument("--format", choices=("json", "text", "piedata"), default="json")
+    p.add_argument("--format", choices=FORMATS, default="json")
     p.add_argument("--aggregate", choices=("share", "mean"), default="share",
                    help="share: dominant-cluster population shares; mean: mean profile")
     p.add_argument("--model", help="reuse a persisted fit instead of clustering again")
@@ -128,7 +129,7 @@ def build_parser() -> _Parser:
     p.add_argument("a", help="first report JSON file")
     p.add_argument("b", help="second report JSON file")
     p.add_argument("--w", type=float, default=0.5, help="weight on the first report")
-    p.add_argument("--format", choices=("json", "text", "piedata"), default="json")
+    p.add_argument("--format", choices=FORMATS, default="json")
     p.add_argument("--output", "-o", default="-")
 
     p = sub.add_parser("gen", help="generate synthetic responses")
@@ -223,21 +224,22 @@ def _cmd_score(args) -> str:
 
 
 def _cmd_report(args) -> str:
-    if args.aggregate == "mean" and (args.model is not None or args.k is not None):
-        raise ValueError("--model and --k do not apply to --aggregate mean")
-    if args.model is not None and args.k is not None:
-        raise ValueError("--k does not apply to --model, whose fit fixes k")
-    given = _given_fit_flags(args)
-    if given and (args.model is not None or args.aggregate == "mean"):
-        flags = ", ".join(f"--{name}" for name in given)
-        where = "--aggregate mean" if args.aggregate == "mean" else "--model"
-        raise ValueError(f"{flags} {'does' if len(given) == 1 else 'do'} not apply to {where}")
+    # --model applies only to shares, and --k and the fit flags only to a fit.
+    shares = args.aggregate == "share"
+    fits = shares and args.model is None
+    idle = [f"--{name}" for name, applies in [("model", shares), ("k", fits),
+                                              *((f, fits) for f in _FIT_FLAGS)]
+            if not applies and getattr(args, name) is not None]
+    if idle:
+        where = "--model" if shares else "--aggregate mean"
+        raise ValueError(f"{', '.join(idle)} {'does' if len(idle) == 1 else 'do'} "
+                         f"not apply to {where}")
     if args.input == args.model == "-":
         raise ValueError("--input and --model cannot both read stdin")
-    if args.aggregate == "share" and args.model is None:
+    if fits:
         if args.k is None:
             raise ValueError("--k is required unless --model or --aggregate mean is given")
-        config = FitConfig(k=args.k, **given)
+        config = FitConfig(k=args.k, **_given_fit_flags(args))
     schema, result = _parse_input(args)
     if args.model is not None:
         # Before scoring: the decoded document is freed before the percent
@@ -249,7 +251,7 @@ def _cmd_report(args) -> str:
     if args.aggregate == "mean":
         rep = mean_percentages(percent, schema, meta={"n": result.table.n})
     else:
-        if args.model is None:
+        if fits:
             model = fit(result.dataset, config)
         labeling = label_clusters(model, percent, schema)
         rep = personality_percentages(labeling)

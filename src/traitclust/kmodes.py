@@ -256,7 +256,8 @@ def _seed_pool(dataset, codes, init, k_min, k_max):
         tuple(random.Random(r).sample(distinct, k)) for r in range(seed, seed + restarts)))
 
 
-def init_modes(dataset, k: int, strategy: str = "random_rows", seed: int = 0):
+def init_modes(dataset, k: int, strategy: str = FitConfig.init,
+               seed: int = FitConfig.seed):
     """Pick k initial prototypes.
 
     random_rows samples k distinct rows without replacement (seeded);
@@ -293,11 +294,12 @@ class _Cluster:
     from the mode, found one at a time with ``bit_length``. The cost is
     thus proportional to those attributes, not to m.
 
-    The mode always equals the majority of the members with ties to the
-    lowest code. An add can only promote a code it adds, so it compares
-    that code's new count with the mode code's. A remove that agrees with
-    the mode on j leaves the mode code ``size - rest[j]`` members, which
-    no other code (at most ``rest[j]``) can reach unless
+    From the first member on, the mode of j is the code of j with the most
+    members, the lowest code among the maxima; _rescan alone applies that
+    rule. An add can only promote a code it adds, so it rescans j only
+    once that code's count reaches the mode code's. A remove that agrees
+    with the mode on j leaves the mode code ``size - rest[j]`` members,
+    which no other code (at most ``rest[j]``) can reach unless
     ``2 * rest[j] >= size``. One C-level pass over rest finds those
     attributes, and only they are rescanned. Whenever a mode code changes,
     the mask swaps the old code's bit for the new one's.
@@ -327,20 +329,9 @@ class _Cluster:
         self._code_of = encoder.code_of
         self._positions = encoder.positions
 
-    def _promote(self, j, p, n, top):
-        # The code at bit p, with n members, replaces the mode code of j,
-        # which has top members and joins the other codes.
-        q = self._pos[j]
-        self._counts[q], self._counts[p] = top, 0
-        self.rest[j] += top - n
-        self.mask ^= (1 << q) ^ (1 << p)
-        self._pos[j] = p
-        self.mode[j] = self._code_of[p]
-
     def add(self, x):
         self.size += 1
-        size, counts, rest, mode = self.size, self._counts, self.rest, self.mode
-        attr_of, code_of = self._attr_of, self._code_of
+        size, counts, rest, attr_of = self.size, self._counts, self.rest, self._attr_of
         d = x & ~self.mask
         while d:
             p = d.bit_length() - 1
@@ -350,8 +341,8 @@ class _Cluster:
             counts[p] = n
             r = rest[j] = rest[j] + 1
             top = size - r
-            if n > top or (n == top and code_of[p] < mode[j]):
-                self._promote(j, p, n, top)
+            if n >= top:
+                self._rescan(j, top)
 
     def remove(self, x):
         self.size -= 1
@@ -392,24 +383,24 @@ class _Cluster:
                     counts[p] += n
                     rest[j] += n
 
-    def _majority(self, j, top):
-        # The bit position of the code of j with the most members, the
-        # lowest code among the maxima, and its count. The mode code has top
-        # members.
-        counts, code_of = self._counts, self._code_of
-        best_p = self._pos[j]
+    def _rescan(self, j, top):
+        # The mode code of j, at bit q with top members, yields to the code
+        # with the most members, the lowest among the maxima. If that is
+        # another code, the old mode code's members join rest[j] and keep
+        # their count at q, and the new one's leave both.
+        counts, code_of, pos = self._counts, self._code_of, self._pos
+        q = best_p = pos[j]
         best_n = top
         for p in self._positions[j]:
             n = counts[p]
             if n > best_n or (n == best_n and code_of[p] < code_of[best_p]):
                 best_p, best_n = p, n
-        return best_p, best_n
-
-    def _rescan(self, j, top):
-        # The mode code of j, with top members, yields to the majority code.
-        p, n = self._majority(j, top)
-        if p != self._pos[j]:
-            self._promote(j, p, n, top)
+        if best_p != q:
+            counts[q], counts[best_p] = top, 0
+            self.rest[j] += top - best_n
+            self.mask ^= (1 << q) ^ (1 << best_p)
+            pos[j] = best_p
+            self.mode[j] = code_of[best_p]
 
 
 def _total(m, points, masks, assignments):
@@ -577,7 +568,8 @@ def within_cluster_difference(dataset, modes, assignments, policy=None) -> float
     return _total(len(dataset.attrs), codes, masks, assignments)
 
 
-def elbow_scan(dataset, k_min, k_max, seed=0, restarts=1, init="random_rows"):
+def elbow_scan(dataset, k_min, k_max, seed=FitConfig.seed, restarts=FitConfig.restarts,
+               init=FitConfig.init):
     """Fit every k in [k_min, k_max] and return the (k, cost) curve, each
     cost equal to that of ``fit`` at k bit for bit.
 

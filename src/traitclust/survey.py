@@ -446,6 +446,17 @@ def _impute_codes(codes, columns, lo, hi):
             codes[j::m] = cells.replace(bytes([_MISSING_BYTE]), bytes([lo + counts.index(top)]))
 
 
+def _raw_scores(schema: SurveySchema, answers, one) -> list:
+    """The scoring rule, once for both scorers: per dimension, in order, the
+    sum of its positive answers, plus its reversal constant
+    len(negative) * (likert_min + likert_max) times ``one``, minus the sum
+    of its negative answers. ``answers`` is one row of ints with ``one`` 1
+    (score_profile), or the list of a table's column lanes with ``one`` the
+    lanes of 1 (score_profiles)."""
+    return [sum(pos(answers)) + reversal * one - sum(neg(answers))
+            for pos, neg, reversal in schema._score_plan]
+
+
 def score_profile(values, schema: SurveySchema) -> TraitProfile:
     """Sum answers into per-dimension raw scores (reversing negative items)
     and attach their percentages, which sum to 100. All-zero raw scores
@@ -462,10 +473,7 @@ def score_profile(values, schema: SurveySchema) -> TraitProfile:
                 f"item {item.column!r}: answer {v!r} outside the Likert range "
                 f"[{lo}, {hi}] (impute or drop missing values before scoring)"
             )
-    raw = dict(zip(schema.dimensions, [
-        sum(pos(values)) + reversal - sum(neg(values))
-        for pos, neg, reversal in schema._score_plan
-    ]))
+    raw = dict(zip(schema.dimensions, _raw_scores(schema, values, 1)))
     total = float(sum(raw.values()))
     if total == 0:
         raise DegenerateProfileError(_DEGENERATE)
@@ -485,15 +493,14 @@ def score_profiles(table: ResponseTable, schema: SurveySchema):
     rows with ``score_profile``. A row whose raw scores are all zero raises
     DegenerateProfileError naming the row by its id.
 
-    The raw scores follow score_profile's rule in lanes (SIMD within a
-    register). The lanes are read from the byte table the parse left on
-    the table, or, if its rows were read first (by a fit), from one built
-    from them and freed before the lanes are read back; no row tuple is
-    built. Each column of the byte table is read as one int with a
-    ``_lane_width(schema)``-byte lane per row. A dimension's raw scores are
-    its reversal constant in every lane, plus its positive columns, minus
-    its negative ones. Big-int arithmetic is exact, so an intermediate may
-    carry across lanes; each final value fits its lane."""
+    The raw scores are ``_raw_scores``, score_profile's rule, applied to
+    lanes (SIMD within a register). The lanes are read from the byte table
+    the parse left on the table, or, if its rows were read first (by a
+    fit), from one built from them and freed before the lanes are summed;
+    no row tuple is built. Each column of the byte table is read as one
+    int with a ``_lane_width(schema)``-byte lane per row. Big-int
+    arithmetic is exact, so an intermediate may carry across lanes; each
+    final value fits its lane."""
     if getattr(table, "_proven", None) != (schema.columns, schema.likert_min,
                                            schema.likert_max):
         raise ValueError(
@@ -520,17 +527,12 @@ def score_profiles(table: ResponseTable, schema: SurveySchema):
     codes = getattr(table, "_codes", None)
     if codes is None:
         codes = bytearray(chain.from_iterable(table.rows))
-    ones = lanes(bytes([1]) * n)
-    sums = {d: reversal * ones
-            for d, (_, _, reversal) in zip(schema.dimensions, schema._score_plan)}
-    for j, item in enumerate(schema.items):
-        column = lanes(codes[j::m])
-        sums[item.dimension] += column if item.keying == POSITIVE else -column
+    sums = _raw_scores(schema, [lanes(codes[j::m]) for j in range(m)], lanes(bytes([1]) * n))
     del codes
-    totals = values(sum(sums.values()))
+    totals = values(sum(sums))
     if 0 in totals:
         raise DegenerateProfileError(f"row {table.ids[totals.index(0)]!r}: {_DEGENERATE}")
-    raw = {d: values(lane_sum) for d, lane_sum in sums.items()}
+    raw = dict(zip(schema.dimensions, map(values, sums)))
     percent = {d: [100.0 * v / total for v, total in zip(col, totals)]
                for d, col in raw.items()}
     return raw, percent

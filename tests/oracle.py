@@ -1,5 +1,5 @@
-"""Brute-force and row-by-row references for the clustering, parsing and
-labeling tests.
+"""Brute-force and row-by-row references for the clustering, parsing,
+scoring and labeling tests.
 
 Deliberately independent of the package under test: plain lists, plain
 loops. Partitions are enumerated as restricted-growth strings, which walks
@@ -177,6 +177,19 @@ def reference_parse(text, columns, likert_min, likert_max, missing_code,
     report = (rows_read, len(rows), rows_read - len(rows))
     return (id_name, tuple(ids), tuple(tuple(row) for row in rows),
             tuple(categories), report)
+
+
+def reference_score(row, schema):
+    """Raw scores of one answer row, {dimension: sum} in the schema's
+    dimension order, one item at a time: a positive item adds its answer v,
+    a negative one likert_min + likert_max - v."""
+    raw = {d: 0 for d in schema.dimensions}
+    for item, v in zip(schema.items, row):
+        if item.keying == "positive":
+            raw[item.dimension] += v
+        else:
+            raw[item.dimension] += schema.likert_min + schema.likert_max - v
+    return raw
 
 
 def reference_cluster_means(percents, assignments, k, dims):

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import io
+import itertools
 import json
 
 import pytest
@@ -17,12 +18,23 @@ from traitclust.cli import main
 from conftest import APPLICANT_CSV, EMPLOYEE_CSV
 
 FIXTURE = str(APPLICANT_CSV)
+# report's source and fit flags, in the order a refusal names them.
+_REPORT_FLAGS = ("--model", "--k", "--seed", "--restarts", "--init")
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture(scope="module")
+def scenario3_model(tmp_path_factory):
+    """A k=2 model of the applicant file under scenario3."""
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    assert main(["fit", "-i", FIXTURE, "--schema", "scenario3", "--k", "2",
+                 "-o", str(path)]) == 0
+    return path
 
 
 class TestSchemaCommand:
@@ -285,10 +297,10 @@ class TestReportCommand:
         assert not target.exists()
 
     @pytest.mark.parametrize("flags, message", [
-        (("--aggregate", "mean", "--k", "3"), "--model and --k do not apply to --aggregate mean"),
+        (("--aggregate", "mean", "--k", "3"), "--k does not apply to --aggregate mean"),
         (("--aggregate", "mean", "--model", "MODEL"),
-         "--model and --k do not apply to --aggregate mean"),
-        (("--model", "MODEL", "--k", "3"), "--k does not apply to --model, whose fit fixes k"),
+         "--model does not apply to --aggregate mean"),
+        (("--model", "MODEL", "--k", "3"), "--k does not apply to --model"),
     ])
     def test_flags_the_report_would_ignore_are_refused(self, capsys, tmp_path, flags,
                                                        message):
@@ -321,6 +333,37 @@ class TestReportCommand:
         code, out, err = run(capsys, "report", "-i", FIXTURE, "--schema", "scenario3",
                              *flags, "-o", str(target))
         assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not target.exists()
+
+    @pytest.mark.parametrize("aggregate", [(), ("--aggregate", "mean")])
+    @pytest.mark.parametrize("given", [
+        given for size in range(len(_REPORT_FLAGS) + 1)
+        for given in itertools.combinations(_REPORT_FLAGS, size)])
+    def test_a_refusal_names_exactly_the_flags_that_do_not_apply(
+            self, capsys, tmp_path, scenario3_model, aggregate, given):
+        # --model applies only to shares, and --k and the fit flags only to a
+        # fit: with --aggregate mean none applies, with --model none but it.
+        if aggregate:
+            idle, where = given, "--aggregate mean"
+        else:
+            idle = given[1:] if given[:1] == ("--model",) else ()
+            where = "--model"
+        values = {"--model": str(scenario3_model), "--k": "2", "--seed": "3",
+                  "--restarts": "2", "--init": "density"}
+        target = tmp_path / "report.json"
+        code, out, err = run(capsys, "report", "-i", FIXTURE, "--schema", "scenario3",
+                             *aggregate, *(a for flag in given for a in (flag, values[flag])),
+                             "-o", str(target))
+        if idle:
+            verb = "does" if len(idle) == 1 else "do"
+            message = f"error: {', '.join(idle)} {verb} not apply to {where}\n"
+        elif not aggregate and not {"--model", "--k"} & set(given):
+            message = "error: --k is required unless --model or --aggregate mean is given\n"
+        else:
+            assert (code, out, err) == (0, "", "")
+            assert json.loads(target.read_text())["kind"] == "percent_report"
+            return
+        assert (code, out, err) == (1, "", message)
         assert not target.exists()
 
     def test_report_k_fits_with_seed_0_one_restart_and_random_rows(self, capsys, tmp_path):
@@ -868,7 +911,7 @@ class _UnreadStdin(io.StringIO):
     pytest.param(("elbow", *_PARSED, "--k-min", "3", "--k-max", "2"), 1,
                  "need k_min <= k_max, got 3..2", id="elbow k_min>k_max"),
     pytest.param(("report", *_PARSED, "--k", "2", "--model", "model.json"), 1,
-                 "--k does not apply to --model, whose fit fixes k", id="report k+model"),
+                 "--k does not apply to --model", id="report k+model"),
     pytest.param(("elbow", *_PARSED, "--k-max", "4", "--epsilon", "0"), 1,
                  "epsilon must lie in (0, 1), got 0.0", id="elbow epsilon=0"),
     pytest.param(("score", "-i", FIXTURE, "--schema", "list.json"), 1,

@@ -677,24 +677,31 @@ def _typed(values):
 
 
 def _check_scores_of_parsed_rows(schema, rows):
-    """score_profiles on the rows, parsed as every caller's table is, gives
+    """score_profile gives each row the raw scores of oracle.reference_score,
+    and score_profiles on the rows, parsed as every caller's table is, gives
     what score_profile gives row by row, or names the first degenerate row:
     from the byte table the parse holds, and from the rows when they were
-    read first, as a fit reads them."""
+    read first, as a fit reads them. Both scorers apply one rule, so only
+    the oracle checks that rule."""
     ids = [f"r{i}" for i in range(len(rows))]
     text = ResponseTable(ids, schema.columns, rows, "who").to_csv()
     held, read = (parse_responses(text, schema).table for _ in range(2))
     assert read.rows == tuple(map(tuple, rows)) and read.ids == held.ids == tuple(ids)
     expected = []
     for rid, row in zip(ids, rows):
+        reference = oracle.reference_score(row, schema)
         try:
-            expected.append(score_profile(row, schema))
+            profile = score_profile(row, schema)
         except DegenerateProfileError as exc:  # score_profiles names the row
+            assert not any(reference.values())
             for table in (held, read):
                 with pytest.raises(DegenerateProfileError) as info:
                     score_profiles(table, schema)
                 assert str(info.value) == f"row {rid!r}: {exc}"
             return
+        assert list(profile.raw) == list(reference)
+        assert _typed(profile.raw.values()) == _typed(reference.values())
+        expected.append(profile)
     for table in (held, read):
         raw, percent = score_profiles(table, schema)
         assert list(raw) == list(percent) == list(schema.dimensions)
