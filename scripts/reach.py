@@ -8,9 +8,14 @@ count too:
   input, and ``python -m traitclust`` once;
 * ``score``, ``report --aggregate mean`` and ``report --k 2``, under both
   missing policies, on a Likert 1..10 input with missing code -1 and padded
-  cells such as " 3", whose rows the one-digit conversion leaves to the
-  per-cell checks and whose codes the fit encodes in first-appearance
-  order;
+  cells such as " 3", whose cells of two characters send every block from
+  the block path to the per-line parse and its per-cell checks, and whose
+  codes the fit encodes in first-appearance order;
+* ``score`` under both missing policies on the generated ``ocean50`` input
+  with the missing code in every seventh row, a padded cell " 3" in a row
+  that starts no block and, mid-file, an id that holds a quoted comma: the
+  block path converts the other blocks, dropping rows under ``--missing
+  drop``, and leaves the blocks of those two rows to the per-line parse;
 * both example scripts, at small sizes;
 * for each perfbench workload, one set-up, one checked job and every probe
   at n=120, as tests/test_bench_probes.py runs them (perfbench/ is only
@@ -123,6 +128,7 @@ def _cli_callers(tmp: Path):
         for fmt in ("json", "text", "piedata"):
             _cli("fuse", rep, str(tmp / "report0.json"), "--w", "0.3", "--format", fmt)
     _wide_cell_callers(tmp)
+    _block_callers(tmp, Path(ocean))
     _run_as_main(["traitclust", "schema", "--list"],
                  lambda: runpy.run_module("traitclust", run_name="__main__"))
 
@@ -141,6 +147,20 @@ def _wide_cell_callers(tmp: Path):
         _cli("score", *parse)
         _cli("report", *parse, "--aggregate", "mean")
         _cli("report", *parse, "--k", "2")
+
+
+def _block_callers(tmp: Path, ocean: Path):
+    lines = ocean.read_text(encoding="utf-8").splitlines(keepends=True)
+    for i in range(1, len(lines), 7):
+        rid, _, rest = lines[i].partition(",")
+        lines[i] = f"{rid},0{rest[1:]}"
+    lines[40] = lines[40][:-2] + " 3\n"
+    mid = len(lines) // 2
+    lines[mid] = '"quoted,id"' + lines[mid][lines[mid].index(","):]
+    path = tmp / "ocean50-blocks.csv"
+    path.write_text("".join(lines), encoding="utf-8")
+    for missing in ("drop", "impute"):
+        _cli("score", "-i", str(path), "--schema", "ocean50", "--missing", missing)
 
 
 def _script_callers():

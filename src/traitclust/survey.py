@@ -15,7 +15,7 @@ from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from importlib import resources
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -38,8 +38,10 @@ _DEGENERATE = "all raw scores are zero; percentages are undefined"
 # The memoryview format of a lane that score_profiles sums, by its width in
 # bytes, smallest first.
 _LANE_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
-# The characters of input that parse_responses hands to io.StringIO at a
-# time, rounded up to a line end; StringIO copies them at 4 bytes each.
+# The characters of input that parse_responses reads as one block, rounded
+# up to a line end: the block path converts a block whole, and the per-line
+# path hands it to io.StringIO, which copies it at 4 bytes a character.
+# 64 Ki blocks were no faster.
 _BLOCK = 8192
 
 
@@ -290,19 +292,52 @@ def parse_responses(text: str, schema: SurveySchema, delimiter: str = ",",
     One leading UTF-8 byte-order mark, which spreadsheet exports often
     write, is dropped.
 
-    A row of one-digit cells is converted at C level, by the comma rule
-    stated where it is checked; other rows by per-cell checks. Every kept
-    row goes into one byte table, a missing answer as byte 255, in which
-    imputation fills each column. The table keeps a copy of it in place of
-    its rows, which are built from it when first read; ``score_profiles``
-    and ``n`` read none.
+    csv.reader reads the header; the rest is read in blocks of about _BLOCK
+    characters, each ending at a line end. When the header is the id column
+    and then the schema columns in order, a block of plain lines, each an
+    id and one-digit cells, is converted whole (``_plain_block``). The
+    reader reads any other block line by line, with per-cell checks, and on
+    into the next block if a record runs past the end. Every kept row goes
+    into one byte table, a missing answer as byte 255, in which imputation
+    fills each column. The table keeps a copy of it in place of its rows,
+    which are built from it when first read; ``score_profiles`` and ``n``
+    read none.
     """
     if missing_policy not in MISSING_POLICIES:
         raise ValueError(f"missing_policy must be one of {MISSING_POLICIES}, got {missing_policy!r}")
     check_delimiter(delimiter)
     # removeprefix returns the text itself, uncopied, when it has no mark.
     text = text.removeprefix("\ufeff")
-    reader = csv.reader(_lines(text), delimiter=delimiter)
+    # The lines (and records) the block path took, which the reader's
+    # line_num and record count leave out. ``done`` is the reader's line_num
+    # after the last record it returned (-1 before the header): a block
+    # starts a record only if the reader has read no line since.
+    taken, done = 0, -1
+
+    def take(block):
+        """Convert ``block`` by the block path if it starts a record and
+        passes every check; else leave it to the reader."""
+        nonlocal taken
+        converted = (reader.line_num == done and plain
+                     and _plain_block(block, delimiter, width, ok, value, seen_ids))
+        if not converted:
+            return False
+        block_ids, block_codes = converted
+        seen_ids.update(block_ids)
+        taken += len(block_ids)
+        # Under drop_row, only the runs of rows between those with a 255.
+        first, at = 0, block_codes.find(_MISSING_BYTE) if drop else -1
+        while at >= 0:
+            row = at // m
+            ids.extend(block_ids[first:row])
+            codes.extend(block_codes[first * m:row * m])
+            first = row + 1
+            at = block_codes.find(_MISSING_BYTE, first * m)
+        ids.extend(block_ids[first:])
+        codes.extend(block_codes[first * m:])
+        return True
+
+    reader = csv.reader(_lines(text, take), delimiter=delimiter)
     try:  # a csv.Error, such as a field over the csv module's size limit
         header = next(reader, None)
         if header is None:
@@ -324,19 +359,14 @@ def parse_responses(text: str, schema: SurveySchema, delimiter: str = ",",
         lo, hi, miss = schema.likert_min, schema.likert_max, schema.missing_code
         drop = missing_policy == "drop_row"
         m = len(columns)
-        # A row of one-digit cells is converted by a few C-level calls. Its
-        # cells joined by "," must be 2m - 1 characters long and, encoded (a
-        # non-ASCII character as one "?"), hold a digit the per-cell check
-        # accepts at each even position. The m - 1 separators, which are not
-        # digits, then fill the m - 1 odd positions, so each cell is one of
-        # those digits; a join without separators would take ("", "11", "1")
-        # for three cells. The length is tested first, so a row of wider cells
-        # costs only the join. A digit's code is its value, or _MISSING_BYTE
-        # for the missing code.
+        # The block path's layout, and a delimiter that is neither a digit
+        # nor the quote. A digit's code is its value, or _MISSING_BYTE for
+        # the missing code.
+        plain = header[1:] == list(columns) and delimiter not in '"0123456789'
+        width = 2 * m - 1
         ok = bytes(d for d in b"0123456789" if lo <= d - 48 <= hi or d - 48 == miss)
         value = bytes.maketrans(b"0123456789",
                                 bytes(_MISSING_BYTE if d == miss else d for d in range(10)))
-        width = 2 * m - 1
         # Every cell string the per-cell check has accepted, mapped to its
         # code, so any other row of known strings is converted in one pass:
         # without it, a Likert 1..10 input parses in twice the time.
@@ -346,7 +376,10 @@ def parse_responses(text: str, schema: SurveySchema, delimiter: str = ",",
         codes = bytearray()
         ids = []
         seen_ids = set()
-        for lineno, cells in enumerate(reader, start=2):
+        done = reader.line_num
+        for records, cells in enumerate(reader, start=2):
+            lineno = records + taken
+            done = reader.line_num
             if not cells:
                 continue
             if len(cells) != len(header):
@@ -354,16 +387,11 @@ def parse_responses(text: str, schema: SurveySchema, delimiter: str = ",",
                     f"row {lineno}: expected {len(header)} cells, found {len(cells)}"
                 )
             picked = pick(cells)
-            joined = ",".join(picked)
-            if len(joined) == width and not (
-                    digits := joined.encode("ascii", "replace")[::2]).translate(None, ok):
-                row = digits.translate(value)
-            else:
-                try:
-                    row = bytes(map(known.__getitem__, picked))
-                except KeyError:
-                    row = _checked_cells(picked, columns, lineno, lo, hi, miss)
-                    known.update(zip(picked, row))
+            try:
+                row = bytes(map(known.__getitem__, picked))
+            except KeyError:
+                row = _checked_cells(picked, columns, lineno, lo, hi, miss)
+                known.update(zip(picked, row))
             rid = cells[id_pos] if id_pos is not None else str(len(seen_ids))
             if rid in seen_ids:
                 raise ParseError(f"row {lineno}: duplicate id {rid!r}")
@@ -374,7 +402,7 @@ def parse_responses(text: str, schema: SurveySchema, delimiter: str = ",",
             ids.append(rid)
             codes.extend(row)
     except csv.Error as exc:
-        raise ParseError(f"row {reader.line_num}: {exc}") from None
+        raise ParseError(f"row {reader.line_num + taken}: {exc}") from None
 
     if not drop:
         _impute_codes(codes, columns, lo, hi)
@@ -396,16 +424,59 @@ def parse_responses(text: str, schema: SurveySchema, delimiter: str = ",",
     return ParseResult(table=table, report=report)
 
 
-def _lines(text):
+def _lines(text, take=None):
     """The lines of ``text``, each ending at "\\n" and keeping it (the last
-    may have none), as iterating ``io.StringIO(text)`` yields them: each
-    block given to StringIO starts a line, and none holds the whole text.
+    may have none), as iterating ``io.StringIO(text)`` yields them, read in
+    blocks: the first line, then blocks of at least _BLOCK characters, each
+    ending at a line end. ``take``, if given, is offered each block after
+    the first, and a block it returns true for is not yielded. Any other
+    goes to io.StringIO, so no StringIO holds the whole text.
     ``str.splitlines`` would also split on "\\r", U+2028 and others."""
     start, find = 0, text.find
+    end = find("\n") + 1 or len(text)
     while start < len(text):
-        end = find("\n", start + _BLOCK) + 1 or len(text)
-        yield from io.StringIO(text[start:end])
-        start = end
+        block = text[start:end]
+        if not (start and take and take(block)):
+            yield from io.StringIO(block)
+        start, end = end, find("\n", end + _BLOCK) + 1 or len(text)
+
+
+def _plain_block(block, delimiter, width, ok, value, seen):
+    """The ids and the byte codes of ``block`` if it is plain lines, each a
+    new id (in no other line, and not in the set ``seen``), the delimiter
+    and ``width`` characters of one-digit cells between delimiters; else
+    None. csv.reader splits such a line at each delimiter: the block holds
+    no quote, no NUL, no carriage return but before a line feed, and no
+    field over csv's size limit.
+
+    Each line is partitioned at its first delimiter into its id and the
+    rest. Each rest must be ``width`` = 2m - 1 long: a check of their total
+    alone is unsound, since with m = 2 the rests "1,2,3" and "1" join to the
+    right length. Joined by the delimiter and encoded, they must then hold a
+    digit in ``ok`` at every even offset, which ``translate(value)`` maps to
+    its code, and as many delimiters as odd offsets; as the delimiter is no
+    digit, they fill the odd offsets, and each line is an id and m one-digit
+    cells. A non-ASCII character, which would not encode to one byte, sends
+    the block back too."""
+    block = block.replace("\r\n", "\n")
+    # The first line's rest is measured before every line is split, so an
+    # input of wider cells pays little for the block path it cannot take.
+    if (len(block) > csv.field_size_limit() or not block.isascii()
+            or '"' in block or "\0" in block or "\r" in block
+            or len(block.partition("\n")[0].partition(delimiter)[2]) != width):
+        return None
+    lines = block.split("\n")
+    if not lines[-1]:  # after the block's last line break
+        lines.pop()
+    ids, _, rests = zip(*map(str.partition, lines, repeat(delimiter)))
+    if set(map(len, rests)) == {width}:
+        joined = delimiter.join(rests).encode()
+        digits = joined[::2]
+        if (joined.count(delimiter.encode()) == len(digits) - 1
+                and not digits.translate(None, ok)
+                and len(set(ids)) == len(ids) and seen.isdisjoint(ids)):
+            return ids, digits.translate(value)
+    return None
 
 
 def _checked_cells(cells, columns, lineno, lo, hi, miss):

@@ -302,13 +302,10 @@ class TestReportCommand:
          "--model does not apply to --aggregate mean"),
         (("--model", "MODEL", "--k", "3"), "--k does not apply to --model"),
     ])
-    def test_flags_the_report_would_ignore_are_refused(self, capsys, tmp_path, flags,
-                                                       message):
-        model_path = tmp_path / "model.json"
-        run(capsys, "fit", "-i", FIXTURE, "--schema", "scenario3", "--k", "2",
-            "-o", str(model_path))
+    def test_flags_the_report_would_ignore_are_refused(self, capsys, tmp_path, scenario3_model,
+                                                       flags, message):
         target = tmp_path / "report.json"
-        flags = [str(model_path) if f == "MODEL" else f for f in flags]
+        flags = [str(scenario3_model) if f == "MODEL" else f for f in flags]
         code, out, err = run(capsys, "report", "-i", FIXTURE, "--schema", "scenario3",
                              *flags, "-o", str(target))
         assert (code, out, err) == (1, "", f"error: {message}\n")
@@ -324,12 +321,10 @@ class TestReportCommand:
         (("--aggregate", "mean", "--seed", "3", "--init", "density"),
          "--seed, --init do not apply to --aggregate mean"),
     ])
-    def test_fit_flags_without_a_fit_are_refused(self, capsys, tmp_path, flags, message):
-        model_path = tmp_path / "model.json"
-        run(capsys, "fit", "-i", FIXTURE, "--schema", "scenario3", "--k", "2",
-            "-o", str(model_path))
+    def test_fit_flags_without_a_fit_are_refused(self, capsys, tmp_path, scenario3_model,
+                                                 flags, message):
         target = tmp_path / "report.json"
-        flags = [str(model_path) if f == "MODEL" else f for f in flags]
+        flags = [str(scenario3_model) if f == "MODEL" else f for f in flags]
         code, out, err = run(capsys, "report", "-i", FIXTURE, "--schema", "scenario3",
                              *flags, "-o", str(target))
         assert (code, out, err) == (1, "", f"error: {message}\n")

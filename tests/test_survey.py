@@ -1089,6 +1089,148 @@ def test_the_parse_reads_the_lines_and_records_stringio_yields(text):
             assert _records(survey._lines(text)) == _records(io.StringIO(text))
 
 
+_CSV_READER = csv.reader
+
+
+class _HeaderOnlyReader:
+    """csv.reader that fails on any record after the header, so that no
+    line after it may reach the per-line path."""
+
+    def __init__(self, *args, **kwargs):
+        self._reader = _CSV_READER(*args, **kwargs)
+        self._records = 0
+
+    @property
+    def line_num(self):
+        return self._reader.line_num
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        record = next(self._reader)
+        self._records += 1
+        assert self._records == 1, f"record {record!r} reached the per-line path"
+        return record
+
+
+def _no_checked_cells(*args):
+    raise AssertionError(f"cells {args[0]!r} reached the per-cell checks")
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["LF", "CRLF"])
+@pytest.mark.parametrize("policy", MISSING_POLICIES)
+@pytest.mark.parametrize("holed", [False, True], ids=["complete", "missing-cells"])
+def test_a_clean_ocean50_input_takes_only_the_block_path(holed, policy, newline):
+    # Only the header goes through csv.reader; every block after it is
+    # converted whole. Without this, the block path could fall back on every
+    # block, and only the timings would show it.
+    schema = load_schema("ocean50")
+    if holed:
+        _, text = _ocean50_with_missing_cells()
+    else:
+        text = generate_synthetic(2000, schema, seed=11, noise=0.15).to_csv()
+    text = text.replace("\n", newline)
+    expected = _reference_outcome(text, schema, ",", policy)
+    with mock.patch.object(survey.csv, "reader", _HeaderOnlyReader), \
+            mock.patch.object(survey, "_checked_cells", _no_checked_cells):
+        assert _parse_outcome(text, schema, ",", policy) == expected
+
+
+def _block_edge_rows():
+    """Rows of PARSE_SCHEMAS[0] (Q1..Q3, Likert 1..5, missing code 0), 12
+    characters each, so that 1000 of them fill more than one survey._BLOCK.
+    Ids are letters only, so that a digit delimiter splits none of them."""
+    rng = random.Random("block-edges")
+    ids = ["".join(chr(97 + (i // 26 ** p) % 26) for p in range(3)) + "id" for i in range(1000)]
+    return [[rid, *(rng.choice("0123455") for _ in range(3))] for rid in ids]
+
+
+def _edge_text(rows, delimiter=","):
+    return "".join(delimiter.join(row) + "\n" for row in [["id", "Q1", "Q2", "Q3"], *rows])
+
+
+def _with_id(at, rid):
+    """The rows with row ``at``'s id replaced by ``rid``."""
+    def edit(rows):
+        rows[at][0] = rid
+        return _edge_text(rows)
+    return edit
+
+
+def _with_lines(at, lines, delimiter=","):
+    """The text with ``lines`` put in before row ``at``."""
+    def edit(rows):
+        return (_edge_text(rows[:at], delimiter) + lines
+                + _edge_text(rows[at:], delimiter).partition("\n")[2])
+    return edit
+
+
+# Each case is (delimiter, the edit that makes the text from the rows). Row
+# 800 lies in the second block at survey._BLOCK, and the quoted record put
+# in before row 650 holds the first block's end.
+BLOCK_EDGE_CASES = {
+    "plain": (",", _edge_text),
+    "crlf": (",", lambda rows: _edge_text(rows).replace("\n", "\r\n")),
+    "lone-cr": (",", _with_id(800, "x\ry")),
+    "lone-cr-at-end": (",", lambda rows: _edge_text(rows) + "zzid,1,2,3\r"),
+    "nul": (",", _with_id(800, "x\0y")),
+    "id-over-the-csv-limit": (",", _with_id(800, "x" * (csv.field_size_limit() + 1))),
+    "non-ascii-id": (",", _with_id(800, "résumé")),
+    "duplicate-id-in-a-later-block": (",", _with_id(800, "abaid")),
+    # Its inner lines, each a plain row, must not take the block path.
+    "quoted-record-past-a-block-end": (
+        ",", _with_lines(650, '"' + "".join(f"q{row[0]},1,2,3\n" for row in
+                                            _block_edge_rows()[:80]) + '",1,2,3\n')),
+    "quoted-id": (",", _with_id(800, '"quoted"')),
+    # Rests of 7 and 3 characters join to the length of two rows of 5.
+    "long-and-short-row": (",", _with_lines(800, "xaid,1,2,3,4\nxbid,1,2\n")),
+    "other-separator": (",", _with_lines(800, "xaid,1;2;3\n")),
+    "blank-line-mid-block": (",", _with_lines(300, "\n")),
+    "no-final-line-break": (",", lambda rows: _edge_text(rows).removesuffix("\n")),
+    "semicolon": (";", lambda rows: _edge_text(rows, ";")),
+    "tab": ("\t", lambda rows: _edge_text(rows, "\t")),
+    "digit": ("7", lambda rows: _edge_text(rows, "7")),
+    # With "4" as the delimiter and an accepted digit, the rest "441,1"
+    # holds a digit at each even offset and two 4s, as many as its odd
+    # offsets, while csv.reader reads the cells "", "" and "1,1".
+    "digit-that-is-an-answer": ("4", lambda rows: _with_lines(800, "xaid4441,1\n", "4")(
+        [[cell.replace("4", "5") for cell in row] for row in rows])),
+}
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+@pytest.mark.parametrize("policy", MISSING_POLICIES)
+@pytest.mark.parametrize("case", sorted(BLOCK_EDGE_CASES))
+def test_the_block_path_and_its_fallback_match_the_reference(case, policy, block):
+    schema = PARSE_SCHEMAS[0]
+    delimiter, edit = BLOCK_EDGE_CASES[case]
+    text = edit(_block_edge_rows())
+    expected = _reference_outcome(text, schema, delimiter, policy)
+    with mock.patch.object(survey, "_BLOCK", block):
+        assert _parse_outcome(text, schema, delimiter, policy) == expected
+        # The parse drops one leading byte-order mark; the reference reads
+        # none.
+        assert _parse_outcome("\ufeff" + text, schema, delimiter, policy) == expected
+
+
+def test_the_block_edge_cases_reach_what_they_name():
+    # The texts behind the cases above do what their names say at the full
+    # block size: the first block after the header line ends inside the
+    # quoted record, and row 800 lies in a later block.
+    rows = _block_edge_rows()
+    quoted = BLOCK_EDGE_CASES["quoted-record-past-a-block-end"][1](rows)
+    first_end = quoted.find("\n", quoted.find("\n") + 1 + survey._BLOCK) + 1
+    assert quoted.count('"', 0, first_end) == 1
+    plain = _edge_text(rows)
+    second_start = plain.find("\n", plain.find("\n") + 1 + survey._BLOCK) + 1
+    assert plain.index("\n" + rows[800][0] + ",") >= second_start
+    assert rows[800][0] != "abaid" and "abaid" in {row[0] for row in rows[:800]}
+    assert (_parse_outcome(BLOCK_EDGE_CASES["duplicate-id-in-a-later-block"][1](rows),
+                           PARSE_SCHEMAS[0], ",", "drop_row")
+            == f"row 802: duplicate id {'abaid'!r}")
+
+
 @pytest.mark.parametrize("policy", MISSING_POLICIES)
 def test_the_parse_holds_no_copy_of_its_input(policy):
     # The transient is the parse's tracemalloc peak less what its result
